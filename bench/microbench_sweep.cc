@@ -27,7 +27,7 @@
  *                      [--expect-warm]
  *
  * --processes N adds a sharded leg: the same grid through N worker
- * processes (shard/coordinator.hh), asserted bit-identical to the
+ * processes (serve/coordinator.hh), asserted bit-identical to the
  * in-process ablation leg.
  *
  * --quick shrinks the grid (4 benchmarks x 3 policies) for CI smoke
@@ -44,7 +44,7 @@
 
 #include "bench_common.hh"
 #include "cache/store.hh"
-#include "shard/coordinator.hh"
+#include "serve/coordinator.hh"
 #include "shard/worker.hh"
 
 using namespace tg;
@@ -146,9 +146,9 @@ int
 main(int argc, char **argv)
 {
     // Re-exec'ed by a sharded-sweep coordinator (possibly our own
-    // --processes leg below): become a worker instead of a bench.
-    if (shard::isWorkerInvocation(argc, argv))
-        return shard::workerMain(shard::basicSetupFactory());
+    // --processes leg below): become a sweep endpoint, not a bench.
+    if (serve::isEndpointInvocation(argc, argv))
+        return serve::endpointMain(argc, argv);
 
     bool quick = false;
     bool expect_warm = false;
@@ -229,11 +229,11 @@ main(int argc, char **argv)
         compareGrids(warm.sweep, par.sweep, "warm serial", "parallel");
 
     // --- optional leg: sharded across worker processes -------------
-    // Workers re-exec this binary (--tg-worker guard in main) and
+    // Workers re-exec this binary (endpoint guard in main) and
     // share whatever TG_CACHE_DIR names; the merged grid must be
     // bit-identical to the in-process ablation.
     if (processes > 0) {
-        shard::ShardedSweepOptions sopt;
+        serve::ShardedSweepOptions sopt;
         sopt.benchmarks = off.sweep.benchmarks;
         sopt.policies = off.sweep.policies;
         sopt.processes = processes;
@@ -242,9 +242,9 @@ main(int argc, char **argv)
         scfg.memoizeResults = false;
         sopt.setup = shard::encodeBasicSetup(shard::ChipKind::Power8,
                                              0, scfg);
-        shard::ShardedSweepStats stats;
+        serve::ShardedSweepStats stats;
         auto t0 = std::chrono::steady_clock::now();
-        sim::SweepResult sharded = shard::runShardedSweep(sopt, &stats);
+        sim::SweepResult sharded = serve::runShardedSweep(sopt, &stats);
         double sharded_s = secondsSince(t0);
         std::printf("sharded  (%d procs x %d jobs):  %8.2f s "
                     "(%.2fx vs warm serial; %d shards, %d "

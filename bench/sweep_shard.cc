@@ -5,7 +5,7 @@
  * Runs the (benchmark x policy) grid three ways and asserts every
  * variant bit-identical to the single-threaded single-process
  * baseline (the PR 1/3/6 determinism contract, extended across
- * process boundaries by shard/coordinator.hh):
+ * process boundaries by serve/coordinator.hh):
  *
  *   1. serial       — runSweep, one thread, one process.
  *   2. threads-only — runSweep through the in-process worker pool
@@ -15,7 +15,7 @@
  *                     --processes N runs just that point), with
  *                     --jobs N threads inside every worker.
  *
- * Workers re-exec this binary in --tg-worker mode and share whatever
+ * Workers re-exec this binary as serve endpoints and share whatever
  * TG_CACHE_DIR names, so a populated disk tier warms all processes.
  *
  *   ./sweep_shard [--quick] [--jobs N] [--processes N]
@@ -30,7 +30,7 @@
 
 #include "bench_common.hh"
 #include "cache/store.hh"
-#include "shard/coordinator.hh"
+#include "serve/coordinator.hh"
 #include "shard/worker.hh"
 
 using namespace tg;
@@ -68,9 +68,9 @@ runInProcess(const std::vector<std::string> &benchmarks,
 int
 main(int argc, char **argv)
 {
-    // Re-exec'ed by the coordinator below: become a worker.
-    if (shard::isWorkerInvocation(argc, argv))
-        return shard::workerMain(shard::basicSetupFactory());
+    // Re-exec'ed by the coordinator below: become a sweep endpoint.
+    if (serve::isEndpointInvocation(argc, argv))
+        return serve::endpointMain(argc, argv);
 
     bool quick = false;
     for (int i = 1; i < argc; ++i)
@@ -127,17 +127,17 @@ main(int argc, char **argv)
     sim::SimConfig worker_cfg{};
     worker_cfg.memoizeResults = false;
     for (int p : ladder) {
-        shard::ShardedSweepOptions sopt;
+        serve::ShardedSweepOptions sopt;
         sopt.benchmarks = serial.benchmarks;
         sopt.policies = serial.policies;
         sopt.processes = p;
         sopt.jobsPerWorker = jobs;
         sopt.setup = shard::encodeBasicSetup(shard::ChipKind::Power8,
                                              0, worker_cfg);
-        shard::ShardedSweepStats stats;
+        serve::ShardedSweepStats stats;
         auto t0 = std::chrono::steady_clock::now();
         sim::SweepResult sharded =
-            shard::runShardedSweep(sopt, &stats);
+            serve::runShardedSweep(sopt, &stats);
         const double s = secondsSince(t0);
         std::printf("sharded       (%d procs x %d job%s): %8.2f s "
                     "(%.2fx vs serial; %d shards, %d reassigned, "

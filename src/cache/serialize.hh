@@ -10,7 +10,7 @@
  * types used.
  *
  * The codec primitives (ByteWriter/ByteReader) live in
- * common/bytes.hh so the shard engine's wire protocol shares them;
+ * common/bytes.hh so the TGS1 frame protocol shares them;
  * the aliases below keep existing cache-side users spelled the same.
  */
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * Little-endian byte codec primitives shared by every binary format
- * in the tree (the artifact cache's disk tier, the shard engine's
- * wire protocol).
+ * in the tree (the artifact cache's disk tier, the TGS1 frame
+ * protocol).
  *
  * The encodings are bit-exact: doubles travel as their raw 64-bit
  * patterns, never through text formatting, so a decoded value stands

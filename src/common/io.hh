@@ -1,13 +1,13 @@
 /**
  * @file
  * Low-level POSIX descriptor helpers shared by every process- and
- * socket-speaking layer (the shard engine's pipes, the sweep server's
- * Unix-domain sockets).
+ * socket-speaking layer (the sweep server's Unix-domain sockets and
+ * the sharded sweep's socketpairs).
  *
  * Everything here is a thin, EINTR-hardened wrapper: policy (framing,
  * corruption handling, event-loop structure) stays with the callers.
  * On non-POSIX hosts the functions exist but fail, mirroring the
- * shard engine's platform gating.
+ * service stack's platform gating.
  *
  * Chaos harness: every read/write in the service stack routes through
  * chaosRead()/chaosWrite(), a deterministic fault shim that injects

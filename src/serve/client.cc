@@ -69,7 +69,7 @@ bool Client::connectWithRetry(const std::string &socketPath,
     pid = static_cast<std::uint64_t>(::getpid());
 #endif
     std::uint64_t delayMs = 10;
-    for (unsigned attempt = 0;; ++attempt) {
+    for (std::uint64_t attempt = 0;; ++attempt) {
         // An accepted connection is not enough: the listening socket
         // may outlive a dying server, or the daemon may not be
         // serving yet. Only a Pong proves the loop is live.
@@ -248,37 +248,17 @@ bool Client::sweep(const SweepMsg &request, sim::SweepResult &out,
     if (!send(FrameType::ServeSweep, encodeSweep(request), err))
         return false;
 
-    out = sim::SweepResult{};
-    out.benchmarks = request.benchmarks;
-    out.policies.reserve(request.policies.size());
-    for (auto pk : request.policies)
-        out.policies.push_back(static_cast<core::PolicyKind>(pk));
-    out.results.assign(
-        request.benchmarks.size(),
-        std::vector<sim::RunResult>(request.policies.size()));
-    const std::uint64_t n_cells =
-        static_cast<std::uint64_t>(request.benchmarks.size()) *
-        request.policies.size();
-
+    out = emptyGrid(request);
     for (;;) {
         Frame frame;
         if (!recv(frame, err))
             return false;
         if (frame.type == FrameType::ServeCell) {
-            CellMsg cell;
-            sim::RunResult r;
-            if (!decodeCell(frame.payload, cell) ||
-                cell.cell >= n_cells ||
-                !cache::decodeRunResult(cell.result.data(),
-                                        cell.result.size(), r)) {
+            std::uint64_t cell = 0;
+            if (!placeCell(frame.payload, out, cell)) {
                 setErr(err, "malformed cell result");
                 return false;
             }
-            const std::size_t b = static_cast<std::size_t>(
-                cell.cell / request.policies.size());
-            const std::size_t p = static_cast<std::size_t>(
-                cell.cell % request.policies.size());
-            out.results[b][p] = std::move(r);
             continue;
         }
         if (frame.type == FrameType::ServeDone) {

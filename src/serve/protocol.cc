@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "cache/serialize.hh"
+
 #ifdef __unix__
 #include <unistd.h>
 #endif
@@ -51,6 +53,41 @@ const char *doneStatusName(DoneStatus s)
         return "deadline-expired";
     }
     return "unknown";
+}
+
+sim::SweepResult emptyGrid(const SweepMsg &m)
+{
+    sim::SweepResult grid;
+    grid.benchmarks = m.benchmarks;
+    for (auto pk : m.policies)
+        grid.policies.push_back(static_cast<core::PolicyKind>(pk));
+    grid.results.assign(
+        m.benchmarks.size(),
+        std::vector<sim::RunResult>(m.policies.size()));
+    return grid;
+}
+
+bool placeCell(const std::vector<std::uint8_t> &payload,
+               sim::SweepResult &grid, std::uint64_t &cell)
+{
+    const std::uint64_t n_cells =
+        static_cast<std::uint64_t>(grid.benchmarks.size()) *
+        grid.policies.size();
+    CellMsg m;
+    sim::RunResult r;
+    if (!decodeCell(payload, m) || m.cell >= n_cells ||
+        !cache::decodeRunResult(m.result.data(), m.result.size(), r))
+        return false;
+    const std::size_t b =
+        static_cast<std::size_t>(m.cell / grid.policies.size());
+    const std::size_t p =
+        static_cast<std::size_t>(m.cell % grid.policies.size());
+    if (r.benchmark != grid.benchmarks[b] ||
+        r.policy != grid.policies[p])
+        return false;
+    grid.results[b][p] = std::move(r);
+    cell = m.cell;
+    return true;
 }
 
 std::vector<std::uint8_t> encodeRun(const RunMsg &m)

@@ -13,18 +13,17 @@
  *     server -> client : ServeDone   (status + optional error string)
  *     server -> client : ServeStatsReply / Pong
  *
- * Robustness semantics (v3): Run/Sweep carry an optional deadlineMs
+ * Robustness semantics: Run/Sweep carry an optional deadlineMs
  * the server enforces mid-execution; ServeCancel (empty payload)
  * aborts the connection's queued or in-flight request; ServeDone
  * reports a DoneStatus so a client can tell apart success, request
  * errors, admission-control rejection (Busy, with a retry hint) and
  * cancellation/deadline abort.
  *
- * Every decoder is bounds-checked and rejects trailing garbage, same
- * rules as the shard messages. Results travel as
- * cache::encodeRunResult bytes, so a served cell is byte-comparable
- * against a locally computed one — the bit-identity contract the
- * serve tests assert.
+ * Every decoder is bounds-checked and rejects trailing garbage.
+ * Results travel as cache::encodeRunResult bytes, so a served cell is
+ * byte-comparable against a locally computed one — the bit-identity
+ * contract the serve tests assert.
  */
 
 #ifndef TG_SERVE_PROTOCOL_HH
@@ -36,6 +35,7 @@
 
 #include "cache/store.hh"
 #include "shard/protocol.hh"
+#include "sim/sweep.hh"
 
 namespace tg {
 namespace serve {
@@ -43,8 +43,7 @@ namespace serve {
 /**
  * Client -> server: one simulation run. `setup` is a
  * shard::encodeBasicSetup blob (chip kind + SimConfig scalars); the
- * RecordOptions scalars ride explicitly, like the shard protocol's
- * SweepRequest.
+ * RecordOptions scalars ride explicitly.
  */
 struct RunMsg
 {
@@ -146,6 +145,22 @@ struct StatsReplyMsg
     std::uint64_t activeRequests = 0;    //!< executing at snapshot
     cache::StoreStats store;
 };
+
+/** The empty result grid of a sweep request: `m`'s benchmark/policy
+ *  labels, every slot default-constructed. placeCell() fills it. */
+sim::SweepResult emptyGrid(const SweepMsg &m);
+
+/**
+ * Merge one ServeCell payload into its canonical slot
+ * `b * policies.size() + p` of `grid` (shaped by emptyGrid()) — the
+ * one merge rule of every sweep client. Fails, leaving `grid`
+ * untouched, on a malformed payload, a cell index outside the grid,
+ * or a RunResult whose benchmark/policy differ from the slot's: a
+ * mislabelled reply must never land in the wrong slot. On success
+ * `cell` receives the slot's index.
+ */
+bool placeCell(const std::vector<std::uint8_t> &payload,
+               sim::SweepResult &grid, std::uint64_t &cell);
 
 std::vector<std::uint8_t> encodeRun(const RunMsg &m);
 std::vector<std::uint8_t> encodeSweep(const SweepMsg &m);

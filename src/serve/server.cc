@@ -669,7 +669,23 @@ struct Server::Impl
             conns.erase(it);
             if (options.verbose)
                 inform("tg_serve: client ", id, " dropped");
+            // An adopted connection is the server's only client.
+            if (options.connectedFd >= 0)
+                stopping.store(true);
         };
+
+        auto addConn = [&](int fd) {
+            io::setNonBlocking(fd, true);
+            const std::uint64_t id = nextId++;
+            Conn c;
+            c.fd = fd;
+            c.id = id;
+            conns.emplace(id, std::move(c));
+            if (options.verbose)
+                inform("tg_serve: client ", id, " connected");
+        };
+        if (options.connectedFd >= 0)
+            addConn(options.connectedFd);
 
         for (;;) {
             const bool draining = stopping.load();
@@ -679,14 +695,16 @@ struct Server::Impl
                 reqCv.notify_all();
             }
 
+            const bool accepting = !draining && listenFd >= 0;
             std::vector<pollfd> fds;
             std::vector<std::uint64_t> fdConn;
             fds.push_back({wakeRead, POLLIN, 0});
             fdConn.push_back(0);
-            if (!draining) {
+            if (accepting) {
                 fds.push_back({listenFd, POLLIN, 0});
                 fdConn.push_back(0);
             }
+            const std::size_t firstConn = fds.size();
             for (auto &entry : conns) {
                 short events = POLLIN;
                 if (entry.second.outOff < entry.second.out.size())
@@ -739,25 +757,16 @@ struct Server::Impl
             }
 
             // Accept new clients.
-            if (!draining)
+            if (accepting)
                 for (;;) {
                     const int cfd = ::accept(listenFd, nullptr,
                                              nullptr);
                     if (cfd < 0)
                         break;
-                    io::setNonBlocking(cfd, true);
-                    const std::uint64_t id = nextId++;
-                    Conn c;
-                    c.fd = cfd;
-                    c.id = id;
-                    conns.emplace(id, std::move(c));
-                    if (options.verbose)
-                        inform("tg_serve: client ", id,
-                               " connected");
+                    addConn(cfd);
                 }
 
             // Service ready connections.
-            const std::size_t firstConn = draining ? 1 : 2;
             for (std::size_t k = firstConn; k < fds.size(); ++k) {
                 auto it = conns.find(fdConn[k]);
                 if (it == conns.end())
@@ -839,16 +848,20 @@ bool Server::start(std::string *err)
     // not a process-killing SIGPIPE.
     std::signal(SIGPIPE, SIG_IGN);
 
-    impl->listenFd = io::listenUnix(impl->options.socketPath, 16, err);
-    if (impl->listenFd < 0)
-        return false;
-    io::setNonBlocking(impl->listenFd, true);
+    if (impl->options.connectedFd < 0) {
+        impl->listenFd =
+            io::listenUnix(impl->options.socketPath, 16, err);
+        if (impl->listenFd < 0)
+            return false;
+        io::setNonBlocking(impl->listenFd, true);
+    }
 
     int pipefd[2] = {-1, -1};
     if (::pipe(pipefd) != 0) {
         if (err)
             *err = "pipe() failed";
-        ::close(impl->listenFd);
+        if (impl->listenFd >= 0)
+            ::close(impl->listenFd);
         impl->listenFd = -1;
         return false;
     }
@@ -861,7 +874,7 @@ bool Server::start(std::string *err)
     impl->pollThread = std::thread([this] { impl->pollLoop(); });
     impl->execThread = std::thread([this] { impl->execLoop(); });
     impl->running = true;
-    if (impl->options.verbose)
+    if (impl->options.verbose && impl->listenFd >= 0)
         inform("tg_serve: listening on ", impl->options.socketPath,
                " (pool width ", impl->pool.threadCount(), ")");
     return true;
@@ -883,7 +896,8 @@ void Server::wait()
     if (impl->execThread.joinable())
         impl->execThread.join();
     impl->running = false;
-    ::unlink(impl->options.socketPath.c_str());
+    if (impl->listenFd >= 0)
+        ::unlink(impl->options.socketPath.c_str());
 }
 
 const std::string &Server::socketPath() const

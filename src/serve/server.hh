@@ -12,9 +12,10 @@
  *
  * Architecture: two threads plus the sweep worker pool.
  *
- *   poll thread     owns every descriptor: the listening socket, a
- *                   self-pipe for wake-ups, and one non-blocking fd
- *                   per client with an outbound buffer. It decodes
+ *   poll thread     owns every descriptor: the listening socket (or
+ *                   one adopted connection instead), a self-pipe for
+ *                   wake-ups, and one non-blocking fd per client with
+ *                   an outbound buffer. It decodes
  *                   frames, answers Ping/Stats inline, and enqueues
  *                   Run/Sweep work for the executor.
  *   executor thread pops requests FIFO, resolves a warm simulation
@@ -69,7 +70,15 @@ namespace serve {
 
 struct ServerOptions
 {
-    std::string socketPath; //!< required (resolveSocketPath helps)
+    /** Listening address (resolveSocketPath helps); ignored when
+     *  connectedFd is set. */
+    std::string socketPath;
+    /** Alternative address: serve this one already-connected stream
+     *  descriptor (taken over) as the only client, and drain and exit
+     *  once it closes. A sharded-sweep endpoint serves its
+     *  coordinator's socketpair end this way, so it cannot outlive
+     *  the coordinator. */
+    int connectedFd = -1;
     /** Sweep pool width; 0 = exec::resolveJobs ladder (TG_JOBS,
      *  hardware concurrency). */
     int jobs = 0;
@@ -96,9 +105,9 @@ class Server
     Server(const Server &) = delete;
     Server &operator=(const Server &) = delete;
 
-    /** Bind, listen and spawn the service threads. False (with a
-     *  message in *err) when the socket cannot be claimed — e.g. a
-     *  live server already owns the path. */
+    /** Bind, listen (or adopt connectedFd) and spawn the service
+     *  threads. False (with a message in *err) when the socket cannot
+     *  be claimed — e.g. a live server already owns the path. */
     bool start(std::string *err);
 
     /**
@@ -109,7 +118,8 @@ class Server
      */
     void requestStop();
 
-    /** Block until the drain completes and both threads have exited. */
+    /** Block until the drain completes and both threads have exited
+     *  (with connectedFd: until the peer has closed it). */
     void wait();
 
     const std::string &socketPath() const;

@@ -1,31 +1,22 @@
 /**
  * @file
- * Wire protocol of the sharded multi-process sweep engine.
+ * Frame layer of every byte stream in the tree.
  *
- * The coordinator and its workers speak length-prefixed binary
- * frames over pipes. Every frame is
+ * The sweep server (serve/), its clients and the sharded-sweep
+ * coordinator speak length-prefixed binary frames over sockets.
+ * Every frame is
  *
  *     u32 magic "TGS1" | u32 type | u64 payload length |
  *     payload bytes    | u64 FNV-1a checksum over everything before
  *
  * little-endian throughout, built on the same codec primitives as
  * the artifact cache's disk tier (common/bytes.hh). The format makes
- * no shared-memory assumption — frames could travel over a socket to
- * another host unchanged — and every decoder is bounds-checked,
- * rejects trailing garbage, and is versioned via kProtocolVersion in
- * the Hello handshake, mirroring the disk tier's corruption rules:
- * a frame that fails its checksum or a message that fails its decode
- * marks the peer corrupt rather than being half-trusted.
- *
- * Message flow:
- *
- *     worker -> coordinator : Hello (version handshake)
- *     coordinator -> worker : SweepRequest (grid + setup blob)
- *     coordinator -> worker : ShardAssignment (cell index list)*
- *     worker -> coordinator : CellResult (streamed per finished cell)*
- *     worker -> coordinator : ShardDone*
- *     worker -> coordinator : Heartbeat (periodic, from a side thread)
- *     coordinator -> worker : Shutdown
+ * no shared-memory assumption — frames could travel to another host
+ * unchanged. A frame that fails its checksum or header check marks
+ * the stream corrupt rather than being half-trusted, mirroring the
+ * disk tier's corruption rules. Payload codecs live with their
+ * messages (serve/protocol.hh); this layer treats payloads as opaque
+ * bytes.
  */
 
 #ifndef TG_SHARD_PROTOCOL_HH
@@ -33,7 +24,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "common/bytes.hh"
@@ -41,41 +31,30 @@
 namespace tg {
 namespace shard {
 
-/** Bump on any incompatible frame or message layout change.
- *  v2: serve-layer frame types appended (range extension only —
- *  every v1 message layout is unchanged).
- *  v3: ServeCancel appended; serve Run/Sweep messages gained
- *  deadlineMs, ServeDone a status/retryAfterMs pair, and the stats
- *  reply admission/cancellation counters. */
-constexpr std::uint32_t kProtocolVersion = 3;
-
 /** Leading tag of every frame ("TGS1" little-endian). */
 constexpr std::uint32_t kFrameMagic = 0x31534754;
 
 /** Upper bound on a frame payload (a full RunResult is ~100 KB). */
 constexpr std::uint64_t kMaxFramePayload = 1ull << 30;
 
+/**
+ * Frame type registry. Ids are pinned: they are the wire format, so a
+ * client built against an older tree keeps talking to a newer daemon.
+ * Ids 1-6 belonged to a retired worker protocol; the parser rejects
+ * them and they must never be reused.
+ */
 enum class FrameType : std::uint32_t
 {
-    Hello = 1,       //!< worker -> coordinator version handshake
-    SweepRequest,    //!< coordinator -> worker grid + setup
-    ShardAssignment, //!< coordinator -> worker cell list
-    CellResult,      //!< worker -> coordinator one finished cell
-    ShardDone,       //!< worker -> coordinator shard fully emitted
-    Heartbeat,       //!< worker -> coordinator liveness
-    Shutdown,        //!< coordinator/client clean exit request
-
-    // Sweep-server extension (payload codecs in serve/protocol.hh;
-    // the frame layer treats payloads as opaque bytes either way).
-    ServeRun,        //!< client -> server single-run request
-    ServeSweep,      //!< client -> server sweep request
-    ServeCell,       //!< server -> client one finished cell
-    ServeDone,       //!< server -> client request complete (ok/error)
-    ServeStats,      //!< client -> server stats request (empty)
-    ServeStatsReply, //!< server -> client counters snapshot
-    Ping,            //!< client -> server liveness probe
-    Pong,            //!< server -> client liveness echo
-    ServeCancel,     //!< client -> server cancel an in-flight request
+    Shutdown = 7,         //!< client -> server drain and exit
+    ServeRun = 8,         //!< client -> server single-run request
+    ServeSweep = 9,       //!< client -> server sweep request
+    ServeCell = 10,       //!< server -> client one finished cell
+    ServeDone = 11,       //!< server -> client request complete
+    ServeStats = 12,      //!< client -> server stats request (empty)
+    ServeStatsReply = 13, //!< server -> client counters snapshot
+    Ping = 14,            //!< client -> server liveness probe
+    Pong = 15,            //!< server -> client liveness echo
+    ServeCancel = 16,     //!< client -> server cancel a request
 };
 
 /** True when `t` is one of the FrameType enumerators. */
@@ -123,8 +102,8 @@ class FrameParser
 // --- connection plumbing ----------------------------------------------
 //
 // The read/feed/drain loop around a framed descriptor is identical
-// for every peer in the tree (shard coordinator, shard worker, sweep
-// server, serve client), so it lives here once. Writes go through
+// for every peer in the tree (sweep server, serve client, sharded-
+// sweep coordinator), so it lives here once. Writes go through
 // io::writeAll so a frame is either fully sent or the peer is dead.
 
 /** Blocking full-frame write; false when the peer is gone. */
@@ -146,88 +125,11 @@ enum class PumpStatus
  * every completed frame to `handle`. Returns after the buffered
  * frames drain — with a level-triggered poll() loop, remaining bytes
  * re-trigger readability, so one read per round is enough; blocking
- * callers (the shard worker) just call it in a loop. `handle`
+ * callers (the serve client) just call it in a loop. `handle`
  * returning false stops the drain and reports Rejected.
  */
 PumpStatus pumpFrames(int fd, FrameParser &parser,
                       const std::function<bool(const Frame &)> &handle);
-
-// --- message payloads -------------------------------------------------
-
-/** Worker -> coordinator handshake. */
-struct HelloMsg
-{
-    std::uint32_t version = kProtocolVersion;
-    std::uint64_t pid = 0;
-};
-
-/**
- * Coordinator -> worker: the sweep grid and how to reconstruct the
- * simulation context. `setup` is an opaque blob interpreted by the
- * worker binary's SetupFactory (see worker.hh) — the engine never
- * looks inside, so any driver can ship whatever chip/config encoding
- * it wants. The RecordOptions scalars ride explicitly; a fault
- * scenario (a pointer on the native struct) must travel inside
- * `setup` instead.
- */
-struct SweepRequestMsg
-{
-    std::uint32_t workerId = 0; //!< index among spawned workers
-    std::uint32_t jobs = 1;     //!< intra-worker thread count
-    std::uint32_t heartbeatMs = 500;
-    std::vector<std::uint8_t> setup;
-    std::vector<std::string> benchmarks;
-    std::vector<std::uint32_t> policies;
-    // RecordOptions scalars (see sim/result.hh).
-    std::uint8_t timeSeries = 0;
-    std::uint8_t heatmap = 0;
-    std::uint8_t noiseTrace = 0;
-    std::int64_t trackVr = -1;
-    std::int64_t noiseSamplesOverride = -1;
-};
-
-/**
- * Coordinator -> worker: run these cells. A cell index addresses the
- * canonical (benchmark, policy) grid slot `b * policies.size() + p`
- * of the SweepRequest's lists — the same key the merge uses, so a
- * result is placement-independent by construction.
- */
-struct ShardAssignmentMsg
-{
-    std::uint64_t shard = 0;
-    std::vector<std::uint64_t> cells;
-};
-
-/** Worker -> coordinator: one finished cell (encoded RunResult). */
-struct CellResultMsg
-{
-    std::uint64_t shard = 0;
-    std::uint64_t cell = 0;
-    std::vector<std::uint8_t> result; //!< cache::encodeRunResult bytes
-};
-
-/** Worker -> coordinator: every cell of `shard` has been emitted. */
-struct ShardDoneMsg
-{
-    std::uint64_t shard = 0;
-};
-
-std::vector<std::uint8_t> encodeHello(const HelloMsg &m);
-std::vector<std::uint8_t> encodeSweepRequest(const SweepRequestMsg &m);
-std::vector<std::uint8_t> encodeShardAssignment(const ShardAssignmentMsg &m);
-std::vector<std::uint8_t> encodeCellResult(const CellResultMsg &m);
-std::vector<std::uint8_t> encodeShardDone(const ShardDoneMsg &m);
-
-/** Decoders reject truncated, malformed and trailing-garbage input. */
-bool decodeHello(const std::vector<std::uint8_t> &p, HelloMsg &out);
-bool decodeSweepRequest(const std::vector<std::uint8_t> &p,
-                        SweepRequestMsg &out);
-bool decodeShardAssignment(const std::vector<std::uint8_t> &p,
-                           ShardAssignmentMsg &out);
-bool decodeCellResult(const std::vector<std::uint8_t> &p,
-                      CellResultMsg &out);
-bool decodeShardDone(const std::vector<std::uint8_t> &p,
-                     ShardDoneMsg &out);
 
 } // namespace shard
 } // namespace tg

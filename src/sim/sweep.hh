@@ -52,7 +52,7 @@ struct SweepResult
 /**
  * Reusable per-worker Simulation contexts of runSweepCells(). A
  * caller that issues many cell batches against the same grid (the
- * shard engine's worker loop) passes one instance across calls so
+ * sweep server's warm contexts) passes one instance across calls so
  * per-context construction (thermal/PDN factorisations, predictor
  * adoption) is paid once, not per batch. Contexts are only valid for
  * the (chip, config) of the Simulation they were built from.

@@ -10,6 +10,7 @@
 
 #include <cstdlib>
 
+#include "cache/serialize.hh"
 #include "serve/protocol.hh"
 
 namespace tg {
@@ -100,6 +101,50 @@ TEST(ServeProtocol, CellAndDoneRoundTrip)
     EXPECT_EQ(doneOut.cells, done.cells);
     EXPECT_EQ(doneOut.error, done.error);
     EXPECT_EQ(doneOut.retryAfterMs, done.retryAfterMs);
+}
+
+TEST(ServeProtocol, PlaceCellFillsOnlyTheSlotItNames)
+{
+    SweepMsg req;
+    req.benchmarks = {"rayt", "fft"};
+    req.policies = {static_cast<std::uint32_t>(core::PolicyKind::AllOn),
+                    static_cast<std::uint32_t>(core::PolicyKind::OracT)};
+    auto cellPayload = [](std::uint64_t index, const char *benchmark,
+                          core::PolicyKind policy) {
+        sim::RunResult r;
+        r.benchmark = benchmark;
+        r.policy = policy;
+        r.meanPower = 1.25;
+        CellMsg m;
+        m.cell = index;
+        m.result = cache::encodeRunResult(r);
+        return encodeCell(m);
+    };
+
+    sim::SweepResult grid = emptyGrid(req);
+    ASSERT_EQ(grid.results.size(), 2u);
+    ASSERT_EQ(grid.results[1].size(), 2u);
+    std::uint64_t cell = 0;
+    // Cell 3 is (fft, OracT): a correctly labelled reply lands there.
+    ASSERT_TRUE(placeCell(
+        cellPayload(3, "fft", core::PolicyKind::OracT), grid, cell));
+    EXPECT_EQ(cell, 3u);
+    EXPECT_EQ(grid.results[1][1].benchmark, "fft");
+    EXPECT_EQ(grid.results[1][1].meanPower, 1.25);
+
+    // A reply labelled (rayt, OracT) that claims cell 2 (fft, AllOn)
+    // is mislabelled, and one past the grid is out of range: neither
+    // may land anywhere.
+    EXPECT_FALSE(placeCell(
+        cellPayload(2, "rayt", core::PolicyKind::OracT), grid, cell));
+    EXPECT_FALSE(placeCell(
+        cellPayload(2, "fft", core::PolicyKind::OracT), grid, cell));
+    EXPECT_FALSE(placeCell(
+        cellPayload(4, "rayt", core::PolicyKind::AllOn), grid, cell));
+    EXPECT_FALSE(placeCell({1, 2, 3}, grid, cell));
+    EXPECT_TRUE(grid.results[1][0].benchmark.empty());
+    EXPECT_TRUE(grid.results[0][1].benchmark.empty());
+    EXPECT_EQ(cell, 3u);
 }
 
 TEST(ServeProtocol, DoneStatusConsistencyIsEnforced)

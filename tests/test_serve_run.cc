@@ -19,12 +19,14 @@
 #include <vector>
 
 #ifdef __unix__
+#include <sys/socket.h>
 #include <unistd.h>
 #endif
 
 #include "cache/serialize.hh"
 #include "serve/client.hh"
 #include "serve/server.hh"
+#include "shard/protocol.hh"
 #include "shard/worker.hh"
 #include "sim/sweep.hh"
 #include "workload/profile.hh"
@@ -78,6 +80,18 @@ void expectBitIdentical(const sim::SweepResult &a,
                 << core::policyName(a.policies[j]);
 }
 
+/** The single-process reference grid, computed once per binary. */
+const sim::SweepResult &referenceGrid()
+{
+    static sim::SweepResult ref = [] {
+        floorplan::Chip chip = floorplan::buildMiniChip(1);
+        sim::Simulation simulation(chip, testConfig());
+        return sim::runSweep(simulation, kBenchmarks, kPolicies, false,
+                             1);
+    }();
+    return ref;
+}
+
 class ServeDeterminism : public ::testing::Test
 {
   protected:
@@ -103,18 +117,6 @@ class ServeDeterminism : public ::testing::Test
         }
     }
 
-    /** The single-process reference grid, computed once per suite. */
-    static const sim::SweepResult &reference()
-    {
-        static sim::SweepResult ref = [] {
-            floorplan::Chip chip = floorplan::buildMiniChip(1);
-            sim::Simulation simulation(chip, testConfig());
-            return sim::runSweep(simulation, kBenchmarks, kPolicies,
-                                 false, 1);
-        }();
-        return ref;
-    }
-
     sim::SweepResult served(int jobs)
     {
         Client client;
@@ -134,7 +136,7 @@ TEST_F(ServeDeterminism, ServedSweepMatchesDirectAtEveryJobsCount)
 {
     for (int jobs : {1, 4}) {
         sim::SweepResult grid = served(jobs);
-        expectBitIdentical(reference(), grid);
+        expectBitIdentical(referenceGrid(), grid);
     }
 }
 
@@ -143,7 +145,7 @@ TEST_F(ServeDeterminism, WarmRepeatIsBitIdenticalAndReusesContext)
     const sim::SweepResult cold = served(4);
     const sim::SweepResult warm = served(4);
     expectBitIdentical(cold, warm);
-    expectBitIdentical(reference(), warm);
+    expectBitIdentical(referenceGrid(), warm);
 
     const StatsReplyMsg stats = server->statsSnapshot();
     EXPECT_EQ(stats.requestsSweep, 2u);
@@ -160,8 +162,8 @@ TEST_F(ServeDeterminism, ConcurrentClientsBothGetIdenticalGrids)
     std::thread tb([&] { b = served(1); });
     ta.join();
     tb.join();
-    expectBitIdentical(reference(), a);
-    expectBitIdentical(reference(), b);
+    expectBitIdentical(referenceGrid(), a);
+    expectBitIdentical(referenceGrid(), b);
 }
 
 TEST_F(ServeDeterminism, ServedSingleRunMatchesDirect)
@@ -216,7 +218,7 @@ TEST_F(ServeDeterminism, InvalidRequestsGetErrorsNotACrash)
 
     // The daemon survived all of it and still serves correctly.
     EXPECT_TRUE(client.ping(&err)) << err;
-    expectBitIdentical(reference(), served(1));
+    expectBitIdentical(referenceGrid(), served(1));
 
     EXPECT_EQ(server->statsSnapshot().requestsRejected, 3u);
 }
@@ -232,7 +234,7 @@ TEST_F(ServeDeterminism, SweepCellSubsetFillsOnlyThoseSlots)
     sim::SweepResult out;
     ASSERT_TRUE(client.sweep(req, out, &err)) << err;
 
-    const sim::SweepResult &ref = reference();
+    const sim::SweepResult &ref = referenceGrid();
     EXPECT_EQ(cache::encodeRunResult(out.results[0][0]),
               cache::encodeRunResult(ref.results[0][0]));
     EXPECT_EQ(cache::encodeRunResult(out.results[1][1]),
@@ -273,13 +275,60 @@ TEST_F(ServeDeterminism, ShutdownFrameDrainsTheServer)
     sweeper.join();
     server->wait();
     EXPECT_TRUE(sweepErr.empty()) << sweepErr;
-    expectBitIdentical(reference(), grid);
+    expectBitIdentical(referenceGrid(), grid);
 
     // The socket is gone: a fresh connect must fail.
     Client late;
     EXPECT_FALSE(late.connect(server->socketPath(), &err));
     server.reset();
 }
+
+#ifdef __unix__
+
+TEST(ServeEndpoint, ConnectedSocketpairServesBitIdenticallyAndExitsOnClose)
+{
+    // The sharded-sweep endpoint shape: a server whose only client is
+    // one end of a socketpair, driven through the raw frame plumbing
+    // exactly as the coordinator drives it.
+    int sv[2] = {-1, -1};
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv),
+              0);
+    ServerOptions options;
+    options.connectedFd = sv[1];
+    options.jobs = 2;
+    Server server(options);
+    std::string err;
+    ASSERT_TRUE(server.start(&err)) << err;
+
+    const SweepMsg req = testSweepRequest(2);
+    ASSERT_TRUE(shard::writeFrameToFd(sv[0], shard::FrameType::ServeSweep,
+                                      encodeSweep(req)));
+    sim::SweepResult grid = emptyGrid(req);
+    shard::FrameParser parser;
+    bool done = false;
+    while (!done) {
+        const shard::PumpStatus st = shard::pumpFrames(
+            sv[0], parser, [&](const shard::Frame &frame) {
+                std::uint64_t cell = 0;
+                if (frame.type == shard::FrameType::ServeCell)
+                    return placeCell(frame.payload, grid, cell);
+                DoneMsg m;
+                done = frame.type == shard::FrameType::ServeDone &&
+                       decodeDone(frame.payload, m) && m.ok;
+                return done;
+            });
+        ASSERT_EQ(st, shard::PumpStatus::Ok);
+    }
+    expectBitIdentical(referenceGrid(), grid);
+
+    // No orphans: once the peer closes, the server drains and stops
+    // on its own — no Shutdown frame, no requestStop().
+    ::close(sv[0]);
+    server.wait();
+    EXPECT_EQ(server.statsSnapshot().requestsSweep, 1u);
+}
+
+#endif // __unix__
 
 } // namespace
 } // namespace serve

@@ -2,24 +2,24 @@
  * @file
  * End-to-end tests of the sharded multi-process sweep: the merged
  * grid must be bit-identical to a single-process runSweep() at every
- * worker count and shard sizing, including when a worker is killed
- * mid-shard and its cells are reassigned.
+ * endpoint count and shard sizing, including when an endpoint is
+ * killed or hangs mid-shard and its cells are reassigned.
  *
  * This suite has a custom main(): the coordinator re-execs *this*
- * binary as its workers, so main() must route --tg-worker invocations
- * into workerMain() before gtest sees argv.
+ * binary as its serve endpoints, so main() must route endpoint
+ * invocations into endpointMain() before gtest sees argv.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 
-#include "shard/coordinator.hh"
+#include "serve/coordinator.hh"
 #include "shard/worker.hh"
 #include "sim/sweep.hh"
 
 namespace tg {
-namespace shard {
+namespace serve {
 namespace {
 
 /** The fast mini-chip config shared by coordinator and workers. */
@@ -91,7 +91,8 @@ class ShardDeterminism : public ::testing::Test
         sopt.policies = policies;
         sopt.processes = processes;
         sopt.jobsPerWorker = 1;
-        sopt.setup = encodeBasicSetup(ChipKind::Mini, 1, testConfig());
+        sopt.setup = shard::encodeBasicSetup(shard::ChipKind::Mini, 1,
+                                             testConfig());
         return sopt;
     }
 
@@ -154,10 +155,10 @@ TEST_F(ShardDeterminism, IntraWorkerThreadsKeepIdentity)
 
 TEST_F(ShardDeterminism, KilledWorkerCellsAreReassignedBitIdentically)
 {
-    // Worker 1 _exit()s right before sending its second cell result;
-    // the coordinator must detect the death, re-queue the
-    // unacknowledged remainder of its shard, and still merge a grid
-    // bit-identical to the single-process reference.
+    // The coordinator SIGKILLs endpoint 1 when its second cell
+    // arrives, before merging it; it must re-queue the unacknowledged
+    // remainder of the shard and still merge a grid bit-identical to
+    // the single-process reference.
     ::setenv("TG_SHARD_TEST_DIE", "1:1", 1);
     ShardedSweepStats stats;
     sim::SweepResult merged = runShardedSweep(options(2), &stats);
@@ -170,8 +171,8 @@ TEST_F(ShardDeterminism, KilledWorkerCellsAreReassignedBitIdentically)
 
 TEST_F(ShardDeterminism, ImmediateWorkerDeathStillCompletes)
 {
-    // Worker 1 dies before emitting anything: its whole shard moves
-    // to the survivor.
+    // Endpoint 1 dies on its first cell, before anything of it is
+    // merged: its whole shard moves to the survivor.
     ::setenv("TG_SHARD_TEST_DIE", "1:0", 1);
     ShardedSweepStats stats;
     sim::SweepResult merged = runShardedSweep(options(2), &stats);
@@ -181,16 +182,47 @@ TEST_F(ShardDeterminism, ImmediateWorkerDeathStillCompletes)
     EXPECT_GE(stats.workerDeaths, 1);
 }
 
+TEST_F(ShardDeterminism, HungWorkerIsPingedOutAndReassignedBitIdentically)
+{
+    // The coordinator SIGSTOPs endpoint 1 on its first cell: the
+    // process stays alive but stops answering Ping, so only the
+    // liveness timeout can free its shard.
+    ::setenv("TG_SHARD_TEST_DIE", "1:0:stop", 1);
+    ShardedSweepOptions sopt = options(2);
+    sopt.timeoutMs = 1000;
+    ShardedSweepStats stats;
+    sim::SweepResult merged = runShardedSweep(sopt, &stats);
+    ::unsetenv("TG_SHARD_TEST_DIE");
+
+    expectIdentical(reference(), merged);
+    EXPECT_EQ(stats.workerDeaths, 1);
+    EXPECT_GE(stats.shardsReassigned, 1);
+}
+
+TEST(ServeEndpointDeathTest, GarbageSetupEndsTheSweepWithTheEndpointError)
+{
+    // Every endpoint would reject this request the same way, so the
+    // coordinator must stop with the endpoint's reason instead of
+    // re-queueing forever or reporting a generic death.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    ShardedSweepOptions sopt;
+    sopt.benchmarks = {"fft"};
+    sopt.policies = {core::PolicyKind::AllOn};
+    sopt.setup = {1, 2, 3};
+    EXPECT_EXIT(runShardedSweep(sopt), ::testing::ExitedWithCode(1),
+                "invalid setup blob");
+}
+
 } // namespace
-} // namespace shard
+} // namespace serve
 } // namespace tg
 
 int
 main(int argc, char **argv)
 {
-    // Spawned by a coordinator under test: act as the worker binary.
-    if (tg::shard::isWorkerInvocation(argc, argv))
-        return tg::shard::workerMain(tg::shard::basicSetupFactory());
+    // Spawned by a coordinator under test: act as a sweep endpoint.
+    if (tg::serve::isEndpointInvocation(argc, argv))
+        return tg::serve::endpointMain(argc, argv);
     ::testing::InitGoogleTest(&argc, argv);
     return RUN_ALL_TESTS();
 }
