@@ -154,13 +154,13 @@ BM_PdnTransientWindow(benchmark::State &state)
     auto base = dp.nodeCurrents(block);
     Rng rng(11);
     auto mult = workload::synthesizeCycleMultipliers(0.8, 600, rng);
-    std::vector<std::vector<Amperes>> window(
-        600, std::vector<Amperes>(base.size()));
+    const std::size_t n = base.size();
+    std::vector<Amperes> window(600 * n);
     for (std::size_t c = 0; c < 600; ++c)
-        for (std::size_t i = 0; i < base.size(); ++i)
-            window[c][i] = base[i] * mult[c];
+        for (std::size_t i = 0; i < n; ++i)
+            window[c * n + i] = base[i] * mult[c];
     for (auto _ : state) {
-        auto res = dp.transientWindow(window, 200);
+        auto res = dp.transientWindow(window.data(), 600, n, 200);
         benchmark::DoNotOptimize(res.maxNoiseFrac);
     }
 }

@@ -170,8 +170,7 @@ Fingerprint configFingerprint(const sim::SimConfig &cfg)
         .i64(cfg.practicalHeadroomVrs)
         .u64(cfg.seed);
     // Deliberately NOT hashed (bit-invisible, see header): jobs,
-    // noiseBatchWidth, coalesceNoiseEpochs, cacheDir, memoizeResults,
-    // pdnParams.factorCacheCapacity.
+    // noiseBatchWidth, cacheDir, memoizeResults, pdnParams.factorCacheCapacity.
 
     const thermal::ThermalParams &t = cfg.thermalParams;
     h.i64(t.gridW)

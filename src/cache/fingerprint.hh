@@ -18,12 +18,12 @@
  * silently splitting (or worse, aliasing) the cache namespace.
  *
  * Bit-invisible knobs are EXCLUDED from configFingerprint(): worker
- * count (jobs), noiseBatchWidth, coalesceNoiseEpochs, the PDN
- * factor-cache capacity, and the cache settings themselves
- * (cacheDir/memoizeResults) are proven not to change any result bit
- * (tests/test_run_determinism.cc, test_epoch_coalescing.cc), so runs
- * that differ only in them share cache entries — a warm cache
- * answers `--jobs 4` queries recorded at `--jobs 1`.
+ * count (jobs), noiseBatchWidth, the PDN factor-cache capacity, and
+ * the cache settings themselves (cacheDir/memoizeResults) are proven
+ * not to change any result bit (tests/test_run_determinism.cc,
+ * test_epoch_coalescing.cc), so runs that differ only in them share
+ * cache entries — a warm cache answers `--jobs 4` queries recorded
+ * at `--jobs 1`.
  */
 
 #ifndef TG_CACHE_FINGERPRINT_HH

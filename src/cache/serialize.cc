@@ -14,7 +14,7 @@ constexpr std::uint32_t kRunResultMagic = 0x54475231; // "TGR1"
 
 std::vector<std::uint8_t> encodeRunResult(const sim::RunResult &r)
 {
-    ByteWriter w;
+    bytes::ByteWriter w;
     w.u32(kRunResultMagic);
 
     w.str(r.benchmark);
@@ -73,7 +73,7 @@ std::vector<std::uint8_t> encodeRunResult(const sim::RunResult &r)
 bool decodeRunResult(const std::uint8_t *data, std::size_t size,
                      sim::RunResult &out)
 {
-    ByteReader r(data, size);
+    bytes::ByteReader r(data, size);
     if (r.u32() != kRunResultMagic)
         return false;
 

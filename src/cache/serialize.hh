@@ -9,9 +9,8 @@
  * per-artifact magic tags, and host-independent for the fixed-width
  * types used.
  *
- * The codec primitives (ByteWriter/ByteReader) live in
- * common/bytes.hh so the TGS1 frame protocol shares them;
- * the aliases below keep existing cache-side users spelled the same.
+ * The codec primitives (bytes::ByteWriter/ByteReader) live in
+ * common/bytes.hh, shared with the TGS1 frame protocol.
  */
 
 #ifndef TG_CACHE_SERIALIZE_HH
@@ -29,9 +28,6 @@ struct RunResult;
 }
 
 namespace cache {
-
-using bytes::ByteReader;
-using bytes::ByteWriter;
 
 /** Serialize a RunResult (every field, series included). */
 std::vector<std::uint8_t> encodeRunResult(const sim::RunResult &r);

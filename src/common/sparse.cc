@@ -311,7 +311,10 @@ SparseLdltSolver::solveInPlace(std::vector<double> &bx) const
     solveInPlace(bx.data());
 }
 
-void
+// Pinned to a 64-byte line: at other offsets the substitution loops
+// ran up to ~25% slower on a 4-core Xeon VM, so a size change anywhere
+// earlier in the link order moved the cost of every thermal step.
+__attribute__((aligned(64))) void
 SparseLdltSolver::solveInPlace(double *bx) const
 {
     scratch.resize(n);

@@ -424,21 +424,12 @@ DomainPdn::setActive(const std::vector<int> &active_local)
     Factorization f;
     f.steady = makeDowndate(*steadyBase, removed, r_steady);
     f.transient = makeDowndate(*transientBase, removed, r_transient);
-    if (prm.factorCacheCapacity <= 0) {
-        // Caching disabled: build-and-discard. The factorisation
-        // lives in a dedicated slot outside the LRU structures so it
-        // cannot be evicted from under `current` and no insert/evict
-        // bookkeeping runs at all.
-        uncached = std::move(f);
-        current = &uncached;
-        return;
-    }
     cacheList.emplace_front(key, std::move(f));
     cacheMap[key] = cacheList.begin();
     current = &cacheList.front().second;
 
     std::size_t cap =
-        static_cast<std::size_t>(prm.factorCacheCapacity);
+        static_cast<std::size_t>(std::max(1, prm.factorCacheCapacity));
     while (cacheList.size() > cap) {
         cacheMap.erase(cacheList.back().first);
         cacheList.pop_back();
@@ -508,25 +499,6 @@ DomainPdn::steadyMaxNoise(const std::vector<Amperes> &node_currents) const
         if (loadNode[i])
             worst = std::max(worst, (vdd - v[i]) / vdd);
     return worst;
-}
-
-NoiseResult
-DomainPdn::transientWindow(
-    const std::vector<std::vector<Amperes>> &cycle_currents, int warmup,
-    bool keep_trace) const
-{
-    TG_ASSERT(!cycle_currents.empty(), "empty transient window");
-    std::size_t n = static_cast<std::size_t>(nNodes);
-    windowScratch.resize(cycle_currents.size() * n);
-    for (std::size_t cyc = 0; cyc < cycle_currents.size(); ++cyc) {
-        const auto &load = cycle_currents[cyc];
-        TG_ASSERT(load.size() == n, "cycle current size mismatch");
-        std::copy(load.begin(), load.end(),
-                  windowScratch.begin() +
-                      static_cast<std::ptrdiff_t>(cyc * n));
-    }
-    return transientWindow(windowScratch.data(), cycle_currents.size(),
-                           n, warmup, keep_trace);
 }
 
 NoiseResult

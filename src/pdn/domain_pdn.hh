@@ -80,9 +80,8 @@ struct PdnParams
      * Active-set factorisations kept alive (LRU). The governor flips
      * among a handful of configurations per domain, so a small cache
      * removes nearly all Woodbury rebuilds; each entry costs a few
-     * n-vectors of memory. Zero (or negative) cleanly disables
-     * caching: every new active set is built and discarded when the
-     * next one replaces it, and every non-short-circuited
+     * n-vectors of memory. Values below 1 act as 1: only the live
+     * factorisation is kept, so every non-short-circuited
      * setActive() counts as a miss.
      */
     int factorCacheCapacity = 16;
@@ -166,22 +165,11 @@ class DomainPdn
     double steadyMaxNoise(const std::vector<Amperes> &node_currents) const;
 
     /**
-     * Transient window: `cycle_currents[c]` holds per-node load
-     * currents at cycle c. The first `warmup` cycles settle the state
-     * (initialised from the steady solution of cycle 0) and are
-     * excluded from the statistics.
-     */
-    NoiseResult
-    transientWindow(const std::vector<std::vector<Amperes>> &cycle_currents,
-                    int warmup, bool keep_trace = false) const;
-
-    /**
-     * transientWindow() over a flat row-major cycle buffer: the load
+     * Transient window over a flat row-major cycle buffer: the load
      * currents of cycle c are the `nodeCount()` values starting at
-     * `currents + c * stride` (stride >= nodeCount()). The run loop's
-     * noise sampler builds one contiguous window per domain and hands
-     * a strided view here, so no per-cycle row vectors exist; the
-     * vector-of-rows overload packs into this form.
+     * `currents + c * stride` (stride >= nodeCount()). The first
+     * `warmup` cycles settle the state (initialised from the steady
+     * solution of cycle 0) and are excluded from the statistics.
      */
     NoiseResult transientWindow(const Amperes *currents,
                                 std::size_t cycles, std::size_t stride,
@@ -325,12 +313,6 @@ class DomainPdn
         std::uint64_t,
         std::list<std::pair<std::uint64_t, Factorization>>::iterator>
         cacheMap;
-    /**
-     * Build-and-discard slot used when factorCacheCapacity <= 0:
-     * holds the one live factorisation outside the LRU structures so
-     * `current` stays valid without any insert/evict bookkeeping.
-     */
-    Factorization uncached;
     const Factorization *current = nullptr;
     std::uint64_t cacheHits = 0;
     std::uint64_t cacheMisses = 0;
@@ -346,7 +328,6 @@ class DomainPdn
     mutable std::vector<double> branchRhs;     //!< branch rhs g_k
     mutable std::vector<double> branchR;       //!< branch R (L/dt+R)
     mutable std::vector<double> smallScratch;  //!< rank-r correction
-    mutable std::vector<double> windowScratch; //!< packed cycle rows
     mutable std::vector<double> batchVolt;     //!< n x W lane voltages
     mutable std::vector<double> batchRhs;      //!< n x W lane rhs
     mutable std::vector<double> batchBranch;   //!< m x W lane currents

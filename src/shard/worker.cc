@@ -24,7 +24,6 @@ std::vector<std::uint8_t> encodeBasicSetup(ChipKind kind, int chip_arg,
     w.i64(cfg.noiseCyclesTotal);
     w.i64(cfg.noiseWarmupCycles);
     w.i64(cfg.noiseBatchWidth);
-    w.u8(cfg.coalesceNoiseEpochs ? 1 : 0);
     w.i64(cfg.profilingEpochs);
     w.f64(cfg.practicalDemandMargin);
     w.i64(cfg.practicalHeadroomVrs);
@@ -50,7 +49,6 @@ bool decodeBasicSetup(const std::vector<std::uint8_t> &blob,
     cfg.noiseCyclesTotal = static_cast<int>(r.i64());
     cfg.noiseWarmupCycles = static_cast<int>(r.i64());
     cfg.noiseBatchWidth = static_cast<int>(r.i64());
-    cfg.coalesceNoiseEpochs = r.u8() != 0;
     cfg.profilingEpochs = static_cast<int>(r.i64());
     cfg.practicalDemandMargin = r.f64();
     cfg.practicalHeadroomVrs = static_cast<int>(r.i64());

@@ -38,7 +38,8 @@ struct SimConfig
     /**
      * Voltage-noise sampling (paper: 200 windows of 2K cycles with
      * 1K warm-up; the defaults here are scaled down to keep the
-     * 112-run figure sweeps fast — tests exercise the full setting).
+     * 112-run figure sweeps fast — no test runs the paper's setting,
+     * only the perfbench `run-paper` workload does).
      */
     int noiseSamples = 32;       //!< windows per run
     int noiseCyclesTotal = 600;  //!< cycles per window
@@ -46,23 +47,13 @@ struct SimConfig
 
     /**
      * Lockstep lanes of the batched transient kernel: a domain's
-     * noise windows of one epoch advance through the shared
-     * factorisation up to this many at a time (1 = scalar window
-     * solves; clamped to pdn::DomainPdn::kMaxWindowBatch). Purely a
-     * throughput knob — results are bit-identical at every width.
+     * queued noise windows advance through the shared factorisation
+     * up to this many at a time (1 = each window is solved as soon as
+     * its frame queues it; clamped to pdn::DomainPdn::kMaxWindowBatch).
+     * Purely a throughput knob — results are bit-identical at every
+     * width.
      */
     int noiseBatchWidth = 4;
-
-    /**
-     * Coalesce noise windows across consecutive epochs whose gating
-     * decision left the active set unchanged, draining only on a
-     * set change, an emergency-truth decision boundary, the batch
-     * width cap, or the end of the run. AllOn-style policies never
-     * change sets, so their windows always fill noiseBatchWidth
-     * lanes. Purely a throughput knob: results are bit-identical to
-     * the per-epoch drain (`false` restores it exactly).
-     */
-    bool coalesceNoiseEpochs = true;
 
     /** Epochs of the theta-profiling pass (Section 6.3). */
     int profilingEpochs = 24;

@@ -138,6 +138,13 @@ class Simulation
     void calibrateThetas();
 
     /**
+     * The state and stages of one runMixed() call (defined in
+     * simulation.cc): prepare, then per epoch decide and advance
+     * frames while noise windows queue, then finish.
+     */
+    struct Run;
+
+    /**
      * Per-domain reusable buffers of the noise sampler. The
      * logic/memory base-current split depends only on the block-power
      * vector, so it is cached and keyed by `powerStamp`: repeated
@@ -150,14 +157,13 @@ class Simulation
      * at offset q * cycles * nodeCount): each window is synthesised
      * at its scheduled frame, against that frame's block power, and
      * drains through the PDN's lockstep transientWindowBatch() later.
-     * With cfg.coalesceNoiseEpochs the queue rides across epochs
-     * whose decision left the domain's active set unchanged, so
-     * rarely-gating policies fill maximally wide lanes; `solved`
-     * counts the leading windows already solved by an early
-     * per-domain flush (a setActive() with pending windows solves
-     * them under the outgoing factorisation first). `results`
-     * receives one NoiseResult per queued window and survives until
-     * the global reduction.
+     * The queue rides across epochs whose decision left the domain's
+     * active set unchanged, so rarely-gating policies fill maximally
+     * wide lanes; `solved` counts the leading windows already solved
+     * by an early per-domain flush (a set change solves them under
+     * the outgoing factorisation first). `results` receives one
+     * NoiseResult per queued window and survives until the global
+     * reduction.
      */
     struct NoiseScratch
     {
@@ -176,7 +182,6 @@ class Simulation
     /** One queued noise sample (possibly from an earlier epoch). */
     struct QueuedNoiseSample
     {
-        int sample = 0;     //!< global sample index
         double timeUs = 0.0; //!< scheduled frame time [us] (traces)
         bool faulted = false; //!< scheduling epoch had active faults
     };
@@ -202,7 +207,7 @@ class Simulation
 
     FrameScratch fs;
     std::vector<NoiseScratch> noiseScratch;   //!< one per domain
-    std::vector<QueuedNoiseSample> noiseQueue; //!< epoch batch queue
+    std::vector<QueuedNoiseSample> noiseQueue; //!< cross-epoch queue
     std::uint64_t powerStamp = 0;  //!< bumped per power recompute
 
     /**
@@ -214,35 +219,6 @@ class Simulation
 
     /** cfg.noiseBatchWidth clamped to [1, kMaxWindowBatch]. */
     int noiseBatchWidth() const;
-
-    /**
-     * Synthesise the load waveform of noise window (epoch, sample)
-     * for `domain` into `dst` (noiseCyclesTotal x nodeCount rows).
-     * The waveform is seeded independently of the policy so all
-     * policies see the same workload; `power_stamp` identifies the
-     * content of `block_power` for the scratch's base-current cache.
-     */
-    void buildNoiseWindowInto(int domain, long epoch, int sample,
-                              const std::vector<Watts> &block_power,
-                              double didt, std::uint64_t run_seed,
-                              NoiseScratch &scratch,
-                              std::uint64_t power_stamp,
-                              Amperes *dst) const;
-
-    /**
-     * Ground truth for the emergency-override path: would `domain`'s
-     * current active set suffer a voltage emergency in any of the
-     * epoch's scheduled sample windows? Windows advance through
-     * transientWindowBatch() noiseBatchWidth() at a time with an
-     * early exit between chunks — the OR over windows is what the
-     * per-window early-exit loop computed, bit-identically.
-     */
-    bool epochEmergencyTruth(int domain, long epoch,
-                             const std::vector<int> &samples,
-                             const std::vector<Watts> &block_power,
-                             double didt, std::uint64_t run_seed,
-                             NoiseScratch &scratch,
-                             std::uint64_t power_stamp) const;
 };
 
 } // namespace sim

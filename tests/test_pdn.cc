@@ -32,6 +32,29 @@ class PdnTest : public ::testing::Test
         return dp.nodeCurrents(bp);
     }
 
+    /**
+     * Flat row-major transient window of `cycles` rows, stride
+     * nodeCount(): `low` before cycle `step`, `high` from it on.
+     */
+    static std::vector<Amperes>
+    stepWindow(const std::vector<Amperes> &low,
+               const std::vector<Amperes> &high, std::size_t cycles,
+               std::size_t step)
+    {
+        std::vector<Amperes> w;
+        w.reserve(cycles * low.size());
+        for (std::size_t c = 0; c < cycles; ++c) {
+            const auto &row = c < step ? low : high;
+            w.insert(w.end(), row.begin(), row.end());
+        }
+        return w;
+    }
+
+    std::size_t stride() const
+    {
+        return static_cast<std::size_t>(dp.nodeCount());
+    }
+
     std::vector<int>
     allVrs() const
     {
@@ -162,8 +185,8 @@ TEST_F(PdnTest, TransferResistancePositiveAndDistanceOrdered)
 TEST_F(PdnTest, TransientConstantLoadMatchesSteady)
 {
     auto load = domainLoad(1.0);
-    std::vector<std::vector<Amperes>> window(400, load);
-    auto res = dp.transientWindow(window, 200);
+    auto window = stepWindow(load, load, 400, 0);
+    auto res = dp.transientWindow(window.data(), 400, stride(), 200);
     EXPECT_NEAR(res.maxNoiseFrac, dp.steadyMaxNoise(load), 5e-3);
     EXPECT_EQ(res.analysedCycles, 200);
 }
@@ -172,10 +195,9 @@ TEST_F(PdnTest, LoadStepCausesTransientDroop)
 {
     auto low = domainLoad(0.4);
     auto high = domainLoad(1.6);
-    std::vector<std::vector<Amperes>> window(600, low);
-    for (std::size_t c = 300; c < 600; ++c)
-        window[c] = high;
-    auto res = dp.transientWindow(window, 100, true);
+    auto window = stepWindow(low, high, 600, 300);
+    auto res =
+        dp.transientWindow(window.data(), 600, stride(), 100, true);
     double steady_high = dp.steadyMaxNoise(high);
     // The inductive branch forces an excursion past the new steady
     // level right after the step.
@@ -196,8 +218,8 @@ TEST_F(PdnTest, EmergencyCyclesCounted)
     // state: every analysed cycle is an emergency.
     dp.setActive({0});
     auto load = domainLoad(4.0);
-    std::vector<std::vector<Amperes>> window(300, load);
-    auto res = dp.transientWindow(window, 100);
+    auto window = stepWindow(load, load, 300, 0);
+    auto res = dp.transientWindow(window.data(), 300, stride(), 100);
     EXPECT_GT(dp.steadyMaxNoise(load), dp.params().emergencyFrac);
     EXPECT_EQ(res.emergencyCycles, res.analysedCycles);
 }
@@ -206,14 +228,14 @@ TEST_F(PdnTest, FewerActiveBranchesDroopMoreOnSteps)
 {
     auto low = domainLoad(0.5);
     auto high = domainLoad(1.5);
-    std::vector<std::vector<Amperes>> window(500, low);
-    for (std::size_t c = 250; c < 500; ++c)
-        window[c] = high;
+    auto window = stepWindow(low, high, 500, 250);
 
     dp.setActive(allVrs());
-    double nine = dp.transientWindow(window, 100).maxNoiseFrac;
+    double nine =
+        dp.transientWindow(window.data(), 500, stride(), 100).maxNoiseFrac;
     dp.setActive({0, 1, 2});  // memory-side row only
-    double three = dp.transientWindow(window, 100).maxNoiseFrac;
+    double three =
+        dp.transientWindow(window.data(), 500, stride(), 100).maxNoiseFrac;
     EXPECT_GT(three, nine);
 }
 
@@ -254,11 +276,9 @@ TEST_F(PdnTest, LdoDesignLessTransientNoiseThanBuck)
     DomainPdn ldo(chip, 0, vreg::ldoDesign(), {});
     auto low = domainLoad(0.5);
     auto high = domainLoad(1.5);
-    std::vector<std::vector<Amperes>> window(500, low);
-    for (std::size_t c = 250; c < 500; ++c)
-        window[c] = high;
-    auto buck_res = dp.transientWindow(window, 100);
-    auto ldo_res = ldo.transientWindow(window, 100);
+    auto window = stepWindow(low, high, 500, 250);
+    auto buck_res = dp.transientWindow(window.data(), 500, stride(), 100);
+    auto ldo_res = ldo.transientWindow(window.data(), 500, stride(), 100);
     EXPECT_LT(ldo_res.maxNoiseFrac, buck_res.maxNoiseFrac);
 }
 
@@ -293,13 +313,13 @@ TEST_F(PdnTest, TransientMatchesDenseBorderedReference)
     dp.setActive(set);
     auto low = domainLoad(0.4);
     auto high = domainLoad(1.6);
-    std::vector<std::vector<Amperes>> window(240, low);
-    for (std::size_t c = 120; c < 240; ++c)
-        window[c] = high;
-    auto sparse = dp.transientWindow(window, 40, true);
+    const std::size_t cycles = 240;
+    auto window = stepWindow(low, high, cycles, 120);
+    auto sparse =
+        dp.transientWindow(window.data(), cycles, stride(), 40, true);
 
     // Dense bordered implicit Euler, state x = (V, I_branch).
-    std::size_t n = static_cast<std::size_t>(dp.nodeCount());
+    std::size_t n = stride();
     std::size_t m = set.size();
     double vdd = chip.params.vdd;
     double dt = dp.params().cycleTime;
@@ -307,12 +327,12 @@ TEST_F(PdnTest, TransientMatchesDenseBorderedReference)
     LuSolver trans(borderedMatrix(set, true));
     std::vector<double> x(n + m, vdd);
     for (std::size_t i = 0; i < n; ++i)
-        x[i] = -window[0][i];
+        x[i] = -window[i];
     steady.solveInPlace(x);
     std::vector<double> rhs(n + m);
-    for (std::size_t cyc = 0; cyc < window.size(); ++cyc) {
+    for (std::size_t cyc = 0; cyc < cycles; ++cyc) {
         for (std::size_t i = 0; i < n; ++i)
-            rhs[i] = dp.nodeDecaps()[i] / dt * x[i] - window[cyc][i];
+            rhs[i] = dp.nodeDecaps()[i] / dt * x[i] - window[cyc * n + i];
         for (std::size_t k = 0; k < m; ++k)
             rhs[n + k] =
                 dp.branchInductance(set[k]) / dt * x[n + k] + vdd;
@@ -351,11 +371,12 @@ TEST_F(PdnTest, TransferResistancesMatchDenseBorderedReference)
 TEST_F(PdnTest, CachedFactorisationMatchesFresh)
 {
     auto load = domainLoad(1.1);
-    std::vector<std::vector<Amperes>> window(120, load);
+    auto window = stepWindow(load, load, 120, 0);
 
     dp.setActive({0, 4, 8});  // cache miss: built from scratch
     auto fresh_v = dp.steadyVoltages(load);
-    double fresh_noise = dp.transientWindow(window, 40).maxNoiseFrac;
+    double fresh_noise =
+        dp.transientWindow(window.data(), 120, stride(), 40).maxNoiseFrac;
 
     std::uint64_t hits = dp.factorCacheHits();
     dp.setActive(allVrs());   // hit: cached since construction
@@ -364,8 +385,9 @@ TEST_F(PdnTest, CachedFactorisationMatchesFresh)
     auto cached_v = dp.steadyVoltages(load);
     for (std::size_t i = 0; i < cached_v.size(); ++i)
         EXPECT_EQ(cached_v[i], fresh_v[i]) << "node " << i;
-    EXPECT_EQ(dp.transientWindow(window, 40).maxNoiseFrac,
-              fresh_noise);
+    EXPECT_EQ(
+        dp.transientWindow(window.data(), 120, stride(), 40).maxNoiseFrac,
+        fresh_noise);
 
     // Rebuilding after a cache flush reproduces the factorisation
     // bit for bit (the determinism the parallel sweep relies on).
@@ -380,50 +402,34 @@ TEST_F(PdnTest, CachedFactorisationMatchesFresh)
 
 TEST_F(PdnTest, ZeroCacheCapacityDisablesCachingCleanly)
 {
-    // factorCacheCapacity <= 0 must mean "no caching", not "cache of
-    // size one": every distinct set is a miss, revisiting a set is a
-    // miss again, and the solves still work (the live factorisation
-    // is held outside the LRU so nothing evicts it mid-use).
-    PdnParams prm;
-    prm.factorCacheCapacity = 0;
-    DomainPdn uncached(chip, 0, vreg::fivrDesign(), prm);
+    // Capacities below 1 act as 1: only the live factorisation is
+    // kept, so revisiting an evicted set misses again and rebuilds it
+    // bit for bit, while an unchanged set still short-circuits.
     auto load = domainLoad(1.1);
-
-    EXPECT_EQ(uncached.factorCacheHits(), 0u);
-    std::uint64_t misses = uncached.factorCacheMisses();
-    uncached.setActive({0, 4, 8});
-    auto v1 = uncached.steadyVoltages(load);
-    uncached.setActive({0, 1, 2});
-    uncached.setActive({0, 4, 8});  // revisit: rebuilt, not served
-    EXPECT_EQ(uncached.factorCacheHits(), 0u);
-    EXPECT_EQ(uncached.factorCacheMisses(), misses + 3);
-    auto v2 = uncached.steadyVoltages(load);
-    for (std::size_t i = 0; i < v1.size(); ++i)
-        EXPECT_EQ(v2[i], v1[i]) << "node " << i;
-
-    // ...and matches the cached instance bit for bit.
     dp.setActive({0, 4, 8});
-    auto v_cached = dp.steadyVoltages(load);
-    for (std::size_t i = 0; i < v1.size(); ++i)
-        EXPECT_EQ(v1[i], v_cached[i]) << "node " << i;
+    const auto v_cached = dp.steadyVoltages(load);
+    for (int capacity : {1, 0, -3}) {
+        PdnParams prm;
+        prm.factorCacheCapacity = capacity;
+        DomainPdn small(chip, 0, vreg::fivrDesign(), prm);
+        const std::uint64_t misses = small.factorCacheMisses();
+        small.setActive({0, 4, 8});
+        const auto v1 = small.steadyVoltages(load);
+        small.setActive({0, 1, 2});
+        EXPECT_NE(small.steadyVoltages(load), v1);
+        small.setActive({0, 4, 8});  // revisit: evicted, rebuilt
+        EXPECT_EQ(small.factorCacheHits(), 0u) << "capacity " << capacity;
+        EXPECT_EQ(small.factorCacheMisses(), misses + 3)
+            << "capacity " << capacity;
+        EXPECT_EQ(small.steadyVoltages(load), v1)
+            << "capacity " << capacity;
+        EXPECT_EQ(v1, v_cached) << "capacity " << capacity;
 
-    // Unchanged sets still short-circuit without cache traffic.
-    misses = uncached.factorCacheMisses();
-    uncached.setActive({8, 4, 0});
-    EXPECT_EQ(uncached.factorCacheMisses(), misses);
-
-    // Negative capacity behaves like zero.
-    prm.factorCacheCapacity = -3;
-    DomainPdn negative(chip, 0, vreg::fivrDesign(), prm);
-    negative.setActive({0, 4, 8});
-    negative.setActive({1, 5});
-    EXPECT_EQ(negative.factorCacheHits(), 0u);
-    auto v3 = negative.steadyVoltages(load);
-    negative.setActive({0, 4, 8});
-    auto v4 = negative.steadyVoltages(load);
-    EXPECT_NE(v3, v4);  // different active sets: different field
-    for (std::size_t i = 0; i < v1.size(); ++i)
-        EXPECT_EQ(v4[i], v1[i]) << "node " << i;
+        small.setActive({8, 4, 0});  // unchanged: no cache traffic
+        EXPECT_EQ(small.factorCacheMisses(), misses + 3)
+            << "capacity " << capacity;
+        EXPECT_EQ(small.factorCacheHits(), 0u) << "capacity " << capacity;
+    }
 }
 
 TEST_F(PdnTest, LruEvictionKeepsRecentAndRebuildsExactly)

@@ -15,11 +15,15 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <iterator>
 #include <new>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
 #include "floorplan/power8.hh"
+#include "run_fixtures.hh"
 #include "sim/simulation.hh"
 #include "workload/cycles.hh"
 #include "workload/profile.hh"
@@ -214,6 +218,80 @@ TEST(RunDeterminism, GoldenResultsMatchPreBatchingScalarPath)
         EXPECT_EQ(r.agingImbalance, g.agingImbalance);
         EXPECT_EQ(r.overrideCount, g.overrideCount);
         EXPECT_EQ(r.hottestSpot, g.hottestSpot);
+    }
+}
+
+TEST(RunDeterminism, EncodedResultDigestsMatchParent)
+{
+    // FNV-1a digests of the bit-exact RunResult encoding, recorded
+    // before the run loop was split into stages. Unlike the scalar
+    // goldens above they pin every field — series, traces, the
+    // resilience counters — of all eight policies, faulted runs, a
+    // run recording every RecordOptions product and a mixed co-run.
+    // A mismatch is a behaviour change, never a digest to refresh.
+    struct Golden
+    {
+        const char *name;
+        std::uint64_t digest;
+    };
+    const Golden goldens[] = {
+        {"fft/off-chip", 0xd7a66e533d648ebbull},
+        {"fft/all-on", 0x7ce232e2e2005ec4ull},
+        {"fft/Naive", 0x3936fcf429e22c40ull},
+        {"fft/OracT", 0xa04b4bc2e109a756ull},
+        {"fft/OracV", 0xc447641c622c7160ull},
+        {"fft/OracVT", 0x5eb419012e89aad4ull},
+        {"fft/PracT", 0xd3173067320cd6faull},
+        {"fft/PracVT", 0x708b43a409a96e6dull},
+        {"fft/OracT/faulted", 0x6b1825d6ed268cbcull},
+        {"fft/PracVT/faulted", 0x517074002da7a0aaull},
+        {"rayt/all-on/recorded", 0xa75d7b7ac7ece478ull},
+        {"fft+water_s/PracVT", 0x83dce95dbd789dd8ull},
+    };
+
+    auto chip = floorplan::buildMiniChip(2);
+    SimConfig cfg = miniConfig(1);
+    cfg.noiseSamples = 24;
+    Simulation s(chip, cfg);
+    const auto &fft = workload::profileByName("fft");
+    std::vector<std::pair<std::string, RunResult>> runs;
+    for (auto policy :
+         {core::PolicyKind::OffChip, core::PolicyKind::AllOn,
+          core::PolicyKind::Naive, core::PolicyKind::OracT,
+          core::PolicyKind::OracV, core::PolicyKind::OracVT,
+          core::PolicyKind::PracT, core::PolicyKind::PracVT})
+        runs.emplace_back(std::string("fft/") + core::policyName(policy),
+                          s.run(fft, policy));
+
+    const auto scenario = mixedFaultScenario(
+        static_cast<int>(chip.plan.vrs().size()));
+    RecordOptions faulted;
+    faulted.faultScenario = &scenario;
+    for (auto policy :
+         {core::PolicyKind::OracT, core::PolicyKind::PracVT})
+        runs.emplace_back(std::string("fft/") +
+                              core::policyName(policy) + "/faulted",
+                          s.run(fft, policy, faulted));
+
+    RecordOptions recorded;
+    recorded.timeSeries = true;
+    recorded.trackVr = 1;
+    recorded.heatmap = true;
+    recorded.noiseTrace = true;
+    runs.emplace_back("rayt/all-on/recorded",
+                      s.run(workload::profileByName("rayt"),
+                            core::PolicyKind::AllOn, recorded));
+    runs.emplace_back(
+        "fft+water_s/PracVT",
+        s.runMixed({&fft, &workload::profileByName("water_s")},
+                   "fft+water_s", core::PolicyKind::PracVT));
+
+    ASSERT_EQ(runs.size(), std::size(goldens));
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        EXPECT_EQ(runs[i].first, goldens[i].name);
+        const std::uint64_t digest = resultDigest(runs[i].second);
+        EXPECT_EQ(digest, goldens[i].digest)
+            << runs[i].first << " digest 0x" << std::hex << digest;
     }
 }
 

@@ -277,7 +277,24 @@ TEST_F(ServeRobust, CancellingQueuedRequestsNeverRunsThem)
         << sweepErr;
 
     // The blocker's sweep is undisturbed by its neighbour's death:
-    // wait for it to finish server-side, then prove serviceability.
+    // read its stream up to the ServeDone (however long the sweep
+    // takes on this build), then prove serviceability.
+    shard::FrameParser parser;
+    std::vector<std::uint8_t> donePayload;
+    while (donePayload.empty())
+        ASSERT_EQ(shard::pumpFrames(blocker, parser,
+                                    [&](const shard::Frame &f) {
+                                        if (f.type ==
+                                            shard::FrameType::ServeDone)
+                                            donePayload = f.payload;
+                                        return true;
+                                    }),
+                  shard::PumpStatus::Ok);
+    DoneMsg blockerDone;
+    ASSERT_TRUE(decodeDone(donePayload, blockerDone));
+    EXPECT_EQ(static_cast<DoneStatus>(blockerDone.status),
+              DoneStatus::Ok)
+        << blockerDone.error;
     ASSERT_TRUE(waitFor([](const StatsReplyMsg &s) {
         return s.activeRequests == 0 && s.queueDepth == 0;
     }));
