@@ -8,7 +8,6 @@
 #include <unistd.h>
 #endif
 
-#include "cache/serialize.hh"
 #include "common/bytes.hh"
 #include "common/io.hh"
 
@@ -197,49 +196,15 @@ bool Client::cancel(std::string *err)
 bool Client::run(const RunMsg &request, sim::RunResult &out,
                  std::string *err, DoneMsg *doneOut)
 {
+    // The server answers a run as its one-cell sweep, so the reply is
+    // read, placed and checked exactly like a sweep's.
     if (!send(FrameType::ServeRun, encodeRun(request), err))
         return false;
-    bool haveCell = false;
-    for (;;) {
-        Frame frame;
-        if (!recv(frame, err))
-            return false;
-        if (frame.type == FrameType::ServeCell) {
-            CellMsg cell;
-            if (!decodeCell(frame.payload, cell) ||
-                !cache::decodeRunResult(cell.result.data(),
-                                        cell.result.size(), out)) {
-                setErr(err, "malformed cell result");
-                return false;
-            }
-            haveCell = true;
-            continue;
-        }
-        if (frame.type == FrameType::ServeDone) {
-            DoneMsg done;
-            if (!decodeDone(frame.payload, done)) {
-                setErr(err, "malformed completion frame");
-                return false;
-            }
-            if (doneOut)
-                *doneOut = done;
-            if (!done.ok) {
-                if (err)
-                    *err = std::string("run ") +
-                           doneStatusName(static_cast<DoneStatus>(
-                               done.status)) +
-                           ": " + done.error;
-                return false;
-            }
-            if (!haveCell) {
-                setErr(err, "completion without a result cell");
-                return false;
-            }
-            return true;
-        }
-        setErr(err, "unexpected frame during run");
+    sim::SweepResult grid;
+    if (!receiveGrid(asSweep(request), "run", grid, err, doneOut))
         return false;
-    }
+    out = std::move(grid.results[0][0]);
+    return true;
 }
 
 bool Client::sweep(const SweepMsg &request, sim::SweepResult &out,
@@ -247,8 +212,20 @@ bool Client::sweep(const SweepMsg &request, sim::SweepResult &out,
 {
     if (!send(FrameType::ServeSweep, encodeSweep(request), err))
         return false;
+    return receiveGrid(request, "sweep", out, err, doneOut);
+}
 
+bool Client::receiveGrid(const SweepMsg &request, const char *what,
+                         sim::SweepResult &out, std::string *err,
+                         DoneMsg *doneOut)
+{
     out = emptyGrid(request);
+    const std::uint64_t requested =
+        request.cells.empty()
+            ? static_cast<std::uint64_t>(request.benchmarks.size()) *
+                  request.policies.size()
+            : request.cells.size();
+    std::uint64_t placed = 0;
     for (;;) {
         Frame frame;
         if (!recv(frame, err))
@@ -259,6 +236,7 @@ bool Client::sweep(const SweepMsg &request, sim::SweepResult &out,
                 setErr(err, "malformed cell result");
                 return false;
             }
+            ++placed;
             continue;
         }
         if (frame.type == FrameType::ServeDone) {
@@ -271,15 +249,21 @@ bool Client::sweep(const SweepMsg &request, sim::SweepResult &out,
                 *doneOut = done;
             if (!done.ok) {
                 if (err)
-                    *err = std::string("sweep ") +
+                    *err = std::string(what) + " " +
                            doneStatusName(static_cast<DoneStatus>(
                                done.status)) +
                            ": " + done.error;
                 return false;
             }
+            // Ok promises every requested cell, each streamed once.
+            if (placed != done.cells || placed != requested) {
+                setErr(err, "completion does not match the cells received");
+                return false;
+            }
             return true;
         }
-        setErr(err, "unexpected frame during sweep");
+        if (err)
+            *err = std::string("unexpected frame during ") + what;
         return false;
     }
 }

@@ -75,10 +75,12 @@ class Client
     bool cancel(std::string *err);
 
     /**
-     * Execute one run on the server. A non-null `doneOut` receives
-     * the final DoneMsg even on failure, so callers can tell Busy
-     * (retry after doneOut->retryAfterMs) from a request error or a
-     * cancellation/deadline abort.
+     * Execute one run on the server. Its reply is read as the
+     * one-cell sweep the server runs, so it passes the same slot,
+     * label and cell-count checks as a sweep's. A non-null `doneOut`
+     * receives the final DoneMsg even on failure, so callers can
+     * tell Busy (retry after doneOut->retryAfterMs) from a request
+     * error or a cancellation/deadline abort.
      */
     bool run(const RunMsg &request, sim::RunResult &out,
              std::string *err, DoneMsg *doneOut = nullptr);
@@ -101,6 +103,13 @@ class Client
 
     /** Block until the next frame arrives. */
     bool recv(shard::Frame &out, std::string *err);
+
+    /** The reply loop of run() and sweep(): placeCell every cell into
+     *  emptyGrid(request), then accept ServeDone{Ok} only if the cells
+     *  placed match its count and the request's. */
+    bool receiveGrid(const SweepMsg &request, const char *what,
+                     sim::SweepResult &out, std::string *err,
+                     DoneMsg *doneOut);
 
     int fd = -1;
     shard::FrameParser parser;

@@ -55,6 +55,22 @@ const char *doneStatusName(DoneStatus s)
     return "unknown";
 }
 
+SweepMsg asSweep(const RunMsg &m)
+{
+    SweepMsg s;
+    s.setup = m.setup;
+    s.benchmarks = {m.benchmark};
+    s.policies = {m.policy};
+    s.jobs = 1;
+    s.timeSeries = m.timeSeries;
+    s.heatmap = m.heatmap;
+    s.noiseTrace = m.noiseTrace;
+    s.trackVr = m.trackVr;
+    s.noiseSamplesOverride = m.noiseSamplesOverride;
+    s.deadlineMs = m.deadlineMs;
+    return s;
+}
+
 sim::SweepResult emptyGrid(const SweepMsg &m)
 {
     sim::SweepResult grid;

@@ -146,6 +146,14 @@ struct StatsReplyMsg
     cache::StoreStats store;
 };
 
+/**
+ * The sweep a run request is: `m`'s benchmark under `m`'s policy as a
+ * one-cell grid at jobs 1, with the same setup, record options and
+ * deadline. The server executes a ServeRun as this sweep, and
+ * Client::run reads the reply into emptyGrid(asSweep(m)).
+ */
+SweepMsg asSweep(const RunMsg &m);
+
 /** The empty result grid of a sweep request: `m`'s benchmark/policy
  *  labels, every slot default-constructed. placeCell() fills it. */
 sim::SweepResult emptyGrid(const SweepMsg &m);

@@ -6,6 +6,7 @@
 #include <csignal>
 #include <cstring>
 #include <deque>
+#include <limits>
 #include <list>
 #include <map>
 #include <mutex>
@@ -64,6 +65,18 @@ bool policyExists(std::uint32_t v)
     return false;
 }
 
+/** Decode a ServeRun or ServeSweep payload as the sweep it asks for. */
+bool decodeRequest(const Frame &frame, SweepMsg &out)
+{
+    if (frame.type == FrameType::ServeSweep)
+        return decodeSweep(frame.payload, out);
+    RunMsg run;
+    if (!decodeRun(frame.payload, run))
+        return false;
+    out = asSweep(run);
+    return true;
+}
+
 /** One accepted client connection (poll-thread state). */
 struct Conn
 {
@@ -75,12 +88,11 @@ struct Conn
     bool closing = false; //!< close once `out` drains
 };
 
-/** A Run/Sweep waiting for the executor. */
+/** A Run/Sweep waiting for the executor (a run as its sweep). */
 struct PendingRequest
 {
     std::uint64_t connId = 0;
-    bool isRun = false;
-    RunMsg run;
+    bool isRun = false; //!< arrived as ServeRun: picks its counters
     SweepMsg sweep;
     /** Trips on client disconnect, ServeCancel, or deadline expiry
      *  (armed at admission). shared_ptr: the poll thread must reach
@@ -235,10 +247,9 @@ struct Server::Impl
 
     // --- executor thread ---------------------------------------------
 
-    /** Resolve the warm context for a setup blob; null + error when
-     *  the blob is invalid. */
-    Ctx *contextFor(const std::vector<std::uint8_t> &setup,
-                    std::string *err)
+    /** Resolve the warm context for a setup blob; null when the blob
+     *  is invalid. */
+    Ctx *contextFor(const std::vector<std::uint8_t> &setup)
     {
         const std::uint64_t key =
             bytes::fnv1a(setup.data(), setup.size());
@@ -252,15 +263,8 @@ struct Server::Impl
         shard::ChipKind kind{};
         int chip_arg = 0;
         sim::SimConfig cfg;
-        if (!shard::decodeBasicSetup(setup, kind, chip_arg, cfg)) {
-            *err = "invalid setup blob";
+        if (!shard::decodeBasicSetup(setup, kind, chip_arg, cfg))
             return nullptr;
-        }
-        if (kind == shard::ChipKind::Mini &&
-            (chip_arg < 1 || chip_arg > 64)) {
-            *err = "mini chip core count out of range";
-            return nullptr;
-        }
         ctxCache.emplace_front();
         Ctx &ctx = ctxCache.front();
         ctx.key = key;
@@ -277,87 +281,62 @@ struct Server::Impl
         return &ctx;
     }
 
-    static sim::RecordOptions decodeOpts(std::uint8_t timeSeries,
-                                         std::uint8_t heatmap,
-                                         std::uint8_t noiseTrace,
-                                         std::int64_t trackVr,
-                                         std::int64_t samples)
+    /**
+     * Every check of a Run/Sweep request, in one place: the grid
+     * labels, the cell indices, the record options and (through
+     * contextFor and the setup decoder) the setup blob. Returns an
+     * empty string and the request's warm context, or the reason the
+     * request is refused. Every value known to reach an assertion
+     * of the simulator is refused here or by the setup decoder.
+     */
+    std::string validate(const SweepMsg &m, Ctx *&ctx)
     {
-        sim::RecordOptions opts;
-        opts.timeSeries = timeSeries != 0;
-        opts.heatmap = heatmap != 0;
-        opts.noiseTrace = noiseTrace != 0;
-        opts.trackVr = static_cast<int>(trackVr);
-        opts.noiseSamplesOverride = static_cast<int>(samples);
-        return opts;
-    }
-
-    void executeRun(const PendingRequest &req)
-    {
-        const Clock::time_point t0 = Clock::now();
-        const RunMsg &m = req.run;
-        std::string err;
-        if (!benchmarkExists(m.benchmark)) {
-            err = "unknown benchmark '" + m.benchmark + "'";
-        } else if (!policyExists(m.policy)) {
-            err = "unknown policy kind";
-        }
-        Ctx *ctx = err.empty() ? contextFor(m.setup, &err) : nullptr;
-        if (!ctx) {
-            requestsRejected.fetch_add(1, std::memory_order_relaxed);
-            postDone(req.connId, DoneStatus::Error, 0, err);
-            return;
-        }
-        sim::RecordOptions opts =
-            decodeOpts(m.timeSeries, m.heatmap, m.noiseTrace,
-                       m.trackVr, m.noiseSamplesOverride);
-        opts.cancel = req.cancel.get();
-        sim::RunResult r = ctx->sim->run(
-            workload::profileByName(m.benchmark),
-            static_cast<core::PolicyKind>(m.policy), opts);
-        CellMsg cell;
-        cell.cell = 0;
-        cell.result = cache::encodeRunResult(r);
-        post(req.connId, FrameType::ServeCell, encodeCell(cell));
-        postDone(req.connId, DoneStatus::Ok, 1, {});
-        requestsRun.fetch_add(1, std::memory_order_relaxed);
-        cellsServed.fetch_add(1, std::memory_order_relaxed);
-        runMicros.fetch_add(microsSince(t0),
-                            std::memory_order_relaxed);
-    }
-
-    void executeSweep(const PendingRequest &req)
-    {
-        const Clock::time_point t0 = Clock::now();
-        const SweepMsg &m = req.sweep;
-        std::string err;
-        if (m.benchmarks.empty() || m.policies.empty()) {
-            err = "empty benchmark or policy list";
-        } else {
-            for (const auto &b : m.benchmarks)
-                if (!benchmarkExists(b)) {
-                    err = "unknown benchmark '" + b + "'";
-                    break;
-                }
-            for (auto pk : m.policies)
-                if (err.empty() && !policyExists(pk))
-                    err = "unknown policy kind";
-        }
+        ctx = nullptr;
+        if (m.benchmarks.empty() || m.policies.empty())
+            return "empty benchmark or policy list";
+        for (const auto &b : m.benchmarks)
+            if (!benchmarkExists(b))
+                return "unknown benchmark '" + b + "'";
+        for (auto pk : m.policies)
+            if (!policyExists(pk))
+                return "unknown policy kind";
         const std::uint64_t n_cells =
             static_cast<std::uint64_t>(m.benchmarks.size()) *
             m.policies.size();
-        if (err.empty())
-            for (auto c : m.cells)
-                if (c >= n_cells) {
-                    err = "sweep cell index out of range";
-                    break;
-                }
-        Ctx *ctx = err.empty() ? contextFor(m.setup, &err) : nullptr;
+        for (auto c : m.cells)
+            if (c >= n_cells)
+                return "sweep cell index out of range";
+        if (m.noiseSamplesOverride < -1 ||
+            m.noiseSamplesOverride > std::numeric_limits<int>::max())
+            return "noise sample override out of range";
+        Ctx *resolved = contextFor(m.setup);
+        if (!resolved)
+            return "invalid setup blob";
+        const auto n_vrs =
+            static_cast<std::int64_t>(resolved->chip.plan.vrs().size());
+        if (m.trackVr != -1 && (m.trackVr < 0 || m.trackVr >= n_vrs))
+            return "tracked VR " + std::to_string(m.trackVr) +
+                   " is not a VR of the chip";
+        ctx = resolved;
+        return {};
+    }
+
+    /** Execute one request; a run is its one-cell sweep at jobs 1,
+     *  which runSweepCells runs inline on the context's Simulation. */
+    void execute(const PendingRequest &req)
+    {
+        const Clock::time_point t0 = Clock::now();
+        const SweepMsg &m = req.sweep;
+        Ctx *ctx = nullptr;
+        const std::string err = validate(m, ctx);
         if (!ctx) {
             requestsRejected.fetch_add(1, std::memory_order_relaxed);
             postDone(req.connId, DoneStatus::Error, 0, err);
             return;
         }
+        // The frame kind only picks which counters the request adds to.
+        auto &requests = req.isRun ? requestsRun : requestsSweep;
+        auto &micros = req.isRun ? runMicros : sweepMicros;
 
         std::vector<core::PolicyKind> policies;
         policies.reserve(m.policies.size());
@@ -365,7 +344,7 @@ struct Server::Impl
             policies.push_back(static_cast<core::PolicyKind>(pk));
         std::vector<std::size_t> cells;
         if (m.cells.empty()) {
-            cells.resize(static_cast<std::size_t>(n_cells));
+            cells.resize(m.benchmarks.size() * m.policies.size());
             for (std::size_t c = 0; c < cells.size(); ++c)
                 cells[c] = c;
         } else {
@@ -374,14 +353,24 @@ struct Server::Impl
 
         const int jobs = static_cast<int>(
             std::min<std::uint32_t>(m.jobs, 4096));
-        sim::RecordOptions opts =
-            decodeOpts(m.timeSeries, m.heatmap, m.noiseTrace,
-                       m.trackVr, m.noiseSamplesOverride);
+        sim::RecordOptions opts;
+        opts.timeSeries = m.timeSeries != 0;
+        opts.heatmap = m.heatmap != 0;
+        opts.noiseTrace = m.noiseTrace != 0;
+        opts.trackVr = static_cast<int>(m.trackVr);
+        opts.noiseSamplesOverride =
+            static_cast<int>(m.noiseSamplesOverride);
         opts.cancel = req.cancel.get();
         std::atomic<std::uint64_t> streamed{0};
         // On cancellation runSweepCells throws after the completed
         // cells were emitted; the catch in execLoop posts the final
-        // status. Cells streamed before the trip still count.
+        // status. Cells streamed before the trip still count, and so
+        // does the time spent on them.
+        auto account = [&] {
+            cellsServed.fetch_add(streamed.load(),
+                                  std::memory_order_relaxed);
+            micros.fetch_add(microsSince(t0), std::memory_order_relaxed);
+        };
         try {
             sim::runSweepCells(
                 *ctx->sim, m.benchmarks, policies, cells, jobs, opts,
@@ -395,18 +384,12 @@ struct Server::Impl
                 },
                 &ctx->contexts, jobs > 1 ? &pool : nullptr);
         } catch (...) {
-            cellsServed.fetch_add(streamed.load(),
-                                  std::memory_order_relaxed);
-            sweepMicros.fetch_add(microsSince(t0),
-                                  std::memory_order_relaxed);
+            account();
             throw;
         }
         postDone(req.connId, DoneStatus::Ok, streamed.load(), {});
-        requestsSweep.fetch_add(1, std::memory_order_relaxed);
-        cellsServed.fetch_add(streamed.load(),
-                              std::memory_order_relaxed);
-        sweepMicros.fetch_add(microsSince(t0),
-                              std::memory_order_relaxed);
+        requests.fetch_add(1, std::memory_order_relaxed);
+        account();
     }
 
     void execLoop()
@@ -429,10 +412,7 @@ struct Server::Impl
             }
             activeRequests.store(1, std::memory_order_relaxed);
             try {
-                if (req.isRun)
-                    executeRun(req);
-                else
-                    executeSweep(req);
+                execute(req);
             } catch (const exec::CancelledError &e) {
                 // The sweep unwound at a cell/epoch boundary; the
                 // contexts in the LRU are intact (each run resets
@@ -507,11 +487,11 @@ struct Server::Impl
      * maxQueueDepth. The reject happens here on the poll thread —
      * overload answers in microseconds, it never waits in line.
      */
-    bool enqueueRequest(PendingRequest &&req, std::uint64_t deadlineMs)
+    bool enqueueRequest(PendingRequest &&req)
     {
         req.cancel = std::make_shared<exec::CancelToken>();
-        if (deadlineMs > 0)
-            req.cancel->setDeadlineIn(deadlineMs);
+        if (req.sweep.deadlineMs > 0)
+            req.cancel->setDeadlineIn(req.sweep.deadlineMs);
         {
             std::lock_guard<std::mutex> lock(reqMu);
             if (queue.size() >=
@@ -600,41 +580,24 @@ struct Server::Impl
                                               0, "cancelled")));
             return true;
         }
-        case FrameType::ServeRun: {
-            PendingRequest req;
-            req.connId = c.id;
-            req.isRun = true;
-            if (!decodeRun(frame.payload, req.run)) {
-                requestsRejected.fetch_add(1,
-                                           std::memory_order_relaxed);
-                appendOut(c, FrameType::ServeDone,
-                          encodeDone(makeDone(
-                              DoneStatus::Error, 0,
-                              "malformed ServeRun payload")));
-                return true;
-            }
-            const std::uint64_t deadlineMs = req.run.deadlineMs;
-            if (!enqueueRequest(std::move(req), deadlineMs))
-                appendOut(c, FrameType::ServeDone,
-                          encodeDone(makeDone(
-                              DoneStatus::Busy, 0, "queue full",
-                              options.busyRetryMs)));
-            return true;
-        }
+        case FrameType::ServeRun:
         case FrameType::ServeSweep: {
+            // From admission on, a run is the one-cell sweep it
+            // decodes to: one queue entry shape, one executor path.
             PendingRequest req;
             req.connId = c.id;
-            if (!decodeSweep(frame.payload, req.sweep)) {
+            req.isRun = frame.type == FrameType::ServeRun;
+            if (!decodeRequest(frame, req.sweep)) {
                 requestsRejected.fetch_add(1,
                                            std::memory_order_relaxed);
                 appendOut(c, FrameType::ServeDone,
                           encodeDone(makeDone(
                               DoneStatus::Error, 0,
-                              "malformed ServeSweep payload")));
+                              req.isRun ? "malformed ServeRun payload"
+                                        : "malformed ServeSweep payload")));
                 return true;
             }
-            const std::uint64_t deadlineMs = req.sweep.deadlineMs;
-            if (!enqueueRequest(std::move(req), deadlineMs))
+            if (!enqueueRequest(std::move(req)))
                 appendOut(c, FrameType::ServeDone,
                           encodeDone(makeDone(
                               DoneStatus::Busy, 0, "queue full",

@@ -17,12 +17,16 @@
  *                   wake-ups, and one non-blocking fd per client with
  *                   an outbound buffer. It decodes
  *                   frames, answers Ping/Stats inline, and enqueues
- *                   Run/Sweep work for the executor.
- *   executor thread pops requests FIFO, resolves a warm simulation
- *                   context (LRU cache keyed by the setup blob), and
- *                   runs cells on the process-lifetime ThreadPool,
- *                   posting result frames back through the poll
- *                   thread's completion queue.
+ *                   Run/Sweep work for the executor — a run as the
+ *                   one-cell sweep it is (asSweep), so from admission
+ *                   on both kinds take one path.
+ *   executor thread pops requests FIFO, validates each one and
+ *                   resolves its warm simulation context (LRU cache
+ *                   keyed by the setup blob), and runs cells on the
+ *                   process-lifetime ThreadPool (a jobs-1 request
+ *                   inline on the context's own Simulation), posting
+ *                   result frames back through the poll thread's
+ *                   completion queue.
  *
  * Scheduling is deliberately FIFO one-request-at-a-time: requests
  * parallelise internally across the pool, so interleaving two sweeps
@@ -37,7 +41,10 @@
  *
  * A malformed or invalid request gets an error DoneMsg (or, for a
  * corrupt frame stream, a dropped connection) — never a daemon
- * abort: all client input is handled by non-fatal decoders.
+ * abort: all client input is handled by non-fatal decoders, and one
+ * validator refuses the values known to reach a simulator assertion
+ * (unknown labels, out-of-range cells, tracked VR or sample override,
+ * setup values the simulator asserts on) before execution.
  *
  * Robustness: every accepted Run/Sweep carries a CancelToken. The
  * token trips when the client disconnects, sends ServeCancel, or the

@@ -1,5 +1,8 @@
 #include "shard/worker.hh"
 
+#include <cmath>
+#include <limits>
+
 #include "common/bytes.hh"
 
 namespace tg {
@@ -8,6 +11,10 @@ namespace shard {
 namespace {
 
 constexpr std::uint32_t kBasicSetupMagic = 0x31424754; // "TGB1"
+
+/** Headroom past a domain's regulator count already means all of
+ *  them; the cap keeps `requiredActive + headroom` from overflowing. */
+constexpr int kMaxHeadroomVrs = 1 << 16;
 
 } // namespace
 
@@ -40,24 +47,50 @@ bool decodeBasicSetup(const std::vector<std::uint8_t> &blob,
     bytes::ByteReader r(blob.data(), blob.size());
     if (r.u32() != kBasicSetupMagic)
         return false;
-    kind = static_cast<ChipKind>(r.u32());
-    chip_arg = static_cast<int>(r.i64());
+    // Integer fields travel as i64; one outside int range is refused
+    // rather than truncated into a different, valid-looking value.
+    bool inRange = true;
+    auto i32 = [&] {
+        const std::int64_t v = r.i64();
+        inRange = inRange && v >= std::numeric_limits<int>::min() &&
+                  v <= std::numeric_limits<int>::max();
+        return static_cast<int>(v);
+    };
+    const std::uint32_t kind_id = r.u32();
+    chip_arg = i32();
     cfg = sim::SimConfig{};
-    cfg.regulator = static_cast<sim::RegulatorChoice>(r.u32());
+    const std::uint32_t regulator = r.u32();
     cfg.decisionInterval = r.f64();
-    cfg.noiseSamples = static_cast<int>(r.i64());
-    cfg.noiseCyclesTotal = static_cast<int>(r.i64());
-    cfg.noiseWarmupCycles = static_cast<int>(r.i64());
-    cfg.noiseBatchWidth = static_cast<int>(r.i64());
-    cfg.profilingEpochs = static_cast<int>(r.i64());
+    cfg.noiseSamples = i32();
+    cfg.noiseCyclesTotal = i32();
+    cfg.noiseWarmupCycles = i32();
+    cfg.noiseBatchWidth = i32();
+    cfg.profilingEpochs = i32();
     cfg.practicalDemandMargin = r.f64();
-    cfg.practicalHeadroomVrs = static_cast<int>(r.i64());
+    cfg.practicalHeadroomVrs = i32();
     cfg.seed = r.u64();
     cfg.cacheDir = r.str();
     cfg.memoizeResults = r.u8() != 0;
-    if (!r.exhausted())
+    if (!r.exhausted() || !inRange)
         return false;
-    return kind == ChipKind::Power8 || kind == ChipKind::Mini;
+    // The ranges Simulation asserts on: refuse them here, so a bad
+    // blob costs an error reply instead of the process.
+    kind = static_cast<ChipKind>(kind_id);
+    cfg.regulator = static_cast<sim::RegulatorChoice>(regulator);
+    const bool chipOk =
+        kind == ChipKind::Power8 ||
+        (kind == ChipKind::Mini && chip_arg >= 1 && chip_arg <= 64);
+    const bool regulatorOk =
+        regulator <= static_cast<std::uint32_t>(sim::RegulatorChoice::Ldo);
+    const bool intervalOk = std::isfinite(cfg.decisionInterval) &&
+                            cfg.decisionInterval > 0.0;
+    const bool windowOk = cfg.noiseCyclesTotal > 0 &&
+                          cfg.noiseWarmupCycles >= 0 &&
+                          cfg.noiseWarmupCycles < cfg.noiseCyclesTotal;
+    const bool practicalOk = std::isfinite(cfg.practicalDemandMargin) &&
+                             cfg.practicalHeadroomVrs >= 0 &&
+                             cfg.practicalHeadroomVrs <= kMaxHeadroomVrs;
+    return chipOk && regulatorOk && intervalOk && windowOk && practicalOk;
 }
 
 } // namespace shard

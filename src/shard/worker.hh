@@ -39,9 +39,15 @@ std::vector<std::uint8_t> encodeBasicSetup(ChipKind kind, int chip_arg,
                                            const sim::SimConfig &cfg);
 
 /**
- * Decode an encodeBasicSetup() blob. Returns false on a malformed
- * blob or unknown chip kind instead of dying, so a server turns a bad
- * request into an error reply rather than an abort.
+ * Decode an encodeBasicSetup() blob. Returns false instead of dying
+ * on a malformed blob and on values the Simulation would assert on,
+ * so a server turns a bad request into an error reply rather than an
+ * abort. Refused: an unknown chip kind, a mini chip outside 1..64
+ * cores, an unknown regulator choice, a non-finite or non-positive
+ * decision interval, a noise window of no cycles, a warm-up outside
+ * [0, noiseCyclesTotal), a non-finite practical demand margin, a
+ * practical headroom outside [0, 65536], and any integer field
+ * outside int range.
  */
 bool decodeBasicSetup(const std::vector<std::uint8_t> &blob,
                       ChipKind &kind, int &chip_arg,

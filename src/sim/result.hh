@@ -29,7 +29,8 @@ struct RecordOptions
 {
     /** Record per-frame total power and active-VR count (Fig. 6). */
     bool timeSeries = false;
-    /** Track one VR's temperature and state (Fig. 8): chip VR id. */
+    /** Track one VR's temperature and state (Fig. 8): chip VR id,
+     *  or -1 for none. */
     int trackVr = -1;
     /** Capture the die heat map at the hottest frame (Fig. 12). */
     bool heatmap = false;

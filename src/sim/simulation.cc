@@ -314,6 +314,8 @@ struct Simulation::Run
           vrLoss(static_cast<std::size_t>(nVrs), 0.0),
           activeSets(static_cast<std::size_t>(nDomains))
     {
+        TG_ASSERT(opts.trackVr >= -1 && opts.trackVr < nVrs,
+                  "trackVr ", opts.trackVr, " is not a VR of the chip");
         if (core::isThermallyAware(policy))
             sim.thermalPredictor();  // ensure thetas exist
         prepareWorkload(per_core);

@@ -18,7 +18,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
 #include <thread>
+
+#ifdef __unix__
+#include <unistd.h>
+#endif
 
 #include "cache/disk.hh"
 #include "cache/fingerprint.hh"
@@ -33,6 +38,24 @@
 namespace tg {
 namespace cache {
 namespace {
+
+/**
+ * A temporary directory only the running test uses, named from the test
+ * and the pid: parallel `ctest -j` processes of one fixture must not
+ * delete each other's files.
+ */
+std::filesystem::path privateTempDir()
+{
+    const auto *info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    long pid = 0;
+#ifdef __unix__
+    pid = static_cast<long>(::getpid());
+#endif
+    return std::filesystem::path(::testing::TempDir()) /
+           (std::string("tg-") + info->test_suite_name() + "." +
+            info->name() + "-" + std::to_string(pid));
+}
 
 // ===================================================================
 // Fingerprint layer
@@ -497,8 +520,7 @@ class DiskTierTest : public ::testing::Test
   protected:
     void SetUp() override
     {
-        dir = std::filesystem::path(::testing::TempDir()) /
-              "tg-cache-test";
+        dir = privateTempDir();
         std::filesystem::remove_all(dir);
         stats = std::make_unique<ArtifactStore>();
     }
@@ -621,8 +643,7 @@ class CacheDeterminism : public ::testing::Test
   protected:
     void SetUp() override
     {
-        dir = std::filesystem::path(::testing::TempDir()) /
-              "tg-cache-determinism";
+        dir = privateTempDir();
         std::filesystem::remove_all(dir);
         store().clear();
         store().setEnabled(true);

@@ -292,9 +292,15 @@ class DiskChaos : public IoChaos
         IoChaos::SetUp();
         static int counter = 0;
         // A unique root per test: the constructor's orphan auto-sweep
-        // runs once per (process, directory).
+        // runs once per (process, directory), and parallel `ctest -j`
+        // processes must not share one.
+        long pid = 0;
+#ifdef __unix__
+        pid = static_cast<long>(::getpid());
+#endif
         dir = std::filesystem::path(::testing::TempDir()) /
-              ("tg-chaos-disk-" + std::to_string(++counter));
+              ("tg-chaos-disk-" + std::to_string(pid) + "-" +
+               std::to_string(++counter));
         std::filesystem::remove_all(dir);
         stats = std::make_unique<cache::ArtifactStore>();
     }

@@ -24,6 +24,7 @@
 #endif
 
 #include "cache/serialize.hh"
+#include "common/io.hh"
 #include "serve/client.hh"
 #include "serve/server.hh"
 #include "shard/protocol.hh"
@@ -53,6 +54,14 @@ std::vector<std::uint8_t> testSetup()
 {
     return shard::encodeBasicSetup(shard::ChipKind::Mini, 1,
                                    testConfig());
+}
+
+/** testSetup() with `edit` applied to its config. */
+std::vector<std::uint8_t> setupWith(void (*edit)(sim::SimConfig &))
+{
+    sim::SimConfig cfg = testConfig();
+    edit(cfg);
+    return shard::encodeBasicSetup(shard::ChipKind::Mini, 1, cfg);
 }
 
 SweepMsg testSweepRequest(int jobs)
@@ -216,11 +225,70 @@ TEST_F(ServeDeterminism, InvalidRequestsGetErrorsNotACrash)
     sim::SweepResult sweepOut;
     EXPECT_FALSE(client.sweep(badCells, sweepOut, &err));
 
+    // Well-formed requests carrying values the simulator asserts on
+    // (or, for trackVr, indexes with): refused, never executed.
+    std::vector<RunMsg> killers(4, badSetup);
+    killers[0].setup = setupWith([](sim::SimConfig &c) {
+        c.regulator = static_cast<sim::RegulatorChoice>(2);
+    });
+    killers[1].setup = setupWith(
+        [](sim::SimConfig &c) { c.noiseCyclesTotal = 0; });
+    killers[2].setup = setupWith([](sim::SimConfig &c) {
+        c.noiseWarmupCycles = c.noiseCyclesTotal;
+    });
+    killers[3].setup = testSetup();
+    killers[3].trackVr = 100000000;
+    for (const RunMsg &req : killers) {
+        DoneMsg done;
+        EXPECT_FALSE(client.run(req, out, &err, &done));
+        EXPECT_EQ(done.status,
+                  static_cast<std::uint8_t>(DoneStatus::Error))
+            << err;
+    }
+
     // The daemon survived all of it and still serves correctly.
     EXPECT_TRUE(client.ping(&err)) << err;
     expectBitIdentical(referenceGrid(), served(1));
+    RunMsg good;
+    good.setup = testSetup();
+    good.benchmark = "fft";
+    good.policy = static_cast<std::uint32_t>(core::PolicyKind::OracT);
+    ASSERT_TRUE(client.run(good, out, &err)) << err;
+    EXPECT_EQ(cache::encodeRunResult(out),
+              cache::encodeRunResult(referenceGrid().results[1][1]));
 
-    EXPECT_EQ(server->statsSnapshot().requestsRejected, 3u);
+    EXPECT_EQ(server->statsSnapshot().requestsRejected, 7u);
+}
+
+TEST_F(ServeDeterminism, OutOfRangeRecordOptionsGetErrors)
+{
+    Client client;
+    std::string err;
+    ASSERT_TRUE(client.connect(server->socketPath(), &err)) << err;
+    sim::RunResult out;
+
+    RunMsg req;
+    req.setup = testSetup();
+    req.benchmark = "fft";
+    req.policy = static_cast<std::uint32_t>(core::PolicyKind::AllOn);
+    // Only -1 means "no tracked VR"; the mini chip has no VR 1000.
+    for (std::int64_t vr : {std::int64_t{-2}, std::int64_t{1000}}) {
+        req.trackVr = vr;
+        EXPECT_FALSE(client.run(req, out, &err));
+        EXPECT_NE(err.find("not a VR of the chip"), std::string::npos)
+            << err;
+    }
+    req.trackVr = -1;
+    // 2^32 + 1 must not truncate to one sample.
+    for (std::int64_t n : {std::int64_t{-2}, (std::int64_t{1} << 32) + 1}) {
+        req.noiseSamplesOverride = n;
+        EXPECT_FALSE(client.run(req, out, &err));
+        EXPECT_NE(err.find("noise sample override"), std::string::npos)
+            << err;
+    }
+
+    EXPECT_TRUE(client.ping(&err)) << err;
+    EXPECT_EQ(server->statsSnapshot().requestsRejected, 4u);
 }
 
 TEST_F(ServeDeterminism, SweepCellSubsetFillsOnlyThoseSlots)
@@ -326,6 +394,105 @@ TEST(ServeEndpoint, ConnectedSocketpairServesBitIdenticallyAndExitsOnClose)
     ::close(sv[0]);
     server.wait();
     EXPECT_EQ(server.statsSnapshot().requestsSweep, 1u);
+}
+
+/**
+ * Serve one ServeRun on a scripted Unix-socket peer that answers with
+ * `replies`, and return what Client::run made of it.
+ */
+bool runAgainstScript(
+    const std::vector<std::pair<shard::FrameType,
+                                std::vector<std::uint8_t>>> &replies,
+    std::string *err)
+{
+    const std::string path = "/tmp/tg_serve_script." +
+                             std::to_string(::getpid()) + ".sock";
+    const int lfd = io::listenUnix(path, 1, err);
+    if (lfd < 0)
+        return false;
+    // Connect before the peer accepts: the backlog holds the
+    // connection, and a failed connect leaves no thread to unblock.
+    Client client;
+    if (!client.connect(path, err)) {
+        ::close(lfd);
+        ::unlink(path.c_str());
+        return false;
+    }
+    std::thread peer([&] {
+        const int fd = ::accept(lfd, nullptr, nullptr);
+        if (fd < 0)
+            return;
+        shard::FrameParser parser;
+        bool gotRun = false;
+        while (!gotRun &&
+               shard::pumpFrames(fd, parser,
+                                 [&](const shard::Frame &frame) {
+                                     gotRun = frame.type ==
+                                              shard::FrameType::ServeRun;
+                                     return true;
+                                 }) == shard::PumpStatus::Ok) {
+        }
+        for (const auto &reply : replies)
+            shard::writeFrameToFd(fd, reply.first, reply.second);
+        ::close(fd);
+    });
+    RunMsg req;
+    req.setup = testSetup();
+    req.benchmark = "fft";
+    req.policy = static_cast<std::uint32_t>(core::PolicyKind::OracT);
+    sim::RunResult out;
+    const bool ok = client.run(req, out, err);
+    peer.join();
+    ::close(lfd);
+    ::unlink(path.c_str());
+    return ok;
+}
+
+std::vector<std::uint8_t> cellFor(const std::string &benchmark)
+{
+    sim::RunResult r;
+    r.benchmark = benchmark;
+    r.policy = core::PolicyKind::OracT;
+    CellMsg cell;
+    cell.cell = 0;
+    cell.result = cache::encodeRunResult(r);
+    return encodeCell(cell);
+}
+
+std::vector<std::uint8_t> doneOk(std::uint64_t cells)
+{
+    DoneMsg done;
+    done.ok = 1;
+    done.status = static_cast<std::uint8_t>(DoneStatus::Ok);
+    done.cells = cells;
+    return encodeDone(done);
+}
+
+TEST(ServeClient, RunRepliesGetTheSweepReplyChecks)
+{
+    using shard::FrameType;
+    std::string err;
+    // Control: the scripted peer's well-formed reply is accepted.
+    EXPECT_TRUE(runAgainstScript({{FrameType::ServeCell, cellFor("fft")},
+                                  {FrameType::ServeDone, doneOk(1)}},
+                                 &err))
+        << err;
+    // A cell labelled with another benchmark never lands in the slot.
+    EXPECT_FALSE(runAgainstScript(
+        {{FrameType::ServeCell, cellFor("rayt")},
+         {FrameType::ServeDone, doneOk(1)}},
+        &err));
+    EXPECT_NE(err.find("malformed cell result"), std::string::npos)
+        << err;
+    // Ok with no cell: the count check refuses it.
+    EXPECT_FALSE(
+        runAgainstScript({{FrameType::ServeDone, doneOk(1)}}, &err));
+    EXPECT_NE(err.find("does not match the cells received"),
+              std::string::npos)
+        << err;
+    // Ok reporting no cell, with no cell, is still not a result.
+    EXPECT_FALSE(
+        runAgainstScript({{FrameType::ServeDone, doneOk(0)}}, &err));
 }
 
 #endif // __unix__

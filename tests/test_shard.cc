@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "common/bytes.hh"
@@ -291,5 +292,72 @@ TEST(ShardProtocol, DecodersRejectTrailingGarbage)
     EXPECT_EQ(out.seed, in.seed);
 
     p.push_back(0x00);
+    EXPECT_FALSE(shard::decodeBasicSetup(p, kind, arg, out));
+}
+
+TEST(ShardProtocol, SetupDecoderRefusesWhatTheSimulatorAssertsOn)
+{
+    auto decodes = [](shard::ChipKind k, int chip,
+                      const sim::SimConfig &cfg) {
+        shard::ChipKind kind{};
+        int arg = 0;
+        sim::SimConfig out;
+        return shard::decodeBasicSetup(
+            shard::encodeBasicSetup(k, chip, cfg), kind, arg, out);
+    };
+    const sim::SimConfig base;
+    // The edges of every range still decode.
+    EXPECT_TRUE(decodes(shard::ChipKind::Mini, 1, base));
+    EXPECT_TRUE(decodes(shard::ChipKind::Mini, 64, base));
+    EXPECT_TRUE(decodes(shard::ChipKind::Power8, 0, base));
+    sim::SimConfig edge = base;
+    edge.regulator = sim::RegulatorChoice::Ldo;
+    edge.noiseWarmupCycles = 0;
+    EXPECT_TRUE(decodes(shard::ChipKind::Mini, 1, edge));
+    edge.noiseWarmupCycles = edge.noiseCyclesTotal - 1;
+    EXPECT_TRUE(decodes(shard::ChipKind::Mini, 1, edge));
+
+    EXPECT_FALSE(decodes(shard::ChipKind::Mini, 0, base));
+    EXPECT_FALSE(decodes(shard::ChipKind::Mini, 65, base));
+    EXPECT_FALSE(decodes(static_cast<shard::ChipKind>(2), 1, base));
+    auto refused = [&](void (*edit)(sim::SimConfig &)) {
+        sim::SimConfig cfg = base;
+        edit(cfg);
+        return !decodes(shard::ChipKind::Mini, 1, cfg);
+    };
+    EXPECT_TRUE(refused([](sim::SimConfig &c) {
+        c.regulator = static_cast<sim::RegulatorChoice>(2);
+    }));
+    EXPECT_TRUE(refused([](sim::SimConfig &c) {
+        c.decisionInterval = std::numeric_limits<double>::quiet_NaN();
+    }));
+    EXPECT_TRUE(refused([](sim::SimConfig &c) {
+        c.decisionInterval = std::numeric_limits<double>::infinity();
+    }));
+    EXPECT_TRUE(refused([](sim::SimConfig &c) { c.decisionInterval = 0; }));
+    EXPECT_TRUE(refused([](sim::SimConfig &c) { c.noiseCyclesTotal = 0; }));
+    EXPECT_TRUE(refused([](sim::SimConfig &c) {
+        c.noiseWarmupCycles = c.noiseCyclesTotal;
+    }));
+    EXPECT_TRUE(
+        refused([](sim::SimConfig &c) { c.noiseWarmupCycles = -1; }));
+    EXPECT_TRUE(refused([](sim::SimConfig &c) {
+        c.practicalDemandMargin = std::numeric_limits<double>::quiet_NaN();
+    }));
+    EXPECT_TRUE(
+        refused([](sim::SimConfig &c) { c.practicalHeadroomVrs = -1; }));
+    EXPECT_TRUE(refused([](sim::SimConfig &c) {
+        c.practicalHeadroomVrs = std::numeric_limits<int>::max();
+    }));
+
+    // An i64 field outside int range is refused, not truncated: this
+    // noiseCyclesTotal of 2^32 + 600 would otherwise read as 600.
+    auto p = shard::encodeBasicSetup(shard::ChipKind::Mini, 1, base);
+    const std::size_t cyclesAt = 4 + 4 + 8 + 4 + 8 + 8;
+    ASSERT_EQ(p[cyclesAt], static_cast<std::uint8_t>(600 & 0xff));
+    p[cyclesAt + 4] = 1;
+    shard::ChipKind kind{};
+    int arg = 0;
+    sim::SimConfig out;
     EXPECT_FALSE(shard::decodeBasicSetup(p, kind, arg, out));
 }

@@ -211,6 +211,15 @@ TEST(ServeEndpointDeathTest, GarbageSetupEndsTheSweepWithTheEndpointError)
     sopt.setup = {1, 2, 3};
     EXPECT_EXIT(runShardedSweep(sopt), ::testing::ExitedWithCode(1),
                 "invalid setup blob");
+
+    // A well-formed blob naming a regulator that does not exist: the
+    // endpoints must refuse it too, not abort on it one after another
+    // (which ends the sweep with "every endpoint died" instead).
+    sim::SimConfig cfg = testConfig();
+    cfg.regulator = static_cast<sim::RegulatorChoice>(2);
+    sopt.setup = shard::encodeBasicSetup(shard::ChipKind::Mini, 1, cfg);
+    EXPECT_EXIT(runShardedSweep(sopt), ::testing::ExitedWithCode(1),
+                "invalid setup blob");
 }
 
 } // namespace
