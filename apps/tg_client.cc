@@ -75,42 +75,22 @@ int exitCodeFor(const serve::DoneMsg &done)
 
 void printStats(const serve::StatsReplyMsg &s)
 {
-    std::printf("uptime          %.1f s\n",
-                static_cast<double>(s.uptimeMicros) / 1e6);
-    std::printf("requests        run=%llu sweep=%llu ping=%llu "
-                "stats=%llu rejected=%llu\n",
-                static_cast<unsigned long long>(s.requestsRun),
-                static_cast<unsigned long long>(s.requestsSweep),
-                static_cast<unsigned long long>(s.requestsPing),
-                static_cast<unsigned long long>(s.requestsStats),
-                static_cast<unsigned long long>(s.requestsRejected));
-    std::printf("admission       busy=%llu cancelled=%llu "
-                "deadline=%llu active=%llu\n",
-                static_cast<unsigned long long>(s.requestsBusy),
-                static_cast<unsigned long long>(s.requestsCancelled),
-                static_cast<unsigned long long>(s.requestsDeadline),
-                static_cast<unsigned long long>(s.activeRequests));
-    std::printf("cells served    %llu (queue depth %llu)\n",
-                static_cast<unsigned long long>(s.cellsServed),
-                static_cast<unsigned long long>(s.queueDepth));
-    std::printf("exec time       run=%.1f ms sweep=%.1f ms\n",
-                static_cast<double>(s.runMicros) / 1e3,
-                static_cast<double>(s.sweepMicros) / 1e3);
-    std::printf("contexts        built=%llu reused=%llu\n",
-                static_cast<unsigned long long>(s.contextsBuilt),
-                static_cast<unsigned long long>(s.contextsReused));
-    std::printf("%s\n", s.store.describe().c_str());
+    auto row = [](const char *name, std::uint64_t value) {
+        std::printf("%-19s %llu\n", name,
+                    static_cast<unsigned long long>(value));
+    };
+    for (const auto &f : serve::kStatsReplyFields)
+        row(f.name, s.*f.member);
+    for (const auto &f : cache::kStoreFields)
+        row(f.name, s.store.*f.member);
     for (int k = 0; k < cache::kArtifactKinds; ++k) {
         const auto &pk = s.store.kind[static_cast<std::size_t>(k)];
-        std::printf(
-            "  %-11s hits=%llu misses=%llu inserts=%llu "
-            "bytes=%llu evictions=%llu\n",
-            cache::artifactKindName(static_cast<cache::ArtifactKind>(k)),
-            static_cast<unsigned long long>(pk.hits),
-            static_cast<unsigned long long>(pk.misses),
-            static_cast<unsigned long long>(pk.inserts),
-            static_cast<unsigned long long>(pk.bytes),
-            static_cast<unsigned long long>(pk.evictions));
+        std::printf("%-11s", cache::artifactKindName(
+                                 static_cast<cache::ArtifactKind>(k)));
+        for (const auto &f : cache::kStoreKindFields)
+            std::printf(" %s=%llu", f.name,
+                        static_cast<unsigned long long>(pk.*f.member));
+        std::printf("\n");
     }
 }
 

@@ -112,7 +112,7 @@ std::size_t DiskTier::sweepOrphans(std::chrono::seconds minAge) const
         ec.clear();
     }
     if (removed)
-        counters->noteDiskTmpSwept(removed);
+        counters->count(&StoreStats::diskTmpSwept, removed);
     return removed;
 }
 
@@ -130,7 +130,7 @@ bool DiskTier::load(ArtifactKind kind, const Fingerprint &key,
         return false;
     std::ifstream in(pathFor(kind, key), std::ios::binary);
     if (!in) {
-        counters->noteDiskMiss();
+        counters->count(&StoreStats::diskMisses);
         return false;
     }
     std::vector<std::uint8_t> file(
@@ -147,33 +147,33 @@ bool DiskTier::load(ArtifactKind kind, const Fingerprint &key,
         readU32(file.data() + 8) != static_cast<std::uint32_t>(kind) ||
         readU64(file.data() + 12) != key.hi ||
         readU64(file.data() + 20) != key.lo) {
-        counters->noteDiskReject();
+        counters->count(&StoreStats::diskRejects);
         return false;
     }
     std::size_t pos = kFixed;
     const std::uint64_t provLen = readU64(file.data() + pos);
     pos += 8;
     if (provLen > file.size() - pos - 16) {
-        counters->noteDiskReject();
+        counters->count(&StoreStats::diskRejects);
         return false;
     }
     pos += static_cast<std::size_t>(provLen);
     const std::uint64_t payLen = readU64(file.data() + pos);
     pos += 8;
     if (payLen != file.size() - pos - 8) {
-        counters->noteDiskReject();
+        counters->count(&StoreStats::diskRejects);
         return false;
     }
     const std::size_t payloadAt = pos;
     pos += static_cast<std::size_t>(payLen);
     const std::uint64_t want = readU64(file.data() + pos);
     if (bytes::fnv1a(file.data(), pos) != want) {
-        counters->noteDiskReject();
+        counters->count(&StoreStats::diskRejects);
         return false;
     }
     payload.assign(file.begin() + static_cast<std::ptrdiff_t>(payloadAt),
                    file.begin() + static_cast<std::ptrdiff_t>(pos));
-    counters->noteDiskHit();
+    counters->count(&StoreStats::diskHits);
     return true;
 }
 
@@ -227,7 +227,7 @@ bool DiskTier::save(ArtifactKind kind, const Fingerprint &key,
         std::remove(tmpPath.c_str());
         return false;
     }
-    counters->noteDiskWrite();
+    counters->count(&StoreStats::diskWrites);
     return true;
 }
 

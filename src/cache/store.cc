@@ -21,57 +21,39 @@ const char *artifactKindName(ArtifactKind kind)
     return "unknown";
 }
 
-std::uint64_t StoreStats::hitsTotal() const
+std::uint64_t StoreStats::total(std::uint64_t PerKind::*counter) const
 {
     std::uint64_t t = 0;
     for (const PerKind &k : kind)
-        t += k.hits;
-    return t;
-}
-
-std::uint64_t StoreStats::missesTotal() const
-{
-    std::uint64_t t = 0;
-    for (const PerKind &k : kind)
-        t += k.misses;
-    return t;
-}
-
-std::uint64_t StoreStats::bytesTotal() const
-{
-    std::uint64_t t = 0;
-    for (const PerKind &k : kind)
-        t += k.bytes;
+        t += k.*counter;
     return t;
 }
 
 std::string StoreStats::describe() const
 {
-    char line[512];
-    std::snprintf(
-        line, sizeof line,
-        "cache: hits=%llu misses=%llu resident=%.1fMiB evictions=%llu "
-        "[trace %llu/%llu, predictor %llu/%llu, pdn-base %llu/%llu, "
-        "run-result %llu/%llu] disk hits=%llu misses=%llu writes=%llu "
-        "rejects=%llu tmp-swept=%llu",
-        static_cast<unsigned long long>(hitsTotal()),
-        static_cast<unsigned long long>(missesTotal()),
-        static_cast<double>(bytesTotal()) / (1024.0 * 1024.0),
-        static_cast<unsigned long long>(evictions),
-        static_cast<unsigned long long>(kind[0].hits),
-        static_cast<unsigned long long>(kind[0].misses),
-        static_cast<unsigned long long>(kind[1].hits),
-        static_cast<unsigned long long>(kind[1].misses),
-        static_cast<unsigned long long>(kind[2].hits),
-        static_cast<unsigned long long>(kind[2].misses),
-        static_cast<unsigned long long>(kind[3].hits),
-        static_cast<unsigned long long>(kind[3].misses),
-        static_cast<unsigned long long>(diskHits),
-        static_cast<unsigned long long>(diskMisses),
-        static_cast<unsigned long long>(diskWrites),
-        static_cast<unsigned long long>(diskRejects),
-        static_cast<unsigned long long>(diskTmpSwept));
-    return std::string(line);
+    char buf[64];
+    std::snprintf(buf, sizeof buf,
+                  "cache: hits=%llu misses=%llu resident=%.1fMiB",
+                  static_cast<unsigned long long>(hitsTotal()),
+                  static_cast<unsigned long long>(missesTotal()),
+                  static_cast<double>(bytesTotal()) / (1024.0 * 1024.0));
+    std::string line = buf;
+    auto append = [&line](const char *name, std::uint64_t value) {
+        line += ' ';
+        line += name;
+        line += '=';
+        line += std::to_string(value);
+    };
+    for (const auto &f : kStoreFields)
+        append(f.name, this->*f.member);
+    for (int k = 0; k < kArtifactKinds; ++k) {
+        line += " [";
+        line += artifactKindName(static_cast<ArtifactKind>(k));
+        for (const auto &f : kStoreKindFields)
+            append(f.name, kind[static_cast<std::size_t>(k)].*f.member);
+        line += ']';
+    }
+    return line;
 }
 
 ArtifactStore::ArtifactStore(std::size_t capacity_bytes)
@@ -82,9 +64,9 @@ ArtifactStore::ArtifactStore(std::size_t capacity_bytes)
 std::shared_ptr<const void> ArtifactStore::getRaw(ArtifactKind kind,
                                                   const Fingerprint &key)
 {
-    KindCounters &kc = counters[static_cast<int>(kind)];
+    StoreStats::PerKind &kc = live.kind[static_cast<std::size_t>(kind)];
     if (!enabledFlag.load(std::memory_order_relaxed)) {
-        kc.misses.fetch_add(1, std::memory_order_relaxed);
+        counters::add(kc.misses);
         return nullptr;
     }
     Shard &s = shardFor(key);
@@ -92,11 +74,11 @@ std::shared_ptr<const void> ArtifactStore::getRaw(ArtifactKind kind,
     std::lock_guard<std::mutex> lock(s.mu);
     auto it = s.map.find(k);
     if (it == s.map.end()) {
-        kc.misses.fetch_add(1, std::memory_order_relaxed);
+        counters::add(kc.misses);
         return nullptr;
     }
     s.lru.splice(s.lru.begin(), s.lru, it->second); // bump to front
-    kc.hits.fetch_add(1, std::memory_order_relaxed);
+    counters::add(kc.hits);
     return it->second->value;
 }
 
@@ -108,29 +90,29 @@ void ArtifactStore::putRaw(ArtifactKind kind, const Fingerprint &key,
         return;
     Shard &s = shardFor(key);
     const Key k{kind, key};
-    KindCounters &kc = counters[static_cast<int>(kind)];
+    StoreStats::PerKind &kc = live.kind[static_cast<std::size_t>(kind)];
     std::lock_guard<std::mutex> lock(s.mu);
     if (s.map.find(k) != s.map.end())
         return; // first write wins (identical by determinism)
     s.lru.push_front(Entry{k, std::move(value), bytes});
     s.map.emplace(k, s.lru.begin());
     s.bytes += bytes;
-    kc.inserts.fetch_add(1, std::memory_order_relaxed);
-    kc.bytes.fetch_add(bytes, std::memory_order_relaxed);
-    evictLocked(s, capacity.load(std::memory_order_relaxed) / kShards);
+    counters::add(kc.inserts);
+    counters::add(kc.bytes, bytes);
+    evictLocked(s);
 }
 
-void ArtifactStore::evictLocked(Shard &s, std::size_t shard_budget)
+void ArtifactStore::evictLocked(Shard &s)
 {
-    while (s.bytes > shard_budget && s.lru.size() > 1) {
+    while (s.bytes > capacity / kShards && s.lru.size() > 1) {
         const Entry &victim = s.lru.back();
-        KindCounters &kc = counters[static_cast<int>(victim.key.kind)];
-        kc.bytes.fetch_sub(victim.bytes, std::memory_order_relaxed);
-        kc.evictions.fetch_add(1, std::memory_order_relaxed);
+        StoreStats::PerKind &kc =
+            live.kind[static_cast<std::size_t>(victim.key.kind)];
+        counters::sub(kc.bytes, victim.bytes);
+        counters::add(kc.evictions);
         s.bytes -= victim.bytes;
         s.map.erase(victim.key);
         s.lru.pop_back();
-        evictionCount.fetch_add(1, std::memory_order_relaxed);
     }
 }
 
@@ -139,58 +121,30 @@ void ArtifactStore::clear()
     for (Shard &s : shards) {
         std::lock_guard<std::mutex> lock(s.mu);
         for (const Entry &e : s.lru)
-            counters[static_cast<int>(e.key.kind)].bytes.fetch_sub(
-                e.bytes, std::memory_order_relaxed);
+            counters::sub(
+                live.kind[static_cast<std::size_t>(e.key.kind)].bytes,
+                e.bytes);
         s.lru.clear();
         s.map.clear();
         s.bytes = 0;
     }
 }
 
-void ArtifactStore::setCapacityBytes(std::size_t bytes)
-{
-    capacity.store(bytes);
-    for (Shard &s : shards) {
-        std::lock_guard<std::mutex> lock(s.mu);
-        evictLocked(s, bytes / kShards);
-    }
-}
-
 StoreStats ArtifactStore::stats() const
 {
     StoreStats out;
-    for (int i = 0; i < kArtifactKinds; ++i) {
-        out.kind[static_cast<std::size_t>(i)] = StoreStats::PerKind{
-            counters[static_cast<std::size_t>(i)].hits.load(),
-            counters[static_cast<std::size_t>(i)].misses.load(),
-            counters[static_cast<std::size_t>(i)].inserts.load(),
-            counters[static_cast<std::size_t>(i)].bytes.load(),
-            counters[static_cast<std::size_t>(i)].evictions.load()};
-    }
-    out.evictions = evictionCount.load();
-    out.diskHits = diskHitCount.load();
-    out.diskMisses = diskMissCount.load();
-    out.diskWrites = diskWriteCount.load();
-    out.diskRejects = diskRejectCount.load();
-    out.diskTmpSwept = diskTmpSweptCount.load();
+    for (std::size_t k = 0; k < live.kind.size(); ++k)
+        counters::load(live.kind[k], out.kind[k], kStoreKindFields);
+    counters::load(live, out, kStoreFields);
+    out.evictions = out.total(&StoreStats::PerKind::evictions);
     return out;
 }
 
 void ArtifactStore::resetStats()
 {
-    for (KindCounters &kc : counters) {
-        kc.hits.store(0);
-        kc.misses.store(0);
-        kc.inserts.store(0);
-        kc.evictions.store(0);
-        // bytes tracks residency, not a rate — leave it.
-    }
-    evictionCount.store(0);
-    diskHitCount.store(0);
-    diskMissCount.store(0);
-    diskWriteCount.store(0);
-    diskRejectCount.store(0);
-    diskTmpSweptCount.store(0);
+    for (StoreStats::PerKind &k : live.kind)
+        counters::zero(k, kStoreKindFields);
+    counters::zero(live, kStoreFields);
 }
 
 ArtifactStore &store()

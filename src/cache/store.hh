@@ -37,6 +37,7 @@
 #include <utility>
 
 #include "cache/fingerprint.hh"
+#include "common/counters.hh"
 
 namespace tg {
 namespace cache {
@@ -54,7 +55,11 @@ constexpr int kArtifactKinds = 4;
 /** Display name ("power-trace", ...). */
 const char *artifactKindName(ArtifactKind kind);
 
-/** Aggregated counters (exec::Stats-style snapshot). */
+/**
+ * Store counters: the store's live record and the snapshot stats()
+ * returns (common/counters.hh). The disk tier counts into the same
+ * record, so one snapshot covers both tiers.
+ */
 struct StoreStats
 {
     struct PerKind
@@ -66,22 +71,42 @@ struct StoreStats
         std::uint64_t evictions = 0;
     };
     std::array<PerKind, kArtifactKinds> kind{};
-    std::uint64_t evictions = 0; //!< sum over kinds (kept for display)
+    /** Sum of the per-kind evictions; stats() computes it. */
+    std::uint64_t evictions = 0;
 
-    // Disk-tier counters (recorded by DiskTier via the store so one
-    // snapshot covers both tiers).
     std::uint64_t diskHits = 0;
     std::uint64_t diskMisses = 0;
     std::uint64_t diskWrites = 0;
     std::uint64_t diskRejects = 0; //!< corrupt/truncated files refused
     std::uint64_t diskTmpSwept = 0; //!< orphaned .tmp-* files removed
 
-    std::uint64_t hitsTotal() const;
-    std::uint64_t missesTotal() const;
-    std::uint64_t bytesTotal() const;
+    /** Sum of one per-kind counter over every kind. */
+    std::uint64_t total(std::uint64_t PerKind::*counter) const;
+    std::uint64_t hitsTotal() const { return total(&PerKind::hits); }
+    std::uint64_t missesTotal() const { return total(&PerKind::misses); }
+    std::uint64_t bytesTotal() const { return total(&PerKind::bytes); }
 
     /** One-line human-readable summary for bench/CLI reporting. */
     std::string describe() const;
+};
+
+/** StoreStats::PerKind's counters, in wire order. */
+inline constexpr counters::Field<StoreStats::PerKind> kStoreKindFields[] = {
+    {"hits", &StoreStats::PerKind::hits},
+    {"misses", &StoreStats::PerKind::misses},
+    {"inserts", &StoreStats::PerKind::inserts},
+    {"bytes", &StoreStats::PerKind::bytes, true},
+    {"evictions", &StoreStats::PerKind::evictions},
+};
+
+/** StoreStats's counters outside `kind`, in wire order. */
+inline constexpr counters::Field<StoreStats> kStoreFields[] = {
+    {"evictions", &StoreStats::evictions},
+    {"disk-hits", &StoreStats::diskHits},
+    {"disk-misses", &StoreStats::diskMisses},
+    {"disk-writes", &StoreStats::diskWrites},
+    {"disk-rejects", &StoreStats::diskRejects},
+    {"disk-tmp-swept", &StoreStats::diskTmpSwept},
 };
 
 /**
@@ -153,19 +178,16 @@ class ArtifactStore
     void setEnabled(bool on) { enabledFlag.store(on); }
     bool enabled() const { return enabledFlag.load(); }
 
-    /** Change the byte budget (evicts immediately if over). */
-    void setCapacityBytes(std::size_t bytes);
-    std::size_t capacityBytes() const { return capacity.load(); }
-
     StoreStats stats() const;
+
+    /** Zero every counter except each kind's resident bytes. */
     void resetStats();
 
-    // Disk-tier counter hooks (called by DiskTier).
-    void noteDiskHit() { ++diskHitCount; }
-    void noteDiskMiss() { ++diskMissCount; }
-    void noteDiskWrite() { ++diskWriteCount; }
-    void noteDiskReject() { ++diskRejectCount; }
-    void noteDiskTmpSwept(std::uint64_t n) { diskTmpSweptCount += n; }
+    /** Add `n` to one top-level counter (DiskTier counts here). */
+    void count(std::uint64_t StoreStats::*counter, std::uint64_t n = 1)
+    {
+        counters::add(live.*counter, n);
+    }
 
   private:
     static constexpr int kShards = 16;
@@ -211,29 +233,13 @@ class ArtifactStore
     }
 
     /** Evict LRU entries of one shard down to its budget slice. */
-    void evictLocked(Shard &s, std::size_t shard_budget);
+    void evictLocked(Shard &s);
 
     std::array<Shard, kShards> shards;
     std::atomic<bool> enabledFlag{true};
-    std::atomic<std::size_t> capacity;
+    const std::size_t capacity;
 
-    // Counters are relaxed atomics: exactness under contention is not
-    // worth a lock on the hit path; snapshots are advisory.
-    struct KindCounters
-    {
-        std::atomic<std::uint64_t> hits{0};
-        std::atomic<std::uint64_t> misses{0};
-        std::atomic<std::uint64_t> inserts{0};
-        std::atomic<std::uint64_t> bytes{0};
-        std::atomic<std::uint64_t> evictions{0};
-    };
-    std::array<KindCounters, kArtifactKinds> counters;
-    std::atomic<std::uint64_t> evictionCount{0};
-    std::atomic<std::uint64_t> diskHitCount{0};
-    std::atomic<std::uint64_t> diskMissCount{0};
-    std::atomic<std::uint64_t> diskWriteCount{0};
-    std::atomic<std::uint64_t> diskRejectCount{0};
-    std::atomic<std::uint64_t> diskTmpSweptCount{0};
+    StoreStats live; //!< updated in place; see common/counters.hh
 };
 
 /**

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/logging.hh"
-#include "common/rng.hh"
 
 namespace tg {
 namespace exec {
@@ -53,13 +52,6 @@ resolveJobs(int requested)
         }
     }
     return hardwareThreads();
-}
-
-std::uint64_t
-taskSeed(std::uint64_t base, std::uint64_t task)
-{
-    // One extra round so task 0 does not collapse onto the base seed.
-    return mixSeed(mixSeed(base, 0x7461736bull), task);
 }
 
 ThreadPool::ThreadPool(int threads, std::size_t queue_capacity)
@@ -204,20 +196,6 @@ ProgressSink::done() const
 {
     std::lock_guard<std::mutex> lock(mu);
     return count;
-}
-
-void
-StatsSink::add(double x)
-{
-    std::lock_guard<std::mutex> lock(mu);
-    stats.add(x);
-}
-
-RunningStats
-StatsSink::snapshot() const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    return stats;
 }
 
 } // namespace exec

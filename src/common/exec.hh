@@ -15,11 +15,8 @@
  *    context (e.g. a sim::Simulation) per worker;
  *  - resolveJobs(): the --jobs / TG_JOBS / hardware-concurrency
  *    resolution ladder shared by every driver;
- *  - taskSeed(): deterministic per-task RNG seed derivation, so a
- *    task's stochastic streams depend on its identity, never on
- *    which worker runs it or in what order;
- *  - ProgressSink / StatsSink: mutex-guarded progress lines and
- *    statistics accumulation for concurrent producers.
+ *  - ProgressSink: mutex-guarded progress lines for concurrent
+ *    producers.
  *
  * Determinism contract: none of these primitives make results depend
  * on scheduling. A parallelFor() body that derives everything from
@@ -43,8 +40,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/stats.hh"
-
 namespace tg {
 namespace exec {
 
@@ -57,12 +52,6 @@ int hardwareThreads();
  * integer); otherwise every hardware thread. Always at least 1.
  */
 int resolveJobs(int requested);
-
-/**
- * Deterministic per-task seed: mixes a base seed with the task
- * identity so forked streams are independent of scheduling order.
- */
-std::uint64_t taskSeed(std::uint64_t base, std::uint64_t task);
 
 /**
  * Thrown by cancellation points when their CancelToken has tripped.
@@ -265,21 +254,6 @@ class ProgressSink
     std::size_t total;
     mutable std::mutex mu;
     std::size_t count = 0;
-};
-
-/** Mutex-guarded RunningStats for accumulation from many threads. */
-class StatsSink
-{
-  public:
-    /** Fold one sample in; safe from any thread. */
-    void add(double x);
-
-    /** Consistent copy of the accumulated statistics. */
-    RunningStats snapshot() const;
-
-  private:
-    mutable std::mutex mu;
-    RunningStats stats;
 };
 
 } // namespace exec

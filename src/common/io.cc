@@ -6,6 +6,7 @@
 #include <mutex>
 
 #include "common/bytes.hh"
+#include "common/counters.hh"
 
 #ifdef __unix__
 #include <cstring>
@@ -28,12 +29,18 @@ std::atomic<int> g_chaosState{0};
 std::mutex g_chaosMu;
 ChaosConfig g_chaosCfg;
 
-std::atomic<std::uint64_t> g_chaosOp{0};
-std::atomic<std::uint64_t> g_chaosShortReads{0};
-std::atomic<std::uint64_t> g_chaosShortWrites{0};
-std::atomic<std::uint64_t> g_chaosEintrs{0};
-std::atomic<std::uint64_t> g_chaosResets{0};
-std::atomic<std::uint64_t> g_chaosEnospcs{0};
+/** Live counters (common/counters.hh); `ops` is also the
+ *  operation index each chaos-wrapped call draws. */
+ChaosCounters g_chaos;
+
+constexpr counters::Field<ChaosCounters> kChaosFields[] = {
+    {"ops", &ChaosCounters::ops},
+    {"short-reads", &ChaosCounters::shortReads},
+    {"short-writes", &ChaosCounters::shortWrites},
+    {"eintrs", &ChaosCounters::eintrs},
+    {"resets", &ChaosCounters::resets},
+    {"enospcs", &ChaosCounters::enospcs},
+};
 
 /** Which fault (if any) operation index `op` draws. */
 enum class ChaosDraw
@@ -177,7 +184,7 @@ void chaosConfigure(const ChaosConfig &cfg)
 {
     std::lock_guard<std::mutex> lock(g_chaosMu);
     g_chaosCfg = cfg;
-    g_chaosOp.store(0, std::memory_order_relaxed);
+    counters::set(g_chaos.ops, 0);
     g_chaosState.store(cfg.enabled ? 2 : 1,
                        std::memory_order_release);
 }
@@ -203,23 +210,13 @@ bool chaosEnabled()
 ChaosCounters chaosCounters()
 {
     ChaosCounters c;
-    c.ops = g_chaosOp.load(std::memory_order_relaxed);
-    c.shortReads = g_chaosShortReads.load(std::memory_order_relaxed);
-    c.shortWrites = g_chaosShortWrites.load(std::memory_order_relaxed);
-    c.eintrs = g_chaosEintrs.load(std::memory_order_relaxed);
-    c.resets = g_chaosResets.load(std::memory_order_relaxed);
-    c.enospcs = g_chaosEnospcs.load(std::memory_order_relaxed);
+    counters::load(g_chaos, c, kChaosFields);
     return c;
 }
 
 void chaosResetCounters()
 {
-    g_chaosOp.store(0, std::memory_order_relaxed);
-    g_chaosShortReads.store(0, std::memory_order_relaxed);
-    g_chaosShortWrites.store(0, std::memory_order_relaxed);
-    g_chaosEintrs.store(0, std::memory_order_relaxed);
-    g_chaosResets.store(0, std::memory_order_relaxed);
-    g_chaosEnospcs.store(0, std::memory_order_relaxed);
+    counters::zero(g_chaos, kChaosFields);
 }
 
 #ifdef __unix__
@@ -228,20 +225,18 @@ long chaosRead(int fd, void *buf, std::size_t count)
 {
     if (chaosEnabled() && count > 0) {
         const ChaosConfig cfg = chaosConfig();
-        const std::uint64_t op =
-            g_chaosOp.fetch_add(1, std::memory_order_relaxed);
+        const std::uint64_t op = counters::add(g_chaos.ops);
         switch (drawFor(cfg, op, /*isRead=*/true)) {
         case ChaosDraw::Eintr:
-            g_chaosEintrs.fetch_add(1, std::memory_order_relaxed);
+            counters::add(g_chaos.eintrs);
             errno = EINTR;
             return -1;
         case ChaosDraw::Reset:
-            g_chaosResets.fetch_add(1, std::memory_order_relaxed);
+            counters::add(g_chaos.resets);
             errno = ECONNRESET;
             return -1;
         case ChaosDraw::Short:
-            g_chaosShortReads.fetch_add(1,
-                                        std::memory_order_relaxed);
+            counters::add(g_chaos.shortReads);
             count = shortLen(cfg, op, count);
             break;
         default:
@@ -255,20 +250,18 @@ long chaosWrite(int fd, const void *buf, std::size_t count)
 {
     if (chaosEnabled() && count > 0) {
         const ChaosConfig cfg = chaosConfig();
-        const std::uint64_t op =
-            g_chaosOp.fetch_add(1, std::memory_order_relaxed);
+        const std::uint64_t op = counters::add(g_chaos.ops);
         switch (drawFor(cfg, op, /*isRead=*/false)) {
         case ChaosDraw::Eintr:
-            g_chaosEintrs.fetch_add(1, std::memory_order_relaxed);
+            counters::add(g_chaos.eintrs);
             errno = EINTR;
             return -1;
         case ChaosDraw::Reset:
-            g_chaosResets.fetch_add(1, std::memory_order_relaxed);
+            counters::add(g_chaos.resets);
             errno = ECONNRESET;
             return -1;
         case ChaosDraw::Short:
-            g_chaosShortWrites.fetch_add(1,
-                                         std::memory_order_relaxed);
+            counters::add(g_chaos.shortWrites);
             count = shortLen(cfg, op, count);
             break;
         default:
@@ -299,10 +292,9 @@ bool chaosDiskWriteAllowed()
     const ChaosConfig cfg = chaosConfig();
     if (cfg.enospc <= 0.0)
         return true;
-    const std::uint64_t op =
-        g_chaosOp.fetch_add(1, std::memory_order_relaxed);
+    const std::uint64_t op = counters::add(g_chaos.ops);
     if (chaosUnit(cfg.seed, op) < cfg.enospc) {
-        g_chaosEnospcs.fetch_add(1, std::memory_order_relaxed);
+        counters::add(g_chaos.enospcs);
         errno = ENOSPC;
         return false;
     }

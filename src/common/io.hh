@@ -84,7 +84,8 @@ struct ChaosConfig
     double enospc = 0.0;
 };
 
-/** Injection counters (relaxed; advisory like StoreStats). */
+/** Injection counters; the shim keeps one live instance
+ *  (common/counters.hh), so snapshots are advisory. */
 struct ChaosCounters
 {
     std::uint64_t ops = 0;        //!< chaos-wrapped operations seen

@@ -19,7 +19,6 @@
 #include <unistd.h>
 #endif
 
-#include "common/exec.hh"
 #include "common/logging.hh"
 #include "serve/server.hh"
 #include "shard/partition.hh"
@@ -219,7 +218,6 @@ sim::SweepResult runShardedSweep(const ShardedSweepOptions &options,
 
     std::vector<bool> received(n_cells, false);
     std::size_t receivedCount = 0;
-    exec::ProgressSink sink(options.progress, n_cells);
     DieHook die = parseDieHook();
 
     // Death handling: reap the process and re-queue every cell it
@@ -292,9 +290,6 @@ sim::SweepResult runShardedSweep(const ShardedSweepOptions &options,
             } else {
                 received[cell] = true;
                 ++receivedCount;
-                sink.completed(sim::progressLine(
-                    sweep.results[cell / n_policies]
-                                 [cell % n_policies]));
             }
             return true;
         }

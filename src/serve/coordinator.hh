@@ -77,10 +77,6 @@ struct ShardedSweepOptions
      *  rebuilds its context from `setup` alone). */
     sim::RecordOptions opts;
 
-    /** Print one progress line per merged cell (same format as
-     *  runSweep's). */
-    bool progress = false;
-
     /** Kill a busy endpoint that leaves a Ping unanswered this long
      *  [ms]; 0 disables pinging (exit/EOF detection still applies). */
     int timeoutMs = 30000;

@@ -237,38 +237,16 @@ bool decodeDone(const std::vector<std::uint8_t> &p, DoneMsg &out)
 std::vector<std::uint8_t> encodeStatsReply(const StatsReplyMsg &m)
 {
     ByteWriter w;
-    w.u64(m.uptimeMicros);
-    w.u64(m.requestsRun);
-    w.u64(m.requestsSweep);
-    w.u64(m.requestsPing);
-    w.u64(m.requestsStats);
-    w.u64(m.requestsRejected);
-    w.u64(m.cellsServed);
-    w.u64(m.contextsBuilt);
-    w.u64(m.contextsReused);
-    w.u64(m.queueDepth);
-    w.u64(m.runMicros);
-    w.u64(m.sweepMicros);
-    w.u64(m.requestsBusy);
-    w.u64(m.requestsCancelled);
-    w.u64(m.requestsDeadline);
-    w.u64(m.activeRequests);
+    for (const auto &f : kStatsReplyFields)
+        w.u64(m.*f.member);
     // ArtifactStore snapshot: kind count first so a reader can reject
     // a build with a different kind set instead of misparsing it.
     w.u64(cache::kArtifactKinds);
-    for (const auto &k : m.store.kind) {
-        w.u64(k.hits);
-        w.u64(k.misses);
-        w.u64(k.inserts);
-        w.u64(k.bytes);
-        w.u64(k.evictions);
-    }
-    w.u64(m.store.evictions);
-    w.u64(m.store.diskHits);
-    w.u64(m.store.diskMisses);
-    w.u64(m.store.diskWrites);
-    w.u64(m.store.diskRejects);
-    w.u64(m.store.diskTmpSwept);
+    for (const auto &k : m.store.kind)
+        for (const auto &f : cache::kStoreKindFields)
+            w.u64(k.*f.member);
+    for (const auto &f : cache::kStoreFields)
+        w.u64(m.store.*f.member);
     return w.take();
 }
 
@@ -276,37 +254,15 @@ bool decodeStatsReply(const std::vector<std::uint8_t> &p,
                       StatsReplyMsg &out)
 {
     ByteReader r(p.data(), p.size());
-    out.uptimeMicros = r.u64();
-    out.requestsRun = r.u64();
-    out.requestsSweep = r.u64();
-    out.requestsPing = r.u64();
-    out.requestsStats = r.u64();
-    out.requestsRejected = r.u64();
-    out.cellsServed = r.u64();
-    out.contextsBuilt = r.u64();
-    out.contextsReused = r.u64();
-    out.queueDepth = r.u64();
-    out.runMicros = r.u64();
-    out.sweepMicros = r.u64();
-    out.requestsBusy = r.u64();
-    out.requestsCancelled = r.u64();
-    out.requestsDeadline = r.u64();
-    out.activeRequests = r.u64();
+    for (const auto &f : kStatsReplyFields)
+        out.*f.member = r.u64();
     if (r.u64() != cache::kArtifactKinds || !r.ok())
         return false;
-    for (auto &k : out.store.kind) {
-        k.hits = r.u64();
-        k.misses = r.u64();
-        k.inserts = r.u64();
-        k.bytes = r.u64();
-        k.evictions = r.u64();
-    }
-    out.store.evictions = r.u64();
-    out.store.diskHits = r.u64();
-    out.store.diskMisses = r.u64();
-    out.store.diskWrites = r.u64();
-    out.store.diskRejects = r.u64();
-    out.store.diskTmpSwept = r.u64();
+    for (auto &k : out.store.kind)
+        for (const auto &f : cache::kStoreKindFields)
+            k.*f.member = r.u64();
+    for (const auto &f : cache::kStoreFields)
+        out.store.*f.member = r.u64();
     return r.exhausted();
 }
 

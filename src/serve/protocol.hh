@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "cache/store.hh"
+#include "common/counters.hh"
 #include "shard/protocol.hh"
 #include "sim/sweep.hh"
 
@@ -65,9 +66,10 @@ struct RunMsg
 /**
  * Client -> server: a benchmark x policy sweep (the full grid, or an
  * arbitrary cell subset in the canonical `b * policies.size() + p`
- * indexing). `jobs` requests intra-request parallelism; the server
- * clamps it to its own pool width. Results are bit-identical at any
- * jobs value, so the clamp cannot change a byte.
+ * indexing). `jobs` 1 runs the request inline on one server thread;
+ * any other value fans it out over the server's whole pool. Results
+ * are bit-identical at any jobs value, so the choice cannot change a
+ * byte.
  */
 struct SweepMsg
 {
@@ -122,7 +124,8 @@ struct DoneMsg
 
 /**
  * Server -> client: counters snapshot. Request-side counters come
- * from the scheduler; the embedded cache::StoreStats is the shared
+ * from the scheduler, which keeps one instance as its live record
+ * (common/counters.hh); the embedded cache::StoreStats is the shared
  * warm ArtifactStore the daemon exists to keep alive.
  */
 struct StatsReplyMsg
@@ -144,6 +147,28 @@ struct StatsReplyMsg
     std::uint64_t requestsDeadline = 0;  //!< deadline-expiry aborts
     std::uint64_t activeRequests = 0;    //!< executing at snapshot
     cache::StoreStats store;
+};
+
+/** StatsReplyMsg's counters outside `store`, in wire order. The wire
+ *  then carries the kind count, cache::kStoreKindFields for each kind
+ *  and cache::kStoreFields. */
+inline constexpr counters::Field<StatsReplyMsg> kStatsReplyFields[] = {
+    {"uptime-us", &StatsReplyMsg::uptimeMicros},
+    {"requests-run", &StatsReplyMsg::requestsRun},
+    {"requests-sweep", &StatsReplyMsg::requestsSweep},
+    {"requests-ping", &StatsReplyMsg::requestsPing},
+    {"requests-stats", &StatsReplyMsg::requestsStats},
+    {"requests-rejected", &StatsReplyMsg::requestsRejected},
+    {"cells-served", &StatsReplyMsg::cellsServed},
+    {"contexts-built", &StatsReplyMsg::contextsBuilt},
+    {"contexts-reused", &StatsReplyMsg::contextsReused},
+    {"queue-depth", &StatsReplyMsg::queueDepth, true},
+    {"run-us", &StatsReplyMsg::runMicros},
+    {"sweep-us", &StatsReplyMsg::sweepMicros},
+    {"requests-busy", &StatsReplyMsg::requestsBusy},
+    {"requests-cancelled", &StatsReplyMsg::requestsCancelled},
+    {"requests-deadline", &StatsReplyMsg::requestsDeadline},
+    {"active-requests", &StatsReplyMsg::activeRequests, true},
 };
 
 /**

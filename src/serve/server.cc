@@ -41,6 +41,10 @@ using shard::PumpStatus;
 
 using Clock = std::chrono::steady_clock;
 
+/** Drop a connection whose unsent outbound bytes exceed this (a
+ *  client that stopped reading mid-stream). */
+constexpr std::size_t kMaxOutboundBytes = std::size_t(256) << 20;
+
 std::uint64_t microsSince(Clock::time_point t0)
 {
     return static_cast<std::uint64_t>(
@@ -152,8 +156,8 @@ struct Server::Impl
     std::mutex compMu;
     std::vector<Completion> completions;
 
-    // Process-lifetime sweep pool; requests with jobs > 1 fan out on
-    // it so no request pays thread creation.
+    // Process-lifetime sweep pool; every request not asking for jobs 1
+    // fans out on it, so no request pays thread creation.
     exec::ThreadPool pool;
 
     // Warm-context LRU, touched only by the executor thread. std::list
@@ -163,22 +167,9 @@ struct Server::Impl
 
     Clock::time_point startTime = Clock::now();
 
-    // Counters (relaxed: snapshots are advisory, like StoreStats).
-    std::atomic<std::uint64_t> requestsRun{0};
-    std::atomic<std::uint64_t> requestsSweep{0};
-    std::atomic<std::uint64_t> requestsPing{0};
-    std::atomic<std::uint64_t> requestsStats{0};
-    std::atomic<std::uint64_t> requestsRejected{0};
-    std::atomic<std::uint64_t> cellsServed{0};
-    std::atomic<std::uint64_t> contextsBuilt{0};
-    std::atomic<std::uint64_t> contextsReused{0};
-    std::atomic<std::uint64_t> queueDepth{0};
-    std::atomic<std::uint64_t> runMicros{0};
-    std::atomic<std::uint64_t> sweepMicros{0};
-    std::atomic<std::uint64_t> requestsBusy{0};
-    std::atomic<std::uint64_t> requestsCancelled{0};
-    std::atomic<std::uint64_t> requestsDeadline{0};
-    std::atomic<std::uint64_t> activeRequests{0};
+    // Live counters, updated in place (common/counters.hh); the
+    // snapshot fills uptimeMicros and store.
+    StatsReplyMsg live;
 
     // --- shared plumbing ---------------------------------------------
 
@@ -225,22 +216,8 @@ struct Server::Impl
     StatsReplyMsg snapshot() const
     {
         StatsReplyMsg s;
+        counters::load(live, s, kStatsReplyFields);
         s.uptimeMicros = microsSince(startTime);
-        s.requestsRun = requestsRun.load();
-        s.requestsSweep = requestsSweep.load();
-        s.requestsPing = requestsPing.load();
-        s.requestsStats = requestsStats.load();
-        s.requestsRejected = requestsRejected.load();
-        s.cellsServed = cellsServed.load();
-        s.contextsBuilt = contextsBuilt.load();
-        s.contextsReused = contextsReused.load();
-        s.queueDepth = queueDepth.load();
-        s.runMicros = runMicros.load();
-        s.sweepMicros = sweepMicros.load();
-        s.requestsBusy = requestsBusy.load();
-        s.requestsCancelled = requestsCancelled.load();
-        s.requestsDeadline = requestsDeadline.load();
-        s.activeRequests = activeRequests.load();
         s.store = cache::store().stats();
         return s;
     }
@@ -257,7 +234,7 @@ struct Server::Impl
             if (it->key != key)
                 continue;
             ctxCache.splice(ctxCache.begin(), ctxCache, it);
-            contextsReused.fetch_add(1, std::memory_order_relaxed);
+            counters::add(live.contextsReused);
             return &ctxCache.front();
         }
         shard::ChipKind kind{};
@@ -273,7 +250,7 @@ struct Server::Impl
                        ? floorplan::buildPower8Chip()
                        : floorplan::buildMiniChip(chip_arg);
         ctx.sim = std::make_unique<sim::Simulation>(ctx.chip, ctx.cfg);
-        contextsBuilt.fetch_add(1, std::memory_order_relaxed);
+        counters::add(live.contextsBuilt);
         const std::size_t cap = static_cast<std::size_t>(
             std::max(1, options.contextCacheSize));
         while (ctxCache.size() > cap)
@@ -321,8 +298,9 @@ struct Server::Impl
         return {};
     }
 
-    /** Execute one request; a run is its one-cell sweep at jobs 1,
-     *  which runSweepCells runs inline on the context's Simulation. */
+    /** Execute one request: at jobs 1 inline on the context's
+     *  Simulation (a run is its one-cell sweep at jobs 1), at any other
+     *  jobs value on the whole pool. */
     void execute(const PendingRequest &req)
     {
         const Clock::time_point t0 = Clock::now();
@@ -330,13 +308,15 @@ struct Server::Impl
         Ctx *ctx = nullptr;
         const std::string err = validate(m, ctx);
         if (!ctx) {
-            requestsRejected.fetch_add(1, std::memory_order_relaxed);
+            counters::add(live.requestsRejected);
             postDone(req.connId, DoneStatus::Error, 0, err);
             return;
         }
         // The frame kind only picks which counters the request adds to.
-        auto &requests = req.isRun ? requestsRun : requestsSweep;
-        auto &micros = req.isRun ? runMicros : sweepMicros;
+        std::uint64_t &requests =
+            req.isRun ? live.requestsRun : live.requestsSweep;
+        std::uint64_t &micros =
+            req.isRun ? live.runMicros : live.sweepMicros;
 
         std::vector<core::PolicyKind> policies;
         policies.reserve(m.policies.size());
@@ -351,8 +331,7 @@ struct Server::Impl
             cells.assign(m.cells.begin(), m.cells.end());
         }
 
-        const int jobs = static_cast<int>(
-            std::min<std::uint32_t>(m.jobs, 4096));
+        exec::ThreadPool *fanout = m.jobs == 1 ? nullptr : &pool;
         sim::RecordOptions opts;
         opts.timeSeries = m.timeSeries != 0;
         opts.heatmap = m.heatmap != 0;
@@ -367,13 +346,13 @@ struct Server::Impl
         // status. Cells streamed before the trip still count, and so
         // does the time spent on them.
         auto account = [&] {
-            cellsServed.fetch_add(streamed.load(),
-                                  std::memory_order_relaxed);
-            micros.fetch_add(microsSince(t0), std::memory_order_relaxed);
+            counters::add(live.cellsServed, streamed.load());
+            counters::add(micros, microsSince(t0));
         };
         try {
             sim::runSweepCells(
-                *ctx->sim, m.benchmarks, policies, cells, jobs, opts,
+                *ctx->sim, m.benchmarks, policies, cells,
+                fanout ? fanout->threadCount() : 1, opts,
                 [&](std::size_t cell, sim::RunResult &&r) {
                     CellMsg out;
                     out.cell = cell;
@@ -382,13 +361,13 @@ struct Server::Impl
                          encodeCell(out));
                     streamed.fetch_add(1, std::memory_order_relaxed);
                 },
-                &ctx->contexts, jobs > 1 ? &pool : nullptr);
+                &ctx->contexts, fanout);
         } catch (...) {
             account();
             throw;
         }
         postDone(req.connId, DoneStatus::Ok, streamed.load(), {});
-        requests.fetch_add(1, std::memory_order_relaxed);
+        counters::add(requests);
         account();
     }
 
@@ -405,12 +384,11 @@ struct Server::Impl
                     break; // stopping, and nothing left to drain
                 req = std::move(queue.front());
                 queue.pop_front();
-                queueDepth.store(queue.size(),
-                                 std::memory_order_relaxed);
+                counters::set(live.queueDepth, queue.size());
                 activeConnId = req.connId;
                 activeToken = req.cancel;
             }
-            activeRequests.store(1, std::memory_order_relaxed);
+            counters::set(live.activeRequests, 1);
             try {
                 execute(req);
             } catch (const exec::CancelledError &e) {
@@ -420,19 +398,18 @@ struct Server::Impl
                 // serving. Tell the client — if it is still there —
                 // why its stream ended early.
                 const bool deadline = e.deadlineExpired();
-                (deadline ? requestsDeadline : requestsCancelled)
-                    .fetch_add(1, std::memory_order_relaxed);
+                counters::add(deadline ? live.requestsDeadline
+                                       : live.requestsCancelled);
                 postDone(req.connId,
                          deadline ? DoneStatus::DeadlineExpired
                                   : DoneStatus::Cancelled,
                          0, e.what());
             } catch (const std::exception &e) {
                 // A request must never take the daemon down.
-                requestsRejected.fetch_add(1,
-                                           std::memory_order_relaxed);
+                counters::add(live.requestsRejected);
                 postDone(req.connId, DoneStatus::Error, 0, e.what());
             }
-            activeRequests.store(0, std::memory_order_relaxed);
+            counters::set(live.activeRequests, 0);
             {
                 std::lock_guard<std::mutex> lock(reqMu);
                 activeConnId = 0;
@@ -478,7 +455,7 @@ struct Server::Impl
      *  reading mid-stream; the connection is pathological. */
     bool overOutboundCap(const Conn &c) const
     {
-        return c.out.size() - c.outOff > options.maxOutboundBytes;
+        return c.out.size() - c.outOff > kMaxOutboundBytes;
     }
 
     /**
@@ -497,11 +474,11 @@ struct Server::Impl
             if (queue.size() >=
                 static_cast<std::size_t>(
                     std::max(0, options.maxQueueDepth))) {
-                requestsBusy.fetch_add(1, std::memory_order_relaxed);
+                counters::add(live.requestsBusy);
                 return false;
             }
             queue.push_back(std::move(req));
-            queueDepth.store(queue.size(), std::memory_order_relaxed);
+            counters::set(live.queueDepth, queue.size());
         }
         reqCv.notify_one();
         return true;
@@ -528,14 +505,13 @@ struct Server::Impl
                     ++it;
                 }
             }
-            queueDepth.store(queue.size(), std::memory_order_relaxed);
+            counters::set(live.queueDepth, queue.size());
             if (activeConnId == connId && activeToken) {
                 activeToken->cancel();
                 tripped = true;
             }
         }
-        requestsCancelled.fetch_add(removed,
-                                    std::memory_order_relaxed);
+        counters::add(live.requestsCancelled, removed);
         if (activeTripped)
             *activeTripped = tripped;
         return removed;
@@ -546,11 +522,11 @@ struct Server::Impl
     {
         switch (frame.type) {
         case FrameType::Ping:
-            requestsPing.fetch_add(1, std::memory_order_relaxed);
+            counters::add(live.requestsPing);
             appendOut(c, FrameType::Pong, {});
             return true;
         case FrameType::ServeStats:
-            requestsStats.fetch_add(1, std::memory_order_relaxed);
+            counters::add(live.requestsStats);
             appendOut(c, FrameType::ServeStatsReply,
                       encodeStatsReply(snapshot()));
             return true;
@@ -588,8 +564,7 @@ struct Server::Impl
             req.connId = c.id;
             req.isRun = frame.type == FrameType::ServeRun;
             if (!decodeRequest(frame, req.sweep)) {
-                requestsRejected.fetch_add(1,
-                                           std::memory_order_relaxed);
+                counters::add(live.requestsRejected);
                 appendOut(c, FrameType::ServeDone,
                           encodeDone(makeDone(
                               DoneStatus::Error, 0,

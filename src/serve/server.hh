@@ -24,7 +24,8 @@
  *                   resolves its warm simulation context (LRU cache
  *                   keyed by the setup blob), and runs cells on the
  *                   process-lifetime ThreadPool (a jobs-1 request
- *                   inline on the context's own Simulation), posting
+ *                   inline on the context's own Simulation, any other
+ *                   jobs value on every pool thread), posting
  *                   result frames back through the poll thread's
  *                   completion queue.
  *
@@ -56,7 +57,7 @@
  * (maxQueueDepth): an over-limit request is answered immediately
  * with DoneStatus::Busy plus a retry hint, from the poll thread, so
  * overload degrades to fast rejections instead of unbounded memory.
- * A connection whose outbound buffer exceeds maxOutboundBytes (a
+ * A connection whose outbound buffer exceeds a fixed 256 MiB (a
  * reader that stopped reading mid-stream) is dropped and its request
  * cancelled.
  */
@@ -95,9 +96,6 @@ struct ServerOptions
     /** Admission bound: Run/Sweep requests waiting for the executor
      *  beyond this get an immediate DoneStatus::Busy. */
     int maxQueueDepth = 64;
-    /** Drop a connection whose unsent outbound bytes exceed this (a
-     *  client that stopped reading mid-stream). */
-    std::size_t maxOutboundBytes = std::size_t(256) << 20;
     /** Retry hint carried in Busy replies. */
     std::uint64_t busyRetryMs = 200;
     bool verbose = false;

@@ -63,8 +63,8 @@ struct SweepContexts
 };
 
 /** The progress line runSweep prints for one finished run; shared
- *  with the shard coordinator so multi-process progress output is
- *  indistinguishable from the single-process sweep's. */
+ *  with tg_client, whose served-sweep lines then read like a local
+ *  sweep's. */
 std::string progressLine(const RunResult &r);
 
 /**

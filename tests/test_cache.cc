@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -307,6 +308,78 @@ TEST(ArtifactStore, EvictsLeastRecentlyUsedUnderPressure)
     // The oldest was evicted.
     EXPECT_EQ(s.get<int>(ArtifactKind::PowerTrace, shard_key(0)),
               nullptr);
+}
+
+TEST(ArtifactStore, ResetStatsZeroesRatesAndKeepsResidentBytes)
+{
+    const std::filesystem::path dir = privateTempDir();
+    std::filesystem::remove_all(dir);
+    ArtifactStore s(1024); // 64 bytes per shard slice
+    auto in_shard = [](std::uint64_t i, std::uint64_t shard) {
+        Fingerprint f = keyOf(i);
+        f.lo = (f.lo & ~0xfull) | shard;
+        return f;
+    };
+    // Two 48-byte traces in one slice: the second evicts the first.
+    s.put<int>(ArtifactKind::PowerTrace, in_shard(200, 0),
+               std::make_shared<const int>(1), 48);
+    s.put<int>(ArtifactKind::PowerTrace, in_shard(201, 0),
+               std::make_shared<const int>(2), 48);
+    s.put<int>(ArtifactKind::RunResult, in_shard(202, 1),
+               std::make_shared<const int>(3), 8);
+    EXPECT_NE(s.get<int>(ArtifactKind::PowerTrace, in_shard(201, 0)),
+              nullptr);
+    EXPECT_EQ(s.get<int>(ArtifactKind::PowerTrace, in_shard(200, 0)),
+              nullptr);
+
+    DiskTier tier(dir.string(), &s);
+    std::vector<std::uint8_t> payload;
+    ASSERT_TRUE(tier.save(ArtifactKind::RunResult, keyOf(203),
+                          {1, 2, 3}, "p"));
+    EXPECT_TRUE(tier.load(ArtifactKind::RunResult, keyOf(203), payload));
+    EXPECT_FALSE(tier.load(ArtifactKind::RunResult, keyOf(204), payload));
+    std::ofstream(tier.pathFor(ArtifactKind::RunResult, keyOf(205)))
+        << "not an artifact";
+    EXPECT_FALSE(tier.load(ArtifactKind::RunResult, keyOf(205), payload));
+    std::ofstream(dir / "run-result-0.tgc.tmp-0123456789abcdef")
+        << "debris";
+    EXPECT_EQ(tier.sweepOrphans(std::chrono::seconds(0)), 1u);
+
+    const StoreStats before = s.stats();
+    const auto &trace =
+        before.kind[static_cast<std::size_t>(ArtifactKind::PowerTrace)];
+    EXPECT_EQ(trace.hits, 1u);
+    EXPECT_EQ(trace.misses, 1u);
+    EXPECT_EQ(trace.inserts, 2u);
+    EXPECT_EQ(trace.bytes, 48u);
+    EXPECT_EQ(trace.evictions, 1u);
+    EXPECT_EQ(before.evictions,
+              before.total(&StoreStats::PerKind::evictions));
+    EXPECT_EQ(before.evictions, 1u);
+    EXPECT_EQ(before.diskHits, 1u);
+    EXPECT_EQ(before.diskMisses, 1u);
+    EXPECT_EQ(before.diskWrites, 1u);
+    EXPECT_EQ(before.diskRejects, 1u);
+    EXPECT_EQ(before.diskTmpSwept, 1u);
+
+    s.resetStats();
+    const StoreStats after = s.stats();
+    for (std::size_t k = 0; k < after.kind.size(); ++k)
+        for (const auto &f : kStoreKindFields)
+            EXPECT_EQ(after.kind[k].*f.member,
+                      f.member == &StoreStats::PerKind::bytes
+                          ? before.kind[k].bytes
+                          : 0u)
+                << artifactKindName(static_cast<ArtifactKind>(k)) << " "
+                << f.name;
+    for (const auto &f : kStoreFields)
+        EXPECT_EQ(after.*f.member, 0u) << f.name;
+    EXPECT_EQ(after.bytesTotal(), 56u);
+
+    // Residency stays consistent: dropping the entries empties it.
+    s.clear();
+    EXPECT_EQ(s.stats().bytesTotal(), 0u);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(ArtifactStore, GetOrBuildBuildsOnceThenHits)

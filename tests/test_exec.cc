@@ -4,7 +4,6 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <set>
 #include <stdexcept>
 #include <vector>
 
@@ -72,16 +71,6 @@ TEST(ExecResolveJobs, AbsurdlyLargeEnvIsClamped)
     setenv("TG_JOBS", "4096", 1);
     EXPECT_EQ(resolveJobs(0), 4096);  // exactly at the cap: no clamp
     unsetenv("TG_JOBS");
-}
-
-TEST(ExecTaskSeed, DistinctPerTaskAndBase)
-{
-    std::set<std::uint64_t> seen;
-    for (std::uint64_t base : {1ull, 2ull, 0x7469ull})
-        for (std::uint64_t task = 0; task < 64; ++task)
-            seen.insert(taskSeed(base, task));
-    EXPECT_EQ(seen.size(), 3u * 64u);
-    EXPECT_NE(taskSeed(1, 0), 1u);
 }
 
 TEST(ExecThreadPool, RunsEveryTask)
@@ -181,21 +170,6 @@ TEST(ExecProgressSink, CountsCompletionsQuietly)
     parallelFor(10, 4,
                 [&](int, std::size_t) { sink.completed("line"); });
     EXPECT_EQ(sink.done(), 10u);
-}
-
-TEST(ExecStatsSink, AccumulatesFromManyThreads)
-{
-    StatsSink sink;
-    parallelFor(1000, 8, [&](int, std::size_t i) {
-        sink.add(static_cast<double>(i % 10));
-    });
-    auto stats = sink.snapshot();
-    EXPECT_EQ(stats.count(), 1000u);
-    // Welford folds samples in completion order, so the mean only
-    // matches up to accumulated rounding.
-    EXPECT_NEAR(stats.mean(), 4.5, 1e-9);
-    EXPECT_DOUBLE_EQ(stats.min(), 0.0);
-    EXPECT_DOUBLE_EQ(stats.max(), 9.0);
 }
 
 } // namespace

@@ -52,6 +52,24 @@ operator new[](std::size_t size)
     throw std::bad_alloc();
 }
 
+// The nothrow forms must count and use malloc too: std::stable_sort
+// takes its buffer from nothrow new and frees it through the plain
+// delete above, which would otherwise pair malloc's free() with the
+// runtime's own new (sanitizers abort on that mismatch).
+void *
+operator new(std::size_t size, const std::nothrow_t &) noexcept
+{
+    g_allocCount.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(size);
+}
+
+void *
+operator new[](std::size_t size, const std::nothrow_t &) noexcept
+{
+    g_allocCount.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(size);
+}
+
 void
 operator delete(void *p) noexcept
 {
@@ -72,6 +90,18 @@ operator delete(void *p, std::size_t) noexcept
 
 void
 operator delete[](void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, const std::nothrow_t &) noexcept
 {
     std::free(p);
 }

@@ -11,6 +11,7 @@
 #include <cstdlib>
 
 #include "cache/serialize.hh"
+#include "common/bytes.hh"
 #include "serve/protocol.hh"
 
 namespace tg {
@@ -222,6 +223,50 @@ TEST(ServeProtocol, StatsReplyRoundTripIncludesStoreSnapshot)
     EXPECT_EQ(out.store.evictions, in.store.evictions);
     EXPECT_EQ(out.store.diskRejects, in.store.diskRejects);
     EXPECT_EQ(out.store.diskTmpSwept, in.store.diskTmpSwept);
+}
+
+TEST(ServeProtocol, StatsReplyBytesArePinned)
+{
+    // Every counter, per-kind ones included, holds a distinct value,
+    // so a reordered, dropped or duplicated field changes the bytes.
+    StatsReplyMsg m;
+    std::uint64_t v = 0x1000;
+    m.uptimeMicros = ++v;
+    m.requestsRun = ++v;
+    m.requestsSweep = ++v;
+    m.requestsPing = ++v;
+    m.requestsStats = ++v;
+    m.requestsRejected = ++v;
+    m.cellsServed = ++v;
+    m.contextsBuilt = ++v;
+    m.contextsReused = ++v;
+    m.queueDepth = ++v;
+    m.runMicros = ++v;
+    m.sweepMicros = ++v;
+    m.requestsBusy = ++v;
+    m.requestsCancelled = ++v;
+    m.requestsDeadline = ++v;
+    m.activeRequests = ++v;
+    for (auto &k : m.store.kind) {
+        k.hits = ++v;
+        k.misses = ++v;
+        k.inserts = ++v;
+        k.bytes = ++v;
+        k.evictions = ++v;
+    }
+    m.store.evictions = ++v;
+    m.store.diskHits = ++v;
+    m.store.diskMisses = ++v;
+    m.store.diskWrites = ++v;
+    m.store.diskRejects = ++v;
+    m.store.diskTmpSwept = ++v;
+
+    // Pinned wire bytes: a change here breaks every client built
+    // against an older tree.
+    const std::vector<std::uint8_t> wire = encodeStatsReply(m);
+    EXPECT_EQ(wire.size(), 344u);
+    EXPECT_EQ(bytes::fnv1a(wire.data(), wire.size()),
+              0x9a5d152fc205f76cull);
 }
 
 TEST(ServeProtocol, TruncationIsRejectedAtEveryPrefix)

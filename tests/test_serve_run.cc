@@ -143,7 +143,7 @@ class ServeDeterminism : public ::testing::Test
 
 TEST_F(ServeDeterminism, ServedSweepMatchesDirectAtEveryJobsCount)
 {
-    for (int jobs : {1, 4}) {
+    for (int jobs : {0, 1, 4}) {
         sim::SweepResult grid = served(jobs);
         expectBitIdentical(referenceGrid(), grid);
     }
