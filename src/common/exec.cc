@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <utility>
 
 #include "common/logging.hh"
@@ -12,8 +13,9 @@ namespace exec {
 
 namespace {
 
+using Body = std::function<void(int worker, std::size_t index)>;
+
 thread_local int tlWorkerIndex = -1;
-thread_local const void *tlPool = nullptr;
 
 /** Upper bound on TG_JOBS: far beyond any sane machine, but keeps a
  *  fat-fingered value (or a strtol overflow) from trying to spawn
@@ -54,55 +56,20 @@ resolveJobs(int requested)
     return hardwareThreads();
 }
 
-ThreadPool::ThreadPool(int threads, std::size_t queue_capacity)
+ThreadPool::ThreadPool(int threads)
 {
-    int n = std::max(1, threads);
-    capacity = queue_capacity > 0
-                   ? queue_capacity
-                   : 2 * static_cast<std::size_t>(n);
-    workers.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i)
-        workers.emplace_back([this, i] { workerLoop(i); });
+    grow(std::max(1, threads));
 }
 
 ThreadPool::~ThreadPool()
 {
     {
-        std::unique_lock<std::mutex> lock(mu);
-        cvIdle.wait(lock, [this] { return inFlight == 0; });
+        std::lock_guard<std::mutex> lock(mu);
         stopping = true;
     }
     cvWork.notify_all();
     for (auto &w : workers)
         w.join();
-}
-
-void
-ThreadPool::submit(std::function<void()> task)
-{
-    TG_ASSERT(task, "null task submitted");
-    TG_ASSERT(tlPool != this,
-              "pool workers must not submit into their own pool");
-    {
-        std::unique_lock<std::mutex> lock(mu);
-        cvSpace.wait(lock,
-                     [this] { return queue.size() < capacity; });
-        queue.push_back(std::move(task));
-        ++inFlight;
-    }
-    cvWork.notify_one();
-}
-
-void
-ThreadPool::wait()
-{
-    std::unique_lock<std::mutex> lock(mu);
-    cvIdle.wait(lock, [this] { return inFlight == 0; });
-    if (firstError) {
-        auto err = std::exchange(firstError, nullptr);
-        lock.unlock();
-        std::rethrow_exception(err);
-    }
 }
 
 int
@@ -112,10 +79,17 @@ ThreadPool::workerIndex()
 }
 
 void
+ThreadPool::grow(int threads)
+{
+    std::lock_guard<std::mutex> lock(mu);
+    for (int i = static_cast<int>(workers.size()); i < threads; ++i)
+        workers.emplace_back([this, i] { workerLoop(i); });
+}
+
+void
 ThreadPool::workerLoop(int index)
 {
     tlWorkerIndex = index;
-    tlPool = this;
     for (;;) {
         std::function<void()> task;
         {
@@ -128,52 +102,85 @@ ThreadPool::workerLoop(int index)
             task = std::move(queue.front());
             queue.pop_front();
         }
-        cvSpace.notify_one();
-        try {
-            task();
-        } catch (...) {
-            std::lock_guard<std::mutex> lock(mu);
-            if (!firstError)
-                firstError = std::current_exception();
-        }
-        bool idle;
-        {
-            std::lock_guard<std::mutex> lock(mu);
-            idle = --inFlight == 0;
-        }
-        if (idle)
-            cvIdle.notify_all();
+        task();
     }
 }
 
 void
-parallelFor(std::size_t n, int jobs,
-            const std::function<void(int worker, std::size_t index)> &fn)
+ThreadPool::fanOut(ThreadPool *pool, std::size_t n, int width,
+                   const Body &fn)
 {
-    if (n == 0)
-        return;
-    std::size_t want = static_cast<std::size_t>(resolveJobs(jobs));
-    int threads = static_cast<int>(std::min(want, n));
-    if (threads <= 1) {
+    if (width <= 1) {
         for (std::size_t i = 0; i < n; ++i)
             fn(0, i);
         return;
     }
-    ThreadPool pool(threads);
-    for (std::size_t i = 0; i < n; ++i)
-        pool.submit([&fn, i] { fn(ThreadPool::workerIndex(), i); });
-    pool.wait();
+    // The call's own index counter, and the latch its caller waits on:
+    // it counts the runners down and keeps the call's first error.
+    std::atomic<std::size_t> next{0};
+    std::mutex latchMu;
+    std::condition_variable latch;
+    int pending = width;      // guarded by latchMu
+    std::exception_ptr error; // guarded by latchMu
+    // Runner r claims indices until none are left or one throws.
+    auto runner = [&](int r) {
+        try {
+            for (std::size_t i = next++; i < n; i = next++)
+                fn(r, i);
+        } catch (...) {
+            next = n;
+            std::lock_guard<std::mutex> lock(latchMu);
+            if (!error)
+                error = std::current_exception();
+        }
+        // Notify under the lock: once pending reaches 0 the caller
+        // may return and destroy this call's state.
+        std::lock_guard<std::mutex> lock(latchMu);
+        if (--pending == 0)
+            latch.notify_all();
+    };
+    {
+        std::lock_guard<std::mutex> lock(pool->mu);
+        for (int r = 0; r < width; ++r)
+            pool->queue.push_back([&runner, r] { runner(r); });
+    }
+    for (int r = 0; r < width; ++r)
+        pool->cvWork.notify_one();
+    std::unique_lock<std::mutex> lock(latchMu);
+    latch.wait(lock, [&] { return pending == 0; });
+    if (error)
+        std::rethrow_exception(error);
 }
 
 void
-parallelForOn(ThreadPool &pool, std::size_t n,
-              const std::function<void(int worker, std::size_t index)> &fn)
+parallelFor(std::size_t n, int jobs, const Body &fn)
 {
-    if (n == 0)
-        return;
-    for (std::size_t i = 0; i < n; ++i)
-        pool.submit([&fn, i] { fn(ThreadPool::workerIndex(), i); });
-    pool.wait();
+    // A nested call runs inline and does not read TG_JOBS.
+    int width = 1;
+    if (n > 1 && ThreadPool::workerIndex() < 0)
+        width = static_cast<int>(std::min<std::size_t>(
+            static_cast<std::size_t>(resolveJobs(jobs)), n));
+    ThreadPool *pool = nullptr;
+    if (width > 1) {
+        // Never destroyed: exit() from a task, or from a child forked
+        // without exec (a death test), would otherwise join threads
+        // that cannot finish or that the child does not have.
+        static ThreadPool *const shared = new ThreadPool(width);
+        pool = shared;
+        pool->grow(width);
+    }
+    ThreadPool::fanOut(pool, n, width, fn);
+}
+
+void
+parallelForOn(ThreadPool &pool, std::size_t n, const Body &fn)
+{
+    int width = 1;
+    if (ThreadPool::workerIndex() < 0) {
+        std::lock_guard<std::mutex> lock(pool.mu);
+        width = static_cast<int>(std::min(pool.workers.size(), n));
+    }
+    ThreadPool::fanOut(&pool, n, width, fn);
 }
 
 ProgressSink::ProgressSink(bool enabled_in, std::size_t total_in)

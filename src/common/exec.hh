@@ -1,22 +1,27 @@
 /**
  * @file
- * Work-scheduling primitives for parallel sweeps and ablations.
+ * Work-scheduling primitives for parallel sweeps, runs and requests.
  *
- * The simulator's evaluation grids (benchmark x policy sweeps,
- * parameter ablations) are embarrassingly parallel: every task reads
- * shared immutable models and writes its own result slot. This layer
- * provides the scheduling glue:
+ * The simulator fans out at two levels: the cells of an evaluation
+ * grid (benchmark x policy sweeps, parameter ablations, served
+ * requests) and, inside one run, the noise windows of its VDD
+ * domains. Every task reads shared immutable models and writes its
+ * own result slot. This layer provides the scheduling glue:
  *
- *  - ThreadPool: a fixed set of workers fed from a bounded task
- *    queue (submission blocks while the queue is full, so producers
- *    cannot run unboundedly ahead of execution);
- *  - parallelFor(): fan an index range across a pool with a stable
- *    worker id per thread, so callers can keep one heavyweight
- *    context (e.g. a sim::Simulation) per worker;
+ *  - parallelFor(): fan an index range out over the process-wide
+ *    pool, the only source of library threads, with a runner id per
+ *    call so callers can keep one heavyweight context (e.g. a
+ *    sim::Simulation) per runner;
+ *  - ThreadPool: a set of worker threads fed from one FIFO queue;
+ *    parallelForOn() fans out over a caller-owned one;
  *  - resolveJobs(): the --jobs / TG_JOBS / hardware-concurrency
  *    resolution ladder shared by every driver;
  *  - ProgressSink: mutex-guarded progress lines for concurrent
  *    producers.
+ *
+ * A process forked without exec inherits the pool but none of its
+ * threads, so such a child must not fan out. Only death tests fork
+ * without exec; the sharded sweep execs right after fork.
  *
  * Determinism contract: none of these primitives make results depend
  * on scheduling. A parallelFor() body that derives everything from
@@ -32,7 +37,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <mutex>
 #include <stdexcept>
@@ -149,82 +153,74 @@ class CancelToken
 };
 
 /**
- * Fixed-size worker pool fed from a bounded FIFO task queue.
- *
- * submit() blocks while the queue is at capacity; wait() blocks until
- * every submitted task has finished and rethrows the first exception
- * any task raised. The destructor drains outstanding work before
- * joining. Tasks may not submit() into their own pool (the bounded
- * queue could deadlock); fan-out happens at the call site.
+ * Worker threads fed from one FIFO queue. Work enters only through
+ * parallelFor()/parallelForOn(), whose runners never block on the
+ * pool, so every queued task runs to completion. The destructor runs
+ * what is queued, then joins.
  */
 class ThreadPool
 {
   public:
-    /**
-     * @param threads        worker count (clamped to >= 1)
-     * @param queue_capacity bound of the pending-task queue;
-     *                       0 picks 2x the worker count
-     */
-    explicit ThreadPool(int threads, std::size_t queue_capacity = 0);
+    /** @param threads worker count (clamped to >= 1) */
+    explicit ThreadPool(int threads);
     ~ThreadPool();
 
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
 
-    /** Enqueue a task; blocks while the queue is full. */
-    void submit(std::function<void()> task);
-
     /**
-     * Block until every submitted task has completed, then rethrow
-     * the first exception a task raised (if any). The pool remains
-     * usable for further submissions afterwards.
-     */
-    void wait();
-
-    int threadCount() const { return static_cast<int>(workers.size()); }
-
-    /**
-     * Index of the calling pool worker in [0, threadCount()), or -1
-     * on threads that do not belong to a pool. Stable for the
-     * lifetime of the pool, which lets callers keep per-worker
-     * contexts without locking.
+     * Index of the calling pool worker in [0, its pool's thread
+     * count), or -1 on threads that do not belong to a pool.
      */
     static int workerIndex();
 
   private:
+    friend void parallelFor(
+        std::size_t n, int jobs,
+        const std::function<void(int worker, std::size_t index)> &fn);
+    friend void parallelForOn(
+        ThreadPool &pool, std::size_t n,
+        const std::function<void(int worker, std::size_t index)> &fn);
+
+    /** Run fn over [0, n) with `width` runners on `pool`, or inline
+     *  when width is 1; see parallelFor(). */
+    static void
+    fanOut(ThreadPool *pool, std::size_t n, int width,
+           const std::function<void(int worker, std::size_t index)> &fn);
+    /** Start workers until there are at least `threads`. */
+    void grow(int threads);
     void workerLoop(int index);
 
-    std::vector<std::thread> workers;
-    std::deque<std::function<void()>> queue;
     std::mutex mu;
-    std::condition_variable cvSpace; //!< producers: queue has room
-    std::condition_variable cvWork;  //!< workers: queue has tasks
-    std::condition_variable cvIdle;  //!< wait(): everything finished
-    std::size_t capacity;
-    std::size_t inFlight = 0; //!< queued plus currently executing
-    bool stopping = false;
-    std::exception_ptr firstError;
+    std::vector<std::thread> workers; //!< guarded by mu (grow)
+    std::deque<std::function<void()>> queue; //!< guarded by mu
+    std::condition_variable cvWork;
+    bool stopping = false; //!< guarded by mu
 };
 
 /**
- * Run fn(worker, index) for every index in [0, n), fanning across
- * resolveJobs(jobs) pool workers (never more than n). `worker` is a
- * stable id in [0, workers): keep per-worker heavyweight state in a
- * caller-owned array indexed by it. With one worker the calls happen
- * inline, in index order, with worker id 0.
+ * Run fn(worker, index) for every index in [0, n) on the
+ * process-wide pool. The call takes width = min(resolveJobs(jobs), n)
+ * runners; each claims indices from a counter of its own call, and
+ * `worker` is the runner's id in [0, width): keep per-runner
+ * heavyweight state in a caller-owned array of `width` slots. The
+ * pool is created on the first fan-out, grows to the widest one the
+ * process asks for and is never destroyed, so exit() from anywhere
+ * joins no thread.
  *
- * Exceptions from the body abort the fan-out and are rethrown.
+ * A call with one runner, or made on a pool thread (a nested
+ * fan-out), runs inline in index order with worker id 0 and does not
+ * read TG_JOBS. The first exception a body raises stops the runners
+ * claiming further indices and is rethrown to the caller; another
+ * call's errors never reach it.
  */
 void parallelFor(std::size_t n, int jobs,
                  const std::function<void(int worker, std::size_t index)> &fn);
 
 /**
- * parallelFor() over an existing pool: run fn(worker, index) for
- * every index in [0, n) on `pool`'s workers and wait for completion.
- * Callers with a per-frame or per-sample fan-out keep one long-lived
- * pool instead of paying thread creation on every call. The usual
- * pool rules apply: must not be called from one of `pool`'s own
- * workers, and `worker` is the pool's stable workerIndex().
+ * parallelFor() over a caller-owned pool, with one runner per pool
+ * thread (never more than n). Callers that time the fan-out itself
+ * keep a pool of a known width this way.
  */
 void parallelForOn(ThreadPool &pool, std::size_t n,
                    const std::function<void(int worker, std::size_t index)> &fn);

@@ -67,7 +67,7 @@ struct ShardedSweepOptions
     /** Endpoint process count (clamped to >= 1). */
     int processes = 2;
 
-    /** Threads inside each endpoint (its server's pool width and
+    /** Threads inside each endpoint (its server's fan-out width and
      *  every shard's ServeSweep jobs); 0 defers to the endpoint-side
      *  TG_JOBS / hardware ladder. */
     int jobsPerWorker = 1;

@@ -67,7 +67,7 @@ struct RunMsg
  * Client -> server: a benchmark x policy sweep (the full grid, or an
  * arbitrary cell subset in the canonical `b * policies.size() + p`
  * indexing). `jobs` 1 runs the request inline on one server thread;
- * any other value fans it out over the server's whole pool. Results
+ * any other value fans it out ServerOptions::jobs wide. Results
  * are bit-identical at any jobs value, so the choice cannot change a
  * byte.
  */

@@ -6,7 +6,6 @@
 #include <csignal>
 #include <cstring>
 #include <deque>
-#include <limits>
 #include <list>
 #include <map>
 #include <mutex>
@@ -118,7 +117,7 @@ struct Ctx
     floorplan::Chip chip;  //!< owned: Simulation keeps a reference
     sim::SimConfig cfg;
     std::unique_ptr<sim::Simulation> sim;
-    sim::SweepContexts contexts; //!< per-pool-worker Simulations
+    sim::SweepContexts contexts; //!< per-runner Simulations
 };
 
 } // namespace
@@ -126,7 +125,7 @@ struct Ctx
 struct Server::Impl
 {
     explicit Impl(const ServerOptions &o)
-        : options(o), pool(exec::resolveJobs(o.jobs))
+        : options(o), width(exec::resolveJobs(o.jobs))
     {
     }
 
@@ -156,9 +155,9 @@ struct Server::Impl
     std::mutex compMu;
     std::vector<Completion> completions;
 
-    // Process-lifetime sweep pool; every request not asking for jobs 1
-    // fans out on it, so no request pays thread creation.
-    exec::ThreadPool pool;
+    // Fan-out width of every request not at jobs 1, over the process
+    // pool (exec::parallelFor); resolved once, at construction.
+    const int width;
 
     // Warm-context LRU, touched only by the executor thread. std::list
     // because a Ctx must never relocate: its Simulation holds a
@@ -264,7 +263,8 @@ struct Server::Impl
      * contextFor and the setup decoder) the setup blob. Returns an
      * empty string and the request's warm context, or the reason the
      * request is refused. Every value known to reach an assertion
-     * of the simulator is refused here or by the setup decoder.
+     * of the simulator, or to size the request's work past the caps,
+     * is refused here or by the setup decoder.
      */
     std::string validate(const SweepMsg &m, Ctx *&ctx)
     {
@@ -284,7 +284,7 @@ struct Server::Impl
             if (c >= n_cells)
                 return "sweep cell index out of range";
         if (m.noiseSamplesOverride < -1 ||
-            m.noiseSamplesOverride > std::numeric_limits<int>::max())
+            m.noiseSamplesOverride > shard::kMaxNoiseSamples)
             return "noise sample override out of range";
         Ctx *resolved = contextFor(m.setup);
         if (!resolved)
@@ -300,7 +300,7 @@ struct Server::Impl
 
     /** Execute one request: at jobs 1 inline on the context's
      *  Simulation (a run is its one-cell sweep at jobs 1), at any other
-     *  jobs value on the whole pool. */
+     *  jobs value `width` wide. */
     void execute(const PendingRequest &req)
     {
         const Clock::time_point t0 = Clock::now();
@@ -331,7 +331,6 @@ struct Server::Impl
             cells.assign(m.cells.begin(), m.cells.end());
         }
 
-        exec::ThreadPool *fanout = m.jobs == 1 ? nullptr : &pool;
         sim::RecordOptions opts;
         opts.timeSeries = m.timeSeries != 0;
         opts.heatmap = m.heatmap != 0;
@@ -352,7 +351,7 @@ struct Server::Impl
         try {
             sim::runSweepCells(
                 *ctx->sim, m.benchmarks, policies, cells,
-                fanout ? fanout->threadCount() : 1, opts,
+                m.jobs == 1 ? 1 : width, opts,
                 [&](std::size_t cell, sim::RunResult &&r) {
                     CellMsg out;
                     out.cell = cell;
@@ -361,7 +360,7 @@ struct Server::Impl
                          encodeCell(out));
                     streamed.fetch_add(1, std::memory_order_relaxed);
                 },
-                &ctx->contexts, fanout);
+                &ctx->contexts);
         } catch (...) {
             account();
             throw;
@@ -814,7 +813,7 @@ bool Server::start(std::string *err)
     impl->running = true;
     if (impl->options.verbose && impl->listenFd >= 0)
         inform("tg_serve: listening on ", impl->options.socketPath,
-               " (pool width ", impl->pool.threadCount(), ")");
+               " (fan-out width ", impl->width, ")");
     return true;
 }
 

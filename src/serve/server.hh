@@ -10,7 +10,7 @@
  * point: the cold-start cost that dominates short CLI invocations
  * amortises to zero (bench/serve_latency measures the ladder).
  *
- * Architecture: two threads plus the sweep worker pool.
+ * Architecture: two threads; cells fan out on the process pool.
  *
  *   poll thread     owns every descriptor: the listening socket (or
  *                   one adopted connection instead), a self-pipe for
@@ -22,12 +22,11 @@
  *                   on both kinds take one path.
  *   executor thread pops requests FIFO, validates each one and
  *                   resolves its warm simulation context (LRU cache
- *                   keyed by the setup blob), and runs cells on the
- *                   process-lifetime ThreadPool (a jobs-1 request
- *                   inline on the context's own Simulation, any other
- *                   jobs value on every pool thread), posting
- *                   result frames back through the poll thread's
- *                   completion queue.
+ *                   keyed by the setup blob), and runs its cells: a
+ *                   jobs-1 request inline on the context's own
+ *                   Simulation, any other on the process pool,
+ *                   ServerOptions::jobs wide. It posts result frames
+ *                   back through the poll thread's completion queue.
  *
  * Scheduling is deliberately FIFO one-request-at-a-time: requests
  * parallelise internally across the pool, so interleaving two sweeps
@@ -45,7 +44,8 @@
  * abort: all client input is handled by non-fatal decoders, and one
  * validator refuses the values known to reach a simulator assertion
  * (unknown labels, out-of-range cells, tracked VR or sample override,
- * setup values the simulator asserts on) before execution.
+ * setup values the simulator asserts on) or past its work caps before
+ * execution.
  *
  * Robustness: every accepted Run/Sweep carries a CancelToken. The
  * token trips when the client disconnects, sends ServeCancel, or the
@@ -87,8 +87,8 @@ struct ServerOptions
      *  coordinator's socketpair end this way, so it cannot outlive
      *  the coordinator. */
     int connectedFd = -1;
-    /** Sweep pool width; 0 = exec::resolveJobs ladder (TG_JOBS,
-     *  hardware concurrency). */
+    /** Fan-out width of every request not at jobs 1; 0 =
+     *  exec::resolveJobs ladder (TG_JOBS, hardware concurrency). */
     int jobs = 0;
     /** Warm simulation contexts kept (LRU); each holds a chip's
      *  factorisations, predictor fit and per-worker Simulations. */

@@ -16,6 +16,12 @@ constexpr std::uint32_t kBasicSetupMagic = 0x31424754; // "TGB1"
  *  them; the cap keeps `requiredActive + headroom` from overflowing. */
 constexpr int kMaxHeadroomVrs = 1 << 16;
 
+/** Work caps (see decodeBasicSetup), so no request asks for
+ *  gigabytes of window buffers or holds a daemon for minutes. */
+constexpr int kMaxNoiseCycles = 20000;
+constexpr double kMaxDecisionInterval = 10e-3; // seconds
+constexpr int kMaxProfilingEpochs = 1000;
+
 } // namespace
 
 std::vector<std::uint8_t> encodeBasicSetup(ChipKind kind, int chip_arg,
@@ -82,15 +88,19 @@ bool decodeBasicSetup(const std::vector<std::uint8_t> &blob,
         (kind == ChipKind::Mini && chip_arg >= 1 && chip_arg <= 64);
     const bool regulatorOk =
         regulator <= static_cast<std::uint32_t>(sim::RegulatorChoice::Ldo);
-    const bool intervalOk = std::isfinite(cfg.decisionInterval) &&
-                            cfg.decisionInterval > 0.0;
-    const bool windowOk = cfg.noiseCyclesTotal > 0 &&
-                          cfg.noiseWarmupCycles >= 0 &&
-                          cfg.noiseWarmupCycles < cfg.noiseCyclesTotal;
+    const bool intervalOk = cfg.decisionInterval > 0.0 &&
+                            cfg.decisionInterval <= kMaxDecisionInterval;
+    const bool samplingOk = cfg.noiseSamples >= 0 &&
+                            cfg.noiseSamples <= kMaxNoiseSamples &&
+                            cfg.noiseCyclesTotal > 0 &&
+                            cfg.noiseCyclesTotal <= kMaxNoiseCycles &&
+                            cfg.noiseWarmupCycles >= 0 &&
+                            cfg.noiseWarmupCycles < cfg.noiseCyclesTotal &&
+                            cfg.profilingEpochs <= kMaxProfilingEpochs;
     const bool practicalOk = std::isfinite(cfg.practicalDemandMargin) &&
                              cfg.practicalHeadroomVrs >= 0 &&
                              cfg.practicalHeadroomVrs <= kMaxHeadroomVrs;
-    return chipOk && regulatorOk && intervalOk && windowOk && practicalOk;
+    return chipOk && regulatorOk && intervalOk && samplingOk && practicalOk;
 }
 
 } // namespace shard

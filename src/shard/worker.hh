@@ -29,6 +29,10 @@ enum class ChipKind : std::uint32_t
     Mini = 1,   //!< floorplan::buildMiniChip(arg)
 };
 
+/** Cap on a setup's noiseSamples and a request's override: 10x the
+ *  paper's 200 windows. */
+constexpr int kMaxNoiseSamples = 2000;
+
 /**
  * Encode (chip, config) as a setup blob. Covers the top-level
  * SimConfig scalars (regulator choice, timing, sampling, batching,
@@ -40,14 +44,16 @@ std::vector<std::uint8_t> encodeBasicSetup(ChipKind kind, int chip_arg,
 
 /**
  * Decode an encodeBasicSetup() blob. Returns false instead of dying
- * on a malformed blob and on values the Simulation would assert on,
- * so a server turns a bad request into an error reply rather than an
- * abort. Refused: an unknown chip kind, a mini chip outside 1..64
- * cores, an unknown regulator choice, a non-finite or non-positive
- * decision interval, a noise window of no cycles, a warm-up outside
- * [0, noiseCyclesTotal), a non-finite practical demand margin, a
- * practical headroom outside [0, 65536], and any integer field
- * outside int range.
+ * on a malformed blob, on values the Simulation would assert on and
+ * on work sizes past 10x the paper's method, so a server turns a bad
+ * request into an error reply rather than an abort or a stall.
+ * Refused: an unknown chip kind, a mini chip outside 1..64 cores, an
+ * unknown regulator choice, a decision interval outside (0, 10 ms],
+ * noiseSamples outside [0, kMaxNoiseSamples], noiseCyclesTotal outside
+ * [1, 20000], a warm-up outside [0, noiseCyclesTotal),
+ * profilingEpochs above 1000 (default 24), a non-finite practical
+ * demand margin, a practical headroom outside [0, 65536], and any
+ * integer field outside int range.
  */
 bool decodeBasicSetup(const std::vector<std::uint8_t> &blob,
                       ChipKind &kind, int &chip_arg,

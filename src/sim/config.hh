@@ -81,11 +81,12 @@ struct SimConfig
     std::uint64_t seed = 0x7469;
 
     /**
-     * Worker threads for sweep/grid execution (runSweep and the
-     * drivers built on it). Positive values are used as-is; 0 defers
-     * to the TG_JOBS environment variable and then to the hardware
-     * thread count (see exec::resolveJobs). Results are bit-identical
-     * at every worker count.
+     * Fan-out width of sweeps (runSweep and the drivers built on it)
+     * and of each run's noise windows across domains, inline inside a
+     * sweep cell. Positive values are used as-is; 0 defers to the
+     * TG_JOBS environment variable and then to the hardware thread
+     * count (see exec::resolveJobs). Results are bit-identical at
+     * every width.
      */
     int jobs = 0;
 

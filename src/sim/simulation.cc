@@ -475,23 +475,18 @@ struct Simulation::Run
         // Noise windows are independent across domains (per-domain
         // PDN scratch, per-domain NoiseScratch, RNG streams keyed by
         // (run seed, epoch, sample, domain)), so window synthesis and
-        // the batched solves fan out across a long-lived pool.
+        // the batched solves fan out across the process pool.
         // Results are reduced serially in (sample, domain) order, so
         // any worker count is bit-identical to the serial path. Sweep
-        // workers (already on a pool thread) stay serial instead of
-        // oversubscribing the machine.
+        // workers (already on a pool thread) run their fan-out inline,
+        // so they resolve no width and print no TG_JOBS warning.
         sim.noiseScratch.resize(static_cast<std::size_t>(nDomains));
         sim.noiseQueue.clear();
         for (auto &sc : sim.noiseScratch)
             sc.solved = 0;
-        if (!sim.noisePool && n_samples > 0 && nDomains > 1 &&
-            exec::ThreadPool::workerIndex() < 0) {
-            int noise_jobs =
-                std::min(exec::resolveJobs(sim.cfg.jobs), nDomains);
-            if (noise_jobs > 1)
-                sim.noisePool =
-                    std::make_unique<exec::ThreadPool>(noise_jobs);
-        }
+        if (sim.noiseJobs == 0 && n_samples > 0 && nDomains > 1 &&
+            exec::ThreadPool::workerIndex() < 0)
+            sim.noiseJobs = exec::resolveJobs(sim.cfg.jobs);
     }
 
     void armFaults(const fault::FaultScenario &scenario)
@@ -976,20 +971,14 @@ struct Simulation::Run
             vr_t[static_cast<std::size_t>(v)] = sim.tm.vrTemp(temps, v);
     }
 
-    /** f(d) for every domain, across the noise pool when one exists. */
+    /** f(d) for every domain, fanned out sim.noiseJobs wide. */
     template <typename F>
     void forEachDomain(F &&f)
     {
-        if (sim.noisePool) {
-            exec::parallelForOn(*sim.noisePool,
-                                static_cast<std::size_t>(nDomains),
-                                [&](int, std::size_t d) {
-                                    f(static_cast<int>(d));
-                                });
-        } else {
-            for (int d = 0; d < nDomains; ++d)
-                f(d);
-        }
+        exec::parallelFor(static_cast<std::size_t>(nDomains),
+                          sim.noiseJobs, [&](int, std::size_t d) {
+                              f(static_cast<int>(d));
+                          });
     }
 
     /** Values in one of domain d's queued noise windows. */

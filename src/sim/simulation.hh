@@ -211,11 +211,11 @@ class Simulation
     std::uint64_t powerStamp = 0;  //!< bumped per power recompute
 
     /**
-     * Pool for the per-sample noise fan-out across domains; created
-     * lazily on first use, only on threads that are not already pool
-     * workers (sweep workers stay serial instead of oversubscribing).
+     * Width of the per-sample noise fan-out across domains: cfg.jobs
+     * resolved once, on the first run off a pool thread that samples
+     * noise (0 until then), so an invalid TG_JOBS warns once.
      */
-    std::unique_ptr<exec::ThreadPool> noisePool;
+    int noiseJobs = 0;
 
     /** cfg.noiseBatchWidth clamped to [1, kMaxWindowBatch]. */
     int noiseBatchWidth() const;

@@ -94,7 +94,7 @@ runSweepCells(Simulation &simulation,
               const RecordOptions &opts,
               const std::function<void(std::size_t cell,
                                        RunResult &&r)> &emit,
-              SweepContexts *reuse, exec::ThreadPool *thread_pool)
+              SweepContexts *reuse)
 {
     const std::size_t n_tasks = cells.size();
     std::size_t want = static_cast<std::size_t>(exec::resolveJobs(
@@ -165,17 +165,11 @@ runSweepCells(Simulation &simulation,
     // any worker count. A caller-owned SweepContexts keeps the
     // contexts (and their solver caches) alive across batches.
     SweepContexts local;
-    SweepContexts &pool = reuse ? *reuse : local;
-    // On an external pool, worker ids span its full thread count (the
-    // pool's stable workerIndex), so the context array must cover it
-    // even when this call uses fewer jobs than the pool has threads.
-    const std::size_t slots = thread_pool
-        ? static_cast<std::size_t>(thread_pool->threadCount())
-        : static_cast<std::size_t>(n_jobs);
-    if (pool.sims.size() < slots)
-        pool.sims.resize(slots);
-    auto body = [&](int worker, std::size_t task) {
-        auto &ctx = pool.sims[static_cast<std::size_t>(worker)];
+    SweepContexts &contexts = reuse ? *reuse : local;
+    if (contexts.sims.size() < static_cast<std::size_t>(n_jobs))
+        contexts.sims.resize(static_cast<std::size_t>(n_jobs));
+    exec::parallelFor(n_tasks, n_jobs, [&](int worker, std::size_t task) {
+        auto &ctx = contexts.sims[static_cast<std::size_t>(worker)];
         if (!ctx) {
             ctx = std::make_unique<Simulation>(simulation.chip(),
                                                simulation.config());
@@ -187,11 +181,7 @@ runSweepCells(Simulation &simulation,
                                 simulation.predictorRSquared());
         }
         run_one(*ctx, task);
-    };
-    if (thread_pool)
-        exec::parallelForOn(*thread_pool, n_tasks, body);
-    else
-        exec::parallelFor(n_tasks, n_jobs, body);
+    });
 }
 
 SweepResult

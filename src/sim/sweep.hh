@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "common/exec.hh"
 #include "sim/simulation.hh"
 
 namespace tg {
@@ -50,7 +49,7 @@ struct SweepResult
 };
 
 /**
- * Reusable per-worker Simulation contexts of runSweepCells(). A
+ * Reusable per-runner Simulation contexts of runSweepCells(). A
  * caller that issues many cell batches against the same grid (the
  * sweep server's warm contexts) passes one instance across calls so
  * per-context construction (thermal/PDN factorisations, predictor
@@ -87,15 +86,12 @@ std::string progressLine(const RunResult &r);
  * exactly-once contract holds for them and the rest are never
  * started.
  *
- * @param reuse optional cross-call context pool (see SweepContexts);
- *              nullptr builds fresh per-worker contexts per call.
- * @param pool  optional long-lived thread pool to fan out on instead
- *              of spawning threads per call (the sweep server keeps
- *              one for its process lifetime). Worker ids — and hence
- *              `reuse` slots — are then the pool's stable worker
- *              indices, so pass a `reuse` sized to the same pool.
- *              Ignored when the resolved job count is 1. Must not be
- *              called from one of `pool`'s own workers.
+ * At one job the cells run inline on `simulation`; otherwise they fan
+ * out with exec::parallelFor, min(jobs, cells) runners wide, each
+ * runner on its own context.
+ *
+ * @param reuse optional cross-call contexts (see SweepContexts), one
+ *              per runner; nullptr builds fresh ones per call.
  */
 void runSweepCells(Simulation &simulation,
                    const std::vector<std::string> &benchmarks,
@@ -104,15 +100,14 @@ void runSweepCells(Simulation &simulation,
                    const RecordOptions &opts,
                    const std::function<void(std::size_t cell,
                                             RunResult &&r)> &emit,
-                   SweepContexts *reuse = nullptr,
-                   exec::ThreadPool *pool = nullptr);
+                   SweepContexts *reuse = nullptr);
 
 /**
  * Run every (benchmark, policy) combination. Benchmarks default to
  * all 14 SPLASH-2x profiles, policies to the paper's full set.
  *
- * The grid fans out across a worker pool (see common/exec.hh): each
- * worker owns a private Simulation context built from `simulation`'s
+ * The grid fans out over the process pool (see common/exec.hh): each
+ * runner owns a private Simulation context built from `simulation`'s
  * chip and config, and every (benchmark, policy) cell lands in its
  * pre-assigned slot, so the returned SweepResult is bit-identical at
  * any worker count — `--jobs 8` and `--jobs 1` agree exactly.

@@ -2,13 +2,16 @@
  * @file
  * Fixtures shared by the run-loop determinism suites: a fault
  * scenario that exercises every fault family the run loop reacts to,
- * and the FNV-1a digest of a RunResult's bit-exact encoding.
+ * the FNV-1a digest of a RunResult's bit-exact encoding, and the
+ * process's thread count.
  */
 
 #ifndef TG_TESTS_RUN_FIXTURES_HH
 #define TG_TESTS_RUN_FIXTURES_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <filesystem>
 #include <vector>
 
 #include "cache/serialize.hh"
@@ -53,6 +56,21 @@ resultDigest(const RunResult &r)
 {
     const std::vector<std::uint8_t> encoded = cache::encodeRunResult(r);
     return bytes::fnv1a(encoded.data(), encoded.size());
+}
+
+/** Threads of this process (entries of /proc/self/task); 0 where
+ *  /proc is not mounted. */
+inline std::size_t
+processThreadCount()
+{
+    std::error_code ec;
+    std::filesystem::directory_iterator it("/proc/self/task", ec);
+    if (ec)
+        return 0;
+    std::size_t n = 0;
+    for (; it != std::filesystem::directory_iterator(); it.increment(ec))
+        ++n;
+    return n;
 }
 
 } // namespace sim

@@ -7,8 +7,9 @@
  * error replies without killing the daemon; Shutdown must drain.
  *
  * The suite runs under TSan in CI (the Serve group is part of the
- * TSan job's regex), so the server's three-way thread structure —
- * poll thread, executor, sweep pool — is raced here deliberately.
+ * TSan job's regex), so the server's thread structure — poll
+ * thread, executor and its fan-out on the process pool — is raced
+ * here deliberately.
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +26,7 @@
 
 #include "cache/serialize.hh"
 #include "common/io.hh"
+#include "run_fixtures.hh"
 #include "serve/client.hh"
 #include "serve/server.hh"
 #include "shard/protocol.hh"
@@ -279,8 +281,9 @@ TEST_F(ServeDeterminism, OutOfRangeRecordOptionsGetErrors)
             << err;
     }
     req.trackVr = -1;
-    // 2^32 + 1 must not truncate to one sample.
-    for (std::int64_t n : {std::int64_t{-2}, (std::int64_t{1} << 32) + 1}) {
+    // 2^32 + 1 must not truncate to one sample; 2001 is past the cap.
+    for (std::int64_t n : {std::int64_t{-2}, (std::int64_t{1} << 32) + 1,
+                           std::int64_t{2001}}) {
         req.noiseSamplesOverride = n;
         EXPECT_FALSE(client.run(req, out, &err));
         EXPECT_NE(err.find("noise sample override"), std::string::npos)
@@ -288,7 +291,35 @@ TEST_F(ServeDeterminism, OutOfRangeRecordOptionsGetErrors)
     }
 
     EXPECT_TRUE(client.ping(&err)) << err;
-    EXPECT_EQ(server->statsSnapshot().requestsRejected, 4u);
+    EXPECT_EQ(server->statsSnapshot().requestsRejected, 5u);
+}
+
+TEST_F(ServeDeterminism, ThreadCountDoesNotGrowWithContexts)
+{
+    // Jobs-1 runs on four setups that differ only in seed: each builds
+    // a warm context whose noise fan-out borrows the process pool, so
+    // the daemon's thread count stays where the first run left it.
+    if (sim::processThreadCount() == 0)
+        GTEST_SKIP() << "needs /proc/self/task";
+    Client client;
+    std::string err;
+    ASSERT_TRUE(client.connect(server->socketPath(), &err)) << err;
+    std::vector<std::size_t> counts;
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        sim::SimConfig cfg = testConfig();
+        cfg.seed = seed;
+        RunMsg req;
+        req.setup =
+            shard::encodeBasicSetup(shard::ChipKind::Mini, 2, cfg);
+        req.benchmark = "fft";
+        req.policy = static_cast<std::uint32_t>(core::PolicyKind::AllOn);
+        sim::RunResult out;
+        ASSERT_TRUE(client.run(req, out, &err)) << err;
+        counts.push_back(sim::processThreadCount());
+    }
+    for (std::size_t i = 1; i < counts.size(); ++i)
+        EXPECT_EQ(counts[i], counts[0]) << "after run " << i + 1;
+    EXPECT_EQ(server->statsSnapshot().contextsBuilt, 4u);
 }
 
 TEST_F(ServeDeterminism, SweepCellSubsetFillsOnlyThoseSlots)

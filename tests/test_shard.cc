@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 #include <vector>
 
@@ -316,6 +317,15 @@ TEST(ShardProtocol, SetupDecoderRefusesWhatTheSimulatorAssertsOn)
     EXPECT_TRUE(decodes(shard::ChipKind::Mini, 1, edge));
     edge.noiseWarmupCycles = edge.noiseCyclesTotal - 1;
     EXPECT_TRUE(decodes(shard::ChipKind::Mini, 1, edge));
+    // The work caps: 10x the paper's method, ~40x default profiling.
+    edge = base;
+    edge.noiseSamples = 0;
+    EXPECT_TRUE(decodes(shard::ChipKind::Mini, 1, edge));
+    edge.noiseSamples = 2000;
+    edge.noiseCyclesTotal = 20000;
+    edge.decisionInterval = 10e-3;
+    edge.profilingEpochs = 1000;
+    EXPECT_TRUE(decodes(shard::ChipKind::Mini, 1, edge));
 
     EXPECT_FALSE(decodes(shard::ChipKind::Mini, 0, base));
     EXPECT_FALSE(decodes(shard::ChipKind::Mini, 65, base));
@@ -335,7 +345,16 @@ TEST(ShardProtocol, SetupDecoderRefusesWhatTheSimulatorAssertsOn)
         c.decisionInterval = std::numeric_limits<double>::infinity();
     }));
     EXPECT_TRUE(refused([](sim::SimConfig &c) { c.decisionInterval = 0; }));
+    EXPECT_TRUE(refused([](sim::SimConfig &c) {
+        c.decisionInterval = std::nextafter(10e-3, 1.0);
+    }));
+    EXPECT_TRUE(refused([](sim::SimConfig &c) { c.noiseSamples = -1; }));
+    EXPECT_TRUE(refused([](sim::SimConfig &c) { c.noiseSamples = 2001; }));
     EXPECT_TRUE(refused([](sim::SimConfig &c) { c.noiseCyclesTotal = 0; }));
+    EXPECT_TRUE(
+        refused([](sim::SimConfig &c) { c.noiseCyclesTotal = 20001; }));
+    EXPECT_TRUE(
+        refused([](sim::SimConfig &c) { c.profilingEpochs = 1001; }));
     EXPECT_TRUE(refused([](sim::SimConfig &c) {
         c.noiseWarmupCycles = c.noiseCyclesTotal;
     }));

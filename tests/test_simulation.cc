@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+#include <vector>
+
+#include "run_fixtures.hh"
 #include "sim/simulation.hh"
 #include "workload/profile.hh"
 
@@ -209,6 +214,47 @@ TEST(FullChipSim, PaperShapeAnchors)
     // Off-chip regulation is the thermal floor (Fig. 9).
     auto chol_off = simulation.run(chol, core::PolicyKind::OffChip);
     EXPECT_GT(chol_on.maxTmax, chol_off.maxTmax + 2.0);
+}
+
+TEST(RunDeterminism, NoiseFanOutAddsNoThreadsPerSimulation)
+{
+    // Every Simulation's noise fan-out borrows the process pool, so
+    // once the pool is as wide as the fan-out a further Simulation
+    // adds no thread. The Simulations stay alive, with whatever they
+    // hold, until the last count.
+    if (processThreadCount() == 0)
+        GTEST_SKIP() << "needs /proc/self/task";
+    auto chip = floorplan::buildMiniChip(2); // 4 domains
+    SimConfig cfg = fastConfig();
+    cfg.jobs = 4;
+    Simulation a(chip, cfg), b(chip, cfg), c(chip, cfg);
+    std::vector<std::size_t> counts;
+    for (Simulation *s : {&a, &b, &c}) {
+        s->run(shortProfile(0.6, 0.5), core::PolicyKind::AllOn);
+        counts.push_back(processThreadCount());
+    }
+    EXPECT_EQ(counts[1], counts[0]);
+    EXPECT_EQ(counts[2], counts[0]);
+}
+
+TEST(RunDeterminism, InvalidTgJobsWarnsOncePerSimulation)
+{
+    // The noise width is resolved once per Simulation, not per
+    // fan-out, so an invalid TG_JOBS warns once however many runs
+    // fan out.
+    auto chip = floorplan::buildMiniChip(2);
+    setenv("TG_JOBS", "banana", 1);
+    Simulation s(chip, fastConfig());
+    testing::internal::CaptureStderr();
+    s.run(shortProfile(0.6, 0.5), core::PolicyKind::AllOn);
+    s.run(shortProfile(0.4, 0.5), core::PolicyKind::AllOn);
+    const std::string err = testing::internal::GetCapturedStderr();
+    unsetenv("TG_JOBS");
+    std::size_t warnings = 0;
+    for (auto at = err.find("TG_JOBS"); at != std::string::npos;
+         at = err.find("TG_JOBS", at + 1))
+        ++warnings;
+    EXPECT_EQ(warnings, 1u) << err;
 }
 
 } // namespace
