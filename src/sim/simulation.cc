@@ -273,9 +273,9 @@ Simulation::noiseBatchWidth() const
  * One runMixed() call: the members are the run's state, the methods
  * its stages. The constructor prepares (power trace, sample
  * schedule, fault arming, thermal bootstrap); epoch() decides each
- * domain's active set, then advances the epoch's frames, queueing
- * the noise windows scheduled there; finish() drains the queue and
- * assembles the result.
+ * domain's active set (propose, verify, commit), then advances the
+ * epoch's frames, queueing the noise windows scheduled there;
+ * finish() drains the queue and assembles the result.
  *
  * A noise window is synthesised at its scheduled frame, against that
  * frame's block power, but solved later in lockstep batches; the
@@ -325,6 +325,7 @@ struct Simulation::Run
         // results stay bit-identical to a run without the option.
         if (opts.faultScenario && !opts.faultScenario->empty())
             armFaults(*opts.faultScenario);
+        sim.fs.slots.resize(static_cast<std::size_t>(nDomains));
 
         // Thermal bootstrap: the steady state of frame 0 with every
         // VR on (off-chip: none), then the sensors' first reading.
@@ -558,12 +559,14 @@ struct Simulation::Run
     {
         auto &fs = sim.fs;
         auto &rs = res.resilience;
-        // Emergency-truth epochs re-key the factorisation and reuse
-        // the queue buffers, so windows pending from earlier epochs
-        // drain first (the decision-boundary flush rule). Epochs the
-        // truth loop skips keep their queues pending.
-        if (emergencyOverride &&
-            !samplesOfEpoch[static_cast<std::size_t>(e)].empty())
+        // Verify epochs re-key the factorisation and reuse the queue
+        // buffers, so windows pending from earlier epochs drain first
+        // (the decision-boundary flush rule). Epochs verify skips
+        // keep their queues pending.
+        const bool verify =
+            emergencyOverride &&
+            !samplesOfEpoch[static_cast<std::size_t>(e)].empty();
+        if (verify)
             drain();
 
         // Epoch provisioning power: the trace's blended mean/peak row
@@ -599,8 +602,20 @@ struct Simulation::Run
                 }
             }
         }
+        // Propose serially, verify the proposals' emergency truth on
+        // the pool, commit serially in domain order. Neither verify
+        // nor a later proposal reads what a commit writes: policies
+        // are stateless, the governor's counters are sums, the alert
+        // draws are keyed by (domain, decision) and (decision, event),
+        // and a verify task touches only its own domain's PDN and
+        // scratch (the drain above emptied the queue, so its rekey
+        // flushes nothing).
         for (int d = 0; d < nDomains; ++d)
-            decideDomain(d, e, span, mean_stamp);
+            propose(d, e);
+        if (verify)
+            forEachDomain([&](int d) { verifyDomain(d, e, mean_stamp); });
+        for (int d = 0; d < nDomains; ++d)
+            commit(d, e, span, verify);
         res.overrideCount = governor.overrideCount();
 
         // Policy-consistent warm start: the ROI is entered from
@@ -615,21 +630,22 @@ struct Simulation::Run
         }
     }
 
-    void decideDomain(int d, long e, Seconds span,
-                      std::uint64_t mean_stamp)
+    /** Domain d's inputs and its decision without override. */
+    void propose(int d, long e)
     {
         auto &fs = sim.fs;
         const std::size_t ud = static_cast<std::size_t>(d);
         const auto &dom = plan.domains()[ud];
         auto &net = sim.networks[ud];
         auto &pdn = *sim.pdns[ud];
+        auto &slot = fs.slots[ud];
 
         Amperes demand_now = sim.pm.domainCurrent(lastBlockPower, d);
         Amperes true_next = sim.pm.domainCurrent(fs.meanPower, d);
         wma[ud].observe(demand_now);
         Amperes wma_next = wma[ud].predict();
 
-        core::DomainState &st = fs.st;
+        core::DomainState &st = slot.st;
         st.domain = d;
         st.decision = e;
         st.demandNow = demand_now;
@@ -648,7 +664,7 @@ struct Simulation::Run
             st.vrTemps[l] = oracularInputs ? fs.vrT[v] : fs.vrSensor[v];
             st.vrLossNow[l] = vrLoss[v];
         }
-        // Regulator-fault masks (fs.st is reused, so the clean path
+        // Regulator-fault masks (the slot is reused, so the clean path
         // must leave them empty).
         if (injector && injector->anyVrFault()) {
             st.vrUnavailable.resize(dom.vrs.size());
@@ -670,41 +686,60 @@ struct Simulation::Run
                                             : lastBlockPower,
                              st.nodeCurrents);
 
-        core::PolicyToolkit kit;
-        kit.pdn = &pdn;
-        kit.network = &net;
         if (sim.predictor) {
-            fs.thetas.resize(dom.vrs.size());
+            slot.thetas.resize(dom.vrs.size());
             for (std::size_t l = 0; l < dom.vrs.size(); ++l)
-                fs.thetas[l] = sim.predictor->theta(dom.vrs[l]);
+                slot.thetas[l] = sim.predictor->theta(dom.vrs[l]);
         } else {
-            fs.thetas.clear();
+            slot.thetas.clear();
         }
-        kit.thetas = &fs.thetas;
+        slot.kit.pdn = &pdn;
+        slot.kit.network = &net;
+        slot.kit.thetas = &slot.thetas;
 
-        core::Decision decision = governor.decide(st, kit, false);
-        if (emergencyOverride && !decision.overridden &&
-            !samplesOfEpoch[static_cast<std::size_t>(e)].empty()) {
-            // Ground truth: would this selection suffer an emergency
-            // this epoch?
-            rekey(d, decision.active);
-            bool truth =
-                epochEmergencyTruth(d, e, fs.meanPower, mean_stamp);
+        slot.decision = governor.decide(st, slot.kit, false);
+    }
+
+    /**
+     * Ground truth: would domain d's proposal suffer an emergency
+     * this epoch? Touches only domain d's PDN and scratch, so domains
+     * verify concurrently.
+     */
+    void verifyDomain(int d, long e, std::uint64_t mean_stamp)
+    {
+        auto &slot = sim.fs.slots[static_cast<std::size_t>(d)];
+        if (slot.decision.overridden)
+            return;
+        rekey(d, slot.decision.active);
+        slot.truth = epochEmergencyTruth(d, e, sim.fs.meanPower, mean_stamp);
+    }
+
+    /**
+     * Alert on a verified proposal's truth (the override when it
+     * fires), then install domain d's final active set.
+     */
+    void commit(int d, long e, Seconds span, bool verified)
+    {
+        const std::size_t ud = static_cast<std::size_t>(d);
+        auto &slot = sim.fs.slots[ud];
+        if (verified && !slot.decision.overridden) {
             bool alert = policy == PolicyKind::OracVT
-                             ? truth
-                             : emPredictor.predict(d, e, truth);
+                             ? slot.truth
+                             : emPredictor.predict(d, e, slot.truth);
             if (injector)
                 alert = injector->perturbAlert(
                     d, e, alert, &res.resilience.alertsSuppressed,
                     &res.resilience.alertsInjected);
             if (alert)
-                decision = governor.decide(st, kit, true);
+                slot.decision = governor.decide(slot.st, slot.kit, true);
         }
 
-        activeSets[ud] = decision.active;
-        rekey(d, decision.active);
-        governor.recordActivity(d, decision.active,
-                                static_cast<int>(dom.vrs.size()), span);
+        const auto &active = slot.decision.active;
+        activeSets[ud] = active;
+        rekey(d, active);
+        governor.recordActivity(
+            d, active,
+            static_cast<int>(plan.domains()[ud].vrs.size()), span);
     }
 
     /**

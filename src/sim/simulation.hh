@@ -187,6 +187,22 @@ class Simulation
     };
 
     /**
+     * One domain's decision within an epoch: propose fills the
+     * inputs and the proposal, verify the emergency truth of that
+     * proposal, and commit replaces the proposal with the override
+     * when the alert fires. One slot per domain lets every domain
+     * propose before any commits and verify concurrently.
+     */
+    struct DecisionSlot
+    {
+        core::DomainState st;       //!< reused decision inputs
+        std::vector<double> thetas; //!< per-local-VR theta slice
+        core::PolicyToolkit kit;    //!< the domain's PDN and network
+        core::Decision decision;    //!< proposal, then the final one
+        bool truth = false;         //!< the proposal's emergency truth
+    };
+
+    /**
      * Reusable buffers of the per-epoch/per-frame kernel, so the
      * steady-state run loop performs no heap allocation: every vector
      * reaches its final size during the first epoch and is refilled
@@ -201,8 +217,7 @@ class Simulation
         std::vector<Celsius> vrT;       //!< true per-VR temperatures
         std::vector<Celsius> vrSensor;  //!< sensed per-VR temperatures
         std::vector<Watts> nodalPower;  //!< thermal-grid power vector
-        std::vector<double> thetas;     //!< per-local-VR theta slice
-        core::DomainState st;           //!< reused decision inputs
+        std::vector<DecisionSlot> slots; //!< one per domain
     };
 
     FrameScratch fs;

@@ -169,7 +169,8 @@ TEST(RunDeterminism, BatchWidthSweepBitIdenticalAcrossJobs)
     base.noiseSamples = 24;  // 4 windows per epoch: real batches
 
     for (auto policy :
-         {core::PolicyKind::AllOn, core::PolicyKind::PracVT}) {
+         {core::PolicyKind::AllOn, core::PolicyKind::OracVT,
+          core::PolicyKind::PracVT}) {
         RunResult ref;
         bool have_ref = false;
         for (int jobs : {1, 4}) {
@@ -259,6 +260,9 @@ TEST(RunDeterminism, EncodedResultDigestsMatchParent)
     // resilience counters — of all eight policies, faulted runs, a
     // run recording every RecordOptions product and a mixed co-run.
     // A mismatch is a behaviour change, never a digest to refresh.
+    // The serial path (jobs 1) and the pool fan-outs of the noise
+    // windows and the emergency-truth verify (jobs 4) must both
+    // reproduce them.
     struct Golden
     {
         const char *name;
@@ -280,48 +284,118 @@ TEST(RunDeterminism, EncodedResultDigestsMatchParent)
     };
 
     auto chip = floorplan::buildMiniChip(2);
-    SimConfig cfg = miniConfig(1);
-    cfg.noiseSamples = 24;
-    Simulation s(chip, cfg);
     const auto &fft = workload::profileByName("fft");
-    std::vector<std::pair<std::string, RunResult>> runs;
-    for (auto policy :
-         {core::PolicyKind::OffChip, core::PolicyKind::AllOn,
-          core::PolicyKind::Naive, core::PolicyKind::OracT,
-          core::PolicyKind::OracV, core::PolicyKind::OracVT,
-          core::PolicyKind::PracT, core::PolicyKind::PracVT})
-        runs.emplace_back(std::string("fft/") + core::policyName(policy),
-                          s.run(fft, policy));
-
     const auto scenario = mixedFaultScenario(
         static_cast<int>(chip.plan.vrs().size()));
-    RecordOptions faulted;
-    faulted.faultScenario = &scenario;
-    for (auto policy :
-         {core::PolicyKind::OracT, core::PolicyKind::PracVT})
-        runs.emplace_back(std::string("fft/") +
-                              core::policyName(policy) + "/faulted",
-                          s.run(fft, policy, faulted));
+    for (int jobs : {1, 4}) {
+        SimConfig cfg = miniConfig(jobs);
+        cfg.noiseSamples = 24;
+        Simulation s(chip, cfg);
+        std::vector<std::pair<std::string, RunResult>> runs;
+        for (auto policy :
+             {core::PolicyKind::OffChip, core::PolicyKind::AllOn,
+              core::PolicyKind::Naive, core::PolicyKind::OracT,
+              core::PolicyKind::OracV, core::PolicyKind::OracVT,
+              core::PolicyKind::PracT, core::PolicyKind::PracVT})
+            runs.emplace_back(
+                std::string("fft/") + core::policyName(policy),
+                s.run(fft, policy));
 
-    RecordOptions recorded;
-    recorded.timeSeries = true;
-    recorded.trackVr = 1;
-    recorded.heatmap = true;
-    recorded.noiseTrace = true;
-    runs.emplace_back("rayt/all-on/recorded",
-                      s.run(workload::profileByName("rayt"),
-                            core::PolicyKind::AllOn, recorded));
-    runs.emplace_back(
-        "fft+water_s/PracVT",
-        s.runMixed({&fft, &workload::profileByName("water_s")},
-                   "fft+water_s", core::PolicyKind::PracVT));
+        RecordOptions faulted;
+        faulted.faultScenario = &scenario;
+        for (auto policy :
+             {core::PolicyKind::OracT, core::PolicyKind::PracVT})
+            runs.emplace_back(std::string("fft/") +
+                                  core::policyName(policy) + "/faulted",
+                              s.run(fft, policy, faulted));
 
-    ASSERT_EQ(runs.size(), std::size(goldens));
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-        EXPECT_EQ(runs[i].first, goldens[i].name);
-        const std::uint64_t digest = resultDigest(runs[i].second);
-        EXPECT_EQ(digest, goldens[i].digest)
-            << runs[i].first << " digest 0x" << std::hex << digest;
+        RecordOptions recorded;
+        recorded.timeSeries = true;
+        recorded.trackVr = 1;
+        recorded.heatmap = true;
+        recorded.noiseTrace = true;
+        runs.emplace_back("rayt/all-on/recorded",
+                          s.run(workload::profileByName("rayt"),
+                                core::PolicyKind::AllOn, recorded));
+        runs.emplace_back(
+            "fft+water_s/PracVT",
+            s.runMixed({&fft, &workload::profileByName("water_s")},
+                       "fft+water_s", core::PolicyKind::PracVT));
+
+        ASSERT_EQ(runs.size(), std::size(goldens));
+        for (std::size_t i = 0; i < runs.size(); ++i) {
+            EXPECT_EQ(runs[i].first, goldens[i].name);
+            const std::uint64_t digest = resultDigest(runs[i].second);
+            EXPECT_EQ(digest, goldens[i].digest)
+                << runs[i].first << " at jobs " << jobs << " digest 0x"
+                << std::hex << digest;
+        }
+    }
+}
+
+TEST(RunDeterminism, OverriddenRunDigestsMatchSerialDecide)
+{
+    // At the default 10% threshold the mini chip never sees an
+    // emergency, so every truth check above answers false and the
+    // goldens cannot tell which domain a truth belongs to. At 5% most
+    // of the core domains' proposals suffer emergencies and the L3
+    // banks' never do, so the *VT overrides land on some domains and
+    // not others. These digests were recorded with every domain decided
+    // one after another (truth check inside each domain's decision);
+    // the propose/verify/commit split must reproduce them serially
+    // and with verify on the pool.
+    struct Golden
+    {
+        const char *name;
+        std::uint64_t digest;
+        long overrides;
+    };
+    const Golden goldens[] = {
+        {"fft/OracVT", 0xd32bff454d0c1be9ull, 12},
+        {"fft/PracVT", 0xb1c5ae3491e6a319ull, 7},
+        {"fft/OracVT/faulted", 0x120e9bf28bb1c0c6ull, 10},
+        {"fft/PracVT/faulted", 0x0a14a8d2b1f8ee46ull, 6},
+        {"fft+water_s/OracVT", 0x09a3385e1beed80aull, 12},
+    };
+
+    auto chip = floorplan::buildMiniChip(2);
+    const auto &fft = workload::profileByName("fft");
+    const auto scenario = mixedFaultScenario(
+        static_cast<int>(chip.plan.vrs().size()));
+    for (int jobs : {1, 4}) {
+        SimConfig cfg = miniConfig(jobs);
+        cfg.noiseSamples = 24;
+        cfg.pdnParams.emergencyFrac = 0.05;
+        Simulation s(chip, cfg);
+        std::vector<std::pair<std::string, RunResult>> runs;
+        for (auto policy :
+             {core::PolicyKind::OracVT, core::PolicyKind::PracVT})
+            runs.emplace_back(
+                std::string("fft/") + core::policyName(policy),
+                s.run(fft, policy));
+        RecordOptions faulted;
+        faulted.faultScenario = &scenario;
+        for (auto policy :
+             {core::PolicyKind::OracVT, core::PolicyKind::PracVT})
+            runs.emplace_back(std::string("fft/") +
+                                  core::policyName(policy) + "/faulted",
+                              s.run(fft, policy, faulted));
+        runs.emplace_back(
+            "fft+water_s/OracVT",
+            s.runMixed({&fft, &workload::profileByName("water_s")},
+                       "fft+water_s", core::PolicyKind::OracVT));
+
+        ASSERT_EQ(runs.size(), std::size(goldens));
+        for (std::size_t i = 0; i < runs.size(); ++i) {
+            const auto &[name, r] = runs[i];
+            EXPECT_EQ(name, goldens[i].name);
+            EXPECT_EQ(r.overrideCount, goldens[i].overrides)
+                << name << " at jobs " << jobs;
+            const std::uint64_t digest = resultDigest(r);
+            EXPECT_EQ(digest, goldens[i].digest)
+                << name << " at jobs " << jobs << " digest 0x"
+                << std::hex << digest;
+        }
     }
 }
 
