@@ -22,34 +22,6 @@ namespace {
 constexpr std::uint32_t kMagic = 0x31434754; // "TGC1" little-endian
 constexpr std::uint32_t kFormatVersion = 1;
 
-void appendU32(std::vector<std::uint8_t> &buf, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void appendU64(std::vector<std::uint8_t> &buf, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint32_t readU32(const std::uint8_t *p)
-{
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    return v;
-}
-
-std::uint64_t readU64(const std::uint8_t *p)
-{
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    return v;
-}
-
 /** Monotonic per-process token for collision-free temp names. */
 std::uint64_t tempToken()
 {
@@ -138,41 +110,18 @@ bool DiskTier::load(ArtifactKind kind, const Fingerprint &key,
         std::istreambuf_iterator<char>());
     in.close();
 
-    // Fixed header through key.lo, then two length-prefixed blocks,
-    // then the trailing checksum. Validate sizes before every read.
-    const std::size_t kFixed = 4 + 4 + 4 + 8 + 8;
-    if (file.size() < kFixed + 8 + 8 + 8 ||
-        readU32(file.data()) != kMagic ||
-        readU32(file.data() + 4) != kFormatVersion ||
-        readU32(file.data() + 8) != static_cast<std::uint32_t>(kind) ||
-        readU64(file.data() + 12) != key.hi ||
-        readU64(file.data() + 20) != key.lo) {
+    // The header must name this kind and key, and the checksum must
+    // directly follow the provenance and payload blocks and match.
+    bytes::ByteReader r(file.data(), file.size());
+    const bool header = r.u32() == kMagic && r.u32() == kFormatVersion &&
+                        r.u32() == static_cast<std::uint32_t>(kind) &&
+                        r.u64() == key.hi && r.u64() == key.lo;
+    r.str(); // provenance
+    if (!header || !r.blob(payload) || r.left() != 8 ||
+        r.u64() != bytes::fnv1a(file.data(), file.size() - 8)) {
         counters->count(&StoreStats::diskRejects);
         return false;
     }
-    std::size_t pos = kFixed;
-    const std::uint64_t provLen = readU64(file.data() + pos);
-    pos += 8;
-    if (provLen > file.size() - pos - 16) {
-        counters->count(&StoreStats::diskRejects);
-        return false;
-    }
-    pos += static_cast<std::size_t>(provLen);
-    const std::uint64_t payLen = readU64(file.data() + pos);
-    pos += 8;
-    if (payLen != file.size() - pos - 8) {
-        counters->count(&StoreStats::diskRejects);
-        return false;
-    }
-    const std::size_t payloadAt = pos;
-    pos += static_cast<std::size_t>(payLen);
-    const std::uint64_t want = readU64(file.data() + pos);
-    if (bytes::fnv1a(file.data(), pos) != want) {
-        counters->count(&StoreStats::diskRejects);
-        return false;
-    }
-    payload.assign(file.begin() + static_cast<std::ptrdiff_t>(payloadAt),
-                   file.begin() + static_cast<std::ptrdiff_t>(pos));
     counters->count(&StoreStats::diskHits);
     return true;
 }
@@ -193,18 +142,16 @@ bool DiskTier::save(ArtifactKind kind, const Fingerprint &key,
     if (ec)
         return false;
 
-    std::vector<std::uint8_t> file;
-    file.reserve(payload.size() + provenance.size() + 64);
-    appendU32(file, kMagic);
-    appendU32(file, kFormatVersion);
-    appendU32(file, static_cast<std::uint32_t>(kind));
-    appendU64(file, key.hi);
-    appendU64(file, key.lo);
-    appendU64(file, provenance.size());
-    file.insert(file.end(), provenance.begin(), provenance.end());
-    appendU64(file, payload.size());
-    file.insert(file.end(), payload.begin(), payload.end());
-    appendU64(file, bytes::fnv1a(file.data(), file.size()));
+    bytes::ByteWriter w;
+    w.u32(kMagic);
+    w.u32(kFormatVersion);
+    w.u32(static_cast<std::uint32_t>(kind));
+    w.u64(key.hi);
+    w.u64(key.lo);
+    w.str(provenance);
+    w.blob(payload);
+    w.u64(bytes::fnv1a(w.bytes().data(), w.bytes().size()));
+    const std::vector<std::uint8_t> file = w.take();
 
     char token[32];
     std::snprintf(token, sizeof token, ".tmp-%016llx",

@@ -30,6 +30,79 @@ constexpr std::uint64_t kTagF64 = 0x02;
 constexpr std::uint64_t kTagStr = 0x03;
 constexpr std::uint64_t kTagFp = 0x04;
 
+void hashMember(Hasher &h, sim::RegulatorChoice v)
+{
+    h.u64(static_cast<std::uint64_t>(v));
+}
+void hashMember(Hasher &h, double v) { h.f64(v); }
+void hashMember(Hasher &h, int v) { h.i64(v); }
+void hashMember(Hasher &h, std::uint64_t v) { h.u64(v); }
+
+// A parameter struct's count check fails the build on a new member.
+void hashMember(Hasher &h, const thermal::ThermalParams &t)
+{
+    static_assert(fields::memberCount<thermal::ThermalParams>() == 16);
+    h.i64(t.gridW)
+        .i64(t.gridH)
+        .i64(t.spreaderN)
+        .f64(t.dieThickness)
+        .f64(t.kSilicon)
+        .f64(t.cvSilicon)
+        .f64(t.timThickness)
+        .f64(t.kTim)
+        .f64(t.spreaderThickness)
+        .f64(t.kCopper)
+        .f64(t.cvCopper)
+        .f64(t.spreaderSide)
+        .f64(t.rConvection)
+        .f64(t.vrCouplingResistance)
+        .f64(t.ambient)
+        .f64(t.step);
+}
+
+void hashMember(Hasher &h, const power::PowerParams &p)
+{
+    h.fp(powerParamsFingerprint(p));
+}
+
+void hashMember(Hasher &h, const pdn::PdnParams &pd)
+{
+    // factorCacheCapacity is bit-invisible: 6 of its 7 members.
+    static_assert(fields::memberCount<pdn::PdnParams>() == 7);
+    h.f64(pd.nodePitch)
+        .f64(pd.sheetResistance)
+        .f64(pd.decapPerMm2)
+        .f64(pd.gridInductancePerM)
+        .f64(pd.cycleTime)
+        .f64(pd.emergencyFrac);
+}
+
+void hashMember(Hasher &h, const sensors::SensorParams &sn)
+{
+    static_assert(fields::memberCount<sensors::SensorParams>() == 3);
+    h.f64(sn.delay).f64(sn.quantization).f64(sn.noiseSigma);
+}
+
+void hashMember(Hasher &h, const sensors::PredictorParams &pr)
+{
+    static_assert(fields::memberCount<sensors::PredictorParams>() == 2);
+    h.f64(pr.sensitivity).f64(pr.falseAlarmRate);
+}
+
+void hashMember(Hasher &h, const sensors::HealthParams &hl)
+{
+    static_assert(fields::memberCount<sensors::HealthParams>() == 9);
+    h.f64(hl.minPlausible)
+        .f64(hl.maxPlausible)
+        .f64(hl.maxStep)
+        .f64(hl.freezeEps)
+        .i64(hl.freezeReads)
+        .f64(hl.freezeNeighbourMove)
+        .f64(hl.neighbourTolerance)
+        .f64(hl.readmitTolerance)
+        .i64(hl.readmitReads);
+}
+
 } // namespace
 
 std::string Fingerprint::hex() const
@@ -159,69 +232,16 @@ Fingerprint configFingerprint(const sim::SimConfig &cfg)
 {
     Hasher h;
     h.str("tg.config.v1");
-
-    h.u64(static_cast<std::uint64_t>(cfg.regulator))
-        .f64(cfg.decisionInterval)
-        .i64(cfg.noiseSamples)
-        .i64(cfg.noiseCyclesTotal)
-        .i64(cfg.noiseWarmupCycles)
-        .i64(cfg.profilingEpochs)
-        .f64(cfg.practicalDemandMargin)
-        .i64(cfg.practicalHeadroomVrs)
-        .u64(cfg.seed);
-    // Deliberately NOT hashed (bit-invisible, see header): jobs,
-    // noiseBatchWidth, cacheDir, memoizeResults, pdnParams.factorCacheCapacity.
-
-    const thermal::ThermalParams &t = cfg.thermalParams;
-    h.i64(t.gridW)
-        .i64(t.gridH)
-        .i64(t.spreaderN)
-        .f64(t.dieThickness)
-        .f64(t.kSilicon)
-        .f64(t.cvSilicon)
-        .f64(t.timThickness)
-        .f64(t.kTim)
-        .f64(t.spreaderThickness)
-        .f64(t.kCopper)
-        .f64(t.cvCopper)
-        .f64(t.spreaderSide)
-        .f64(t.rConvection)
-        .f64(t.vrCouplingResistance)
-        .f64(t.ambient)
-        .f64(t.step);
-
-    h.fp(powerParamsFingerprint(cfg.powerParams));
-
-    const pdn::PdnParams &pd = cfg.pdnParams;
-    h.f64(pd.nodePitch)
-        .f64(pd.sheetResistance)
-        .f64(pd.decapPerMm2)
-        .f64(pd.gridInductancePerM)
-        .f64(pd.cycleTime)
-        .f64(pd.emergencyFrac);
-
-    const sensors::SensorParams &sn = cfg.sensorParams;
-    h.f64(sn.delay).f64(sn.quantization).f64(sn.noiseSigma);
-
-    const sensors::PredictorParams &pr = cfg.predictorParams;
-    h.f64(pr.sensitivity).f64(pr.falseAlarmRate);
-
-    const sensors::HealthParams &hl = cfg.healthParams;
-    h.f64(hl.minPlausible)
-        .f64(hl.maxPlausible)
-        .f64(hl.maxStep)
-        .f64(hl.freezeEps)
-        .i64(hl.freezeReads)
-        .f64(hl.freezeNeighbourMove)
-        .f64(hl.neighbourTolerance)
-        .f64(hl.readmitTolerance)
-        .i64(hl.readmitReads);
-
+    fields::forEach(sim::kSimConfigFields, [&]<class E>(const E &e) {
+        if constexpr ((E::flags & fields::Hashed) != 0)
+            hashMember(h, cfg.*e.member);
+    });
     return h.digest();
 }
 
 Fingerprint powerParamsFingerprint(const power::PowerParams &pw)
 {
+    static_assert(fields::memberCount<power::PowerParams>() == 13);
     Hasher h;
     h.str("tg.power-params.v1");
     h.f64(pw.densityIfu)

@@ -17,13 +17,12 @@
  * any accidental drift of the key derivation fails loudly instead of
  * silently splitting (or worse, aliasing) the cache namespace.
  *
- * Bit-invisible knobs are EXCLUDED from configFingerprint(): worker
- * count (jobs), noiseBatchWidth, the PDN factor-cache capacity, and
- * the cache settings themselves (cacheDir/memoizeResults) are proven
- * not to change any result bit (tests/test_run_determinism.cc,
- * test_epoch_coalescing.cc), so runs that differ only in them share
- * cache entries — a warm cache answers `--jobs 4` queries recorded
- * at `--jobs 1`.
+ * configFingerprint() hashes the SimConfig members whose
+ * sim::kSimConfigFields entry carries the fields::Hashed flag. The
+ * others are bit-invisible knobs, proven not to change any result bit
+ * (tests/test_run_determinism.cc, test_epoch_coalescing.cc), so runs
+ * that differ only in them share cache entries — a warm cache answers
+ * `--jobs 4` queries recorded at `--jobs 1`.
  */
 
 #ifndef TG_CACHE_FINGERPRINT_HH
@@ -103,10 +102,8 @@ class Hasher
 /** Chip geometry + parameters: blocks, VR sites, domains, die. */
 Fingerprint chipFingerprint(const floorplan::Chip &chip);
 
-/**
- * Every SimConfig field that can influence a result bit (see header
- * note for the excluded bit-invisible knobs).
- */
+/** Every SimConfig member that can influence a result bit: the
+ *  Hashed entries of sim::kSimConfigFields (see the header note). */
 Fingerprint configFingerprint(const sim::SimConfig &cfg);
 
 /**

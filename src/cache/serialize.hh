@@ -9,8 +9,8 @@
  * per-artifact magic tags, and host-independent for the fixed-width
  * types used.
  *
- * The codec primitives (bytes::ByteWriter/ByteReader) live in
- * common/bytes.hh, shared with the TGS1 frame protocol.
+ * The encoding walks sim::kRunResultFields by the wire rule of
+ * common/fields.hh, shared with the setup blob and serve messages.
  */
 
 #ifndef TG_CACHE_SERIALIZE_HH

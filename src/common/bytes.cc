@@ -5,13 +5,6 @@
 namespace tg {
 namespace bytes {
 
-namespace {
-
-/** Local alias of the public cap (see bytes.hh). */
-constexpr std::uint64_t kMaxVecLen = kMaxDecodedLen;
-
-} // namespace
-
 std::uint64_t fnv1a(const std::uint8_t *data, std::size_t size)
 {
     std::uint64_t h = 1469598103934665603ull;
@@ -45,20 +38,6 @@ void ByteWriter::str(const std::string &s)
 {
     u64(s.size());
     buf.insert(buf.end(), s.begin(), s.end());
-}
-
-void ByteWriter::f64vec(const std::vector<double> &v)
-{
-    u64(v.size());
-    for (double x : v)
-        f64(x);
-}
-
-void ByteWriter::i32vec(const std::vector<int> &v)
-{
-    u64(v.size());
-    for (int x : v)
-        i64(x);
 }
 
 void ByteWriter::blob(const std::vector<std::uint8_t> &v)
@@ -117,7 +96,7 @@ double ByteReader::f64()
 std::string ByteReader::str()
 {
     const std::uint64_t len = u64();
-    if (len > kMaxVecLen) {
+    if (len > kMaxDecodedLen) {
         failed = true;
         return {};
     }
@@ -128,36 +107,10 @@ std::string ByteReader::str()
                        static_cast<std::size_t>(len));
 }
 
-bool ByteReader::f64vec(std::vector<double> &out)
-{
-    const std::uint64_t len = u64();
-    if (failed || len > kMaxVecLen || len * 8 > n - pos) {
-        failed = true;
-        return false;
-    }
-    out.resize(static_cast<std::size_t>(len));
-    for (double &x : out)
-        x = f64();
-    return ok();
-}
-
-bool ByteReader::i32vec(std::vector<int> &out)
-{
-    const std::uint64_t len = u64();
-    if (failed || len > kMaxVecLen || len * 8 > n - pos) {
-        failed = true;
-        return false;
-    }
-    out.resize(static_cast<std::size_t>(len));
-    for (int &x : out)
-        x = static_cast<int>(i64());
-    return ok();
-}
-
 bool ByteReader::blob(std::vector<std::uint8_t> &out)
 {
     const std::uint64_t len = u64();
-    if (failed || len > kMaxVecLen) {
+    if (failed || len > kMaxDecodedLen) {
         failed = true;
         return false;
     }

@@ -44,8 +44,6 @@ class ByteWriter
     void i64(long long v) { u64(static_cast<std::uint64_t>(v)); }
     void f64(double v);
     void str(const std::string &s);
-    void f64vec(const std::vector<double> &v);
-    void i32vec(const std::vector<int> &v);
     void blob(const std::vector<std::uint8_t> &v);
 
     const std::vector<std::uint8_t> &bytes() const { return buf; }
@@ -74,13 +72,15 @@ class ByteReader
     long long i64() { return static_cast<long long>(u64()); }
     double f64();
     std::string str();
-    bool f64vec(std::vector<double> &out);
-    bool i32vec(std::vector<int> &out);
     bool blob(std::vector<std::uint8_t> &out);
 
     bool ok() const { return !failed; }
     /** True when every byte was consumed (trailing garbage check). */
     bool exhausted() const { return ok() && pos == n; }
+    /** Bytes not yet consumed. */
+    std::size_t left() const { return n - pos; }
+    /** Refuse the input: the reader fails as on a short read. */
+    void fail() { failed = true; }
 
   private:
     bool take(std::size_t count, const std::uint8_t **out);

@@ -12,27 +12,6 @@
 namespace tg {
 namespace serve {
 
-namespace {
-
-using bytes::ByteReader;
-using bytes::ByteWriter;
-
-/** Cap on list element counts inside serve messages. */
-constexpr std::uint64_t kMaxListLen = 1ull << 24;
-
-void writeOpts(ByteWriter &w, std::uint8_t timeSeries,
-               std::uint8_t heatmap, std::uint8_t noiseTrace,
-               std::int64_t trackVr, std::int64_t noiseSamplesOverride)
-{
-    w.u8(timeSeries);
-    w.u8(heatmap);
-    w.u8(noiseTrace);
-    w.i64(trackVr);
-    w.i64(noiseSamplesOverride);
-}
-
-} // namespace
-
 bool doneStatusValid(std::uint8_t s)
 {
     return s <= static_cast<std::uint8_t>(DoneStatus::DeadlineExpired);
@@ -108,135 +87,52 @@ bool placeCell(const std::vector<std::uint8_t> &payload,
 
 std::vector<std::uint8_t> encodeRun(const RunMsg &m)
 {
-    ByteWriter w;
-    w.blob(m.setup);
-    w.str(m.benchmark);
-    w.u32(m.policy);
-    writeOpts(w, m.timeSeries, m.heatmap, m.noiseTrace, m.trackVr,
-              m.noiseSamplesOverride);
-    w.u64(m.deadlineMs);
-    return w.take();
+    return fields::encode(m, kRunMsgFields);
 }
 
 bool decodeRun(const std::vector<std::uint8_t> &p, RunMsg &out)
 {
-    ByteReader r(p.data(), p.size());
-    if (!r.blob(out.setup))
-        return false;
-    out.benchmark = r.str();
-    out.policy = r.u32();
-    out.timeSeries = r.u8();
-    out.heatmap = r.u8();
-    out.noiseTrace = r.u8();
-    out.trackVr = r.i64();
-    out.noiseSamplesOverride = r.i64();
-    out.deadlineMs = r.u64();
-    return r.exhausted();
+    return fields::decode(p, out, kRunMsgFields);
 }
 
 std::vector<std::uint8_t> encodeSweep(const SweepMsg &m)
 {
-    ByteWriter w;
-    w.blob(m.setup);
-    w.u64(m.benchmarks.size());
-    for (const auto &b : m.benchmarks)
-        w.str(b);
-    w.u64(m.policies.size());
-    for (auto pk : m.policies)
-        w.u32(pk);
-    w.u64(m.cells.size());
-    for (auto c : m.cells)
-        w.u64(c);
-    w.u32(m.jobs);
-    writeOpts(w, m.timeSeries, m.heatmap, m.noiseTrace, m.trackVr,
-              m.noiseSamplesOverride);
-    w.u64(m.deadlineMs);
-    return w.take();
+    return fields::encode(m, kSweepMsgFields);
 }
 
 bool decodeSweep(const std::vector<std::uint8_t> &p, SweepMsg &out)
 {
-    ByteReader r(p.data(), p.size());
-    if (!r.blob(out.setup))
-        return false;
-    const std::uint64_t nb = r.u64();
-    if (!r.ok() || nb > kMaxListLen)
-        return false;
-    out.benchmarks.resize(static_cast<std::size_t>(nb));
-    for (auto &b : out.benchmarks)
-        b = r.str();
-    const std::uint64_t np = r.u64();
-    if (!r.ok() || np > kMaxListLen)
-        return false;
-    out.policies.resize(static_cast<std::size_t>(np));
-    for (auto &pk : out.policies)
-        pk = r.u32();
-    const std::uint64_t nc = r.u64();
-    if (!r.ok() || nc > kMaxListLen)
-        return false;
-    out.cells.resize(static_cast<std::size_t>(nc));
-    for (auto &c : out.cells)
-        c = r.u64();
-    out.jobs = r.u32();
-    out.timeSeries = r.u8();
-    out.heatmap = r.u8();
-    out.noiseTrace = r.u8();
-    out.trackVr = r.i64();
-    out.noiseSamplesOverride = r.i64();
-    out.deadlineMs = r.u64();
-    return r.exhausted();
+    return fields::decode(p, out, kSweepMsgFields);
 }
 
 std::vector<std::uint8_t> encodeCell(const CellMsg &m)
 {
-    ByteWriter w;
-    w.u64(m.cell);
-    w.blob(m.result);
-    return w.take();
+    return fields::encode(m, kCellMsgFields);
 }
 
 bool decodeCell(const std::vector<std::uint8_t> &p, CellMsg &out)
 {
-    ByteReader r(p.data(), p.size());
-    out.cell = r.u64();
-    if (!r.blob(out.result))
-        return false;
-    return r.exhausted();
+    return fields::decode(p, out, kCellMsgFields);
 }
 
 std::vector<std::uint8_t> encodeDone(const DoneMsg &m)
 {
-    ByteWriter w;
-    w.u8(m.ok);
-    w.u8(m.status);
-    w.u64(m.cells);
-    w.str(m.error);
-    w.u64(m.retryAfterMs);
-    return w.take();
+    return fields::encode(m, kDoneMsgFields);
 }
 
 bool decodeDone(const std::vector<std::uint8_t> &p, DoneMsg &out)
 {
-    ByteReader r(p.data(), p.size());
-    out.ok = r.u8();
-    out.status = r.u8();
-    out.cells = r.u64();
-    out.error = r.str();
-    out.retryAfterMs = r.u64();
-    if (!r.exhausted())
-        return false;
     // An unknown status (a newer server?) or an ok/status mismatch is
     // a malformed reply, not something to half-trust.
-    if (!doneStatusValid(out.status))
-        return false;
-    const bool statusOk =
-        out.status == static_cast<std::uint8_t>(DoneStatus::Ok);
-    return (out.ok != 0) == statusOk;
+    return fields::decode(p, out, kDoneMsgFields) &&
+           doneStatusValid(out.status) &&
+           (out.ok != 0) ==
+               (out.status == static_cast<std::uint8_t>(DoneStatus::Ok));
 }
 
 std::vector<std::uint8_t> encodeStatsReply(const StatsReplyMsg &m)
 {
-    ByteWriter w;
+    bytes::ByteWriter w;
     for (const auto &f : kStatsReplyFields)
         w.u64(m.*f.member);
     // ArtifactStore snapshot: kind count first so a reader can reject
@@ -253,7 +149,7 @@ std::vector<std::uint8_t> encodeStatsReply(const StatsReplyMsg &m)
 bool decodeStatsReply(const std::vector<std::uint8_t> &p,
                       StatsReplyMsg &out)
 {
-    ByteReader r(p.data(), p.size());
+    bytes::ByteReader r(p.data(), p.size());
     for (const auto &f : kStatsReplyFields)
         out.*f.member = r.u64();
     if (r.u64() != cache::kArtifactKinds || !r.ok())

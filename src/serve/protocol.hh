@@ -35,6 +35,7 @@
 
 #include "cache/store.hh"
 #include "common/counters.hh"
+#include "common/fields.hh"
 #include "shard/protocol.hh"
 #include "sim/sweep.hh"
 
@@ -63,6 +64,20 @@ struct RunMsg
     std::uint64_t deadlineMs = 0;
 };
 
+/** RunMsg's members in wire order (common/fields.hh). */
+inline constexpr auto kRunMsgFields = std::tuple{
+    fields::field("setup", &RunMsg::setup),
+    fields::field("benchmark", &RunMsg::benchmark),
+    fields::field("policy", &RunMsg::policy),
+    fields::field("timeSeries", &RunMsg::timeSeries),
+    fields::field("heatmap", &RunMsg::heatmap),
+    fields::field("noiseTrace", &RunMsg::noiseTrace),
+    fields::field("trackVr", &RunMsg::trackVr),
+    fields::field("noiseSamplesOverride", &RunMsg::noiseSamplesOverride),
+    fields::field("deadlineMs", &RunMsg::deadlineMs),
+};
+static_assert(fields::covers<RunMsg>(kRunMsgFields));
+
 /**
  * Client -> server: a benchmark x policy sweep (the full grid, or an
  * arbitrary cell subset in the canonical `b * policies.size() + p`
@@ -86,12 +101,37 @@ struct SweepMsg
     std::uint64_t deadlineMs = 0; //!< see RunMsg::deadlineMs
 };
 
+/** Cap on the element count of a sweep's lists. */
+inline constexpr std::uint64_t kMaxListLen = 1ull << 24;
+
+/** SweepMsg's members in wire order (common/fields.hh). */
+inline constexpr auto kSweepMsgFields = std::tuple{
+    fields::field("setup", &SweepMsg::setup),
+    fields::field("benchmarks", &SweepMsg::benchmarks, 0, kMaxListLen),
+    fields::field("policies", &SweepMsg::policies, 0, kMaxListLen),
+    fields::field("cells", &SweepMsg::cells, 0, kMaxListLen),
+    fields::field("jobs", &SweepMsg::jobs),
+    fields::field("timeSeries", &SweepMsg::timeSeries),
+    fields::field("heatmap", &SweepMsg::heatmap),
+    fields::field("noiseTrace", &SweepMsg::noiseTrace),
+    fields::field("trackVr", &SweepMsg::trackVr),
+    fields::field("noiseSamplesOverride", &SweepMsg::noiseSamplesOverride),
+    fields::field("deadlineMs", &SweepMsg::deadlineMs),
+};
+static_assert(fields::covers<SweepMsg>(kSweepMsgFields));
+
 /** Server -> client: one finished cell (cache::encodeRunResult). */
 struct CellMsg
 {
     std::uint64_t cell = 0;
     std::vector<std::uint8_t> result;
 };
+
+inline constexpr auto kCellMsgFields = std::tuple{
+    fields::field("cell", &CellMsg::cell),
+    fields::field("result", &CellMsg::result),
+};
+static_assert(fields::covers<CellMsg>(kCellMsgFields));
 
 /** How a request ended (DoneMsg::status). */
 enum class DoneStatus : std::uint8_t
@@ -121,6 +161,15 @@ struct DoneMsg
     /** With status == Busy: the server's suggested retry delay. */
     std::uint64_t retryAfterMs = 0;
 };
+
+inline constexpr auto kDoneMsgFields = std::tuple{
+    fields::field("ok", &DoneMsg::ok),
+    fields::field("status", &DoneMsg::status),
+    fields::field("cells", &DoneMsg::cells),
+    fields::field("error", &DoneMsg::error),
+    fields::field("retryAfterMs", &DoneMsg::retryAfterMs),
+};
+static_assert(fields::covers<DoneMsg>(kDoneMsgFields));
 
 /**
  * Server -> client: counters snapshot. Request-side counters come

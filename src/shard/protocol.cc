@@ -14,26 +14,8 @@ namespace shard {
 
 namespace {
 
-using bytes::ByteWriter;
-
 constexpr std::size_t kHeaderBytes = 4 + 4 + 8;
 constexpr std::size_t kChecksumBytes = 8;
-
-std::uint64_t readU64At(const std::uint8_t *q)
-{
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(q[i]) << (8 * i);
-    return v;
-}
-
-std::uint32_t readU32At(const std::uint8_t *q)
-{
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(q[i]) << (8 * i);
-    return v;
-}
 
 } // namespace
 
@@ -46,16 +28,12 @@ bool frameTypeValid(std::uint32_t t)
 std::vector<std::uint8_t>
 encodeFrame(FrameType type, const std::vector<std::uint8_t> &payload)
 {
-    ByteWriter w;
+    bytes::ByteWriter w;
     w.u32(kFrameMagic);
     w.u32(static_cast<std::uint32_t>(type));
-    w.u64(payload.size());
-    std::vector<std::uint8_t> out = w.take();
-    out.insert(out.end(), payload.begin(), payload.end());
-    const std::uint64_t sum = bytes::fnv1a(out.data(), out.size());
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<std::uint8_t>(sum >> (8 * i)));
-    return out;
+    w.blob(payload);
+    w.u64(bytes::fnv1a(w.bytes().data(), w.bytes().size()));
+    return w.take();
 }
 
 void FrameParser::feed(const std::uint8_t *data, std::size_t size)
@@ -74,9 +52,10 @@ FrameParser::Status FrameParser::next(Frame &out)
         return Status::NeedMore;
 
     const std::uint8_t *h = buf.data() + start;
-    const std::uint32_t magic = readU32At(h);
-    const std::uint32_t type = readU32At(h + 4);
-    const std::uint64_t len = readU64At(h + 8);
+    bytes::ByteReader header(h, kHeaderBytes);
+    const std::uint32_t magic = header.u32();
+    const std::uint32_t type = header.u32();
+    const std::uint64_t len = header.u64();
     if (magic != kFrameMagic || !frameTypeValid(type) ||
         len > kMaxFramePayload) {
         corruptFlag = true;
@@ -88,7 +67,9 @@ FrameParser::Status FrameParser::next(Frame &out)
         return Status::NeedMore;
 
     const std::uint64_t want =
-        readU64At(h + kHeaderBytes + static_cast<std::size_t>(len));
+        bytes::ByteReader(h + kHeaderBytes + static_cast<std::size_t>(len),
+                          kChecksumBytes)
+            .u64();
     if (bytes::fnv1a(h, kHeaderBytes + static_cast<std::size_t>(len)) !=
         want) {
         corruptFlag = true;

@@ -29,15 +29,16 @@ enum class ChipKind : std::uint32_t
     Mini = 1,   //!< floorplan::buildMiniChip(arg)
 };
 
-/** Cap on a setup's noiseSamples and a request's override: 10x the
- *  paper's 200 windows. */
-constexpr int kMaxNoiseSamples = 2000;
+/** Cap on a setup's noiseSamples and a request's override: the
+ *  noiseSamples range of sim::kSimConfigFields. */
+constexpr int kMaxNoiseSamples = std::get<2>(sim::kSimConfigFields).hi;
+static_assert(std::get<2>(sim::kSimConfigFields).member ==
+              &sim::SimConfig::noiseSamples);
 
 /**
- * Encode (chip, config) as a setup blob. Covers the top-level
- * SimConfig scalars (regulator choice, timing, sampling, batching,
- * seed, cache knobs); the nested parameter structs stay at their
- * defaults.
+ * Encode (chip, config) as a setup blob: the chip header, then the
+ * Wire members of sim::kSimConfigFields (the top-level scalars); the
+ * nested parameter structs stay at their defaults.
  */
 std::vector<std::uint8_t> encodeBasicSetup(ChipKind kind, int chip_arg,
                                            const sim::SimConfig &cfg);
@@ -47,13 +48,9 @@ std::vector<std::uint8_t> encodeBasicSetup(ChipKind kind, int chip_arg,
  * on a malformed blob, on values the Simulation would assert on and
  * on work sizes past 10x the paper's method, so a server turns a bad
  * request into an error reply rather than an abort or a stall.
- * Refused: an unknown chip kind, a mini chip outside 1..64 cores, an
- * unknown regulator choice, a decision interval outside (0, 10 ms],
- * noiseSamples outside [0, kMaxNoiseSamples], noiseCyclesTotal outside
- * [1, 20000], a warm-up outside [0, noiseCyclesTotal),
- * profilingEpochs above 1000 (default 24), a non-finite practical
- * demand margin, a practical headroom outside [0, 65536], and any
- * integer field outside int range.
+ * Refused: an unknown chip kind, a mini chip outside 1..64 cores, a
+ * member outside its kSimConfigFields range (an integer outside int
+ * range included), and a warm-up not shorter than noiseCyclesTotal.
  */
 bool decodeBasicSetup(const std::vector<std::uint8_t> &blob,
                       ChipKind &kind, int &chip_arg,

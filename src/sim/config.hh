@@ -8,8 +8,10 @@
 #define TG_SIM_CONFIG_HH
 
 #include <cstdint>
+#include <limits>
 #include <string>
 
+#include "common/fields.hh"
 #include "pdn/domain_pdn.hh"
 #include "power/model.hh"
 #include "sensors/emergency_predictor.hh"
@@ -121,6 +123,52 @@ struct SimConfig
      *  fault scenario (RecordOptions::faultScenario). */
     sensors::HealthParams healthParams;
 };
+
+/**
+ * SimConfig's members (common/fields.hh). Hashed ones feed
+ * cache::configFingerprint; the others cannot move a result bit. Wire
+ * ones make up shard::encodeBasicSetup's blob, whose decoder refuses
+ * what the Simulation asserts on and work past 10x the paper's method.
+ */
+inline constexpr auto kSimConfigFields = std::tuple{
+    fields::field<fields::Hashed | fields::Wire>(
+        "regulator", &SimConfig::regulator, RegulatorChoice::Fivr,
+        RegulatorChoice::Ldo),
+    fields::field<fields::Hashed | fields::Wire>(
+        "decisionInterval", &SimConfig::decisionInterval,
+        std::numeric_limits<double>::denorm_min(), 10e-3),
+    fields::field<fields::Hashed | fields::Wire>(
+        "noiseSamples", &SimConfig::noiseSamples, 0, 2000),
+    fields::field<fields::Hashed | fields::Wire>(
+        "noiseCyclesTotal", &SimConfig::noiseCyclesTotal, 1, 20000),
+    fields::field<fields::Hashed | fields::Wire>(
+        "noiseWarmupCycles", &SimConfig::noiseWarmupCycles, 0, 20000),
+    fields::field("noiseBatchWidth", &SimConfig::noiseBatchWidth),
+    fields::field<fields::Hashed | fields::Wire>(
+        "profilingEpochs", &SimConfig::profilingEpochs,
+        std::numeric_limits<int>::min(), 1000),
+    fields::field<fields::Hashed | fields::Wire>(
+        "practicalDemandMargin", &SimConfig::practicalDemandMargin,
+        std::numeric_limits<double>::lowest(),
+        std::numeric_limits<double>::max()),
+    // Headroom past a domain's regulator count already means all of
+    // them; the cap keeps `requiredActive + headroom` from overflowing.
+    fields::field<fields::Hashed | fields::Wire>(
+        "practicalHeadroomVrs", &SimConfig::practicalHeadroomVrs, 0,
+        1 << 16),
+    fields::field<fields::Hashed | fields::Wire>("seed", &SimConfig::seed),
+    fields::field<0>("jobs", &SimConfig::jobs),
+    fields::field("cacheDir", &SimConfig::cacheDir),
+    fields::field("memoizeResults", &SimConfig::memoizeResults),
+    fields::field<fields::Hashed>("thermalParams", &SimConfig::thermalParams),
+    fields::field<fields::Hashed>("powerParams", &SimConfig::powerParams),
+    fields::field<fields::Hashed>("pdnParams", &SimConfig::pdnParams),
+    fields::field<fields::Hashed>("sensorParams", &SimConfig::sensorParams),
+    fields::field<fields::Hashed>("predictorParams",
+                                  &SimConfig::predictorParams),
+    fields::field<fields::Hashed>("healthParams", &SimConfig::healthParams),
+};
+static_assert(fields::covers<SimConfig>(kSimConfigFields));
 
 } // namespace sim
 } // namespace tg

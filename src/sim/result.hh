@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.hh"
 #include "common/units.hh"
 #include "core/policy.hh"
 
@@ -90,6 +91,33 @@ struct ResilienceStats
     long emergencyCyclesClean = 0;
 };
 
+/** ResilienceStats' members in wire order (common/fields.hh). */
+inline constexpr auto kResilienceStatsFields = std::tuple{
+    fields::field("scheduledFaults", &ResilienceStats::scheduledFaults),
+    fields::field("faultedEpochs", &ResilienceStats::faultedEpochs),
+    fields::field("degradedDecisions", &ResilienceStats::degradedDecisions),
+    fields::field("floorEngagements", &ResilienceStats::floorEngagements),
+    fields::field("underSuppliedDecisions",
+                  &ResilienceStats::underSuppliedDecisions),
+    fields::field("quarantineEvents", &ResilienceStats::quarantineEvents),
+    fields::field("quarantinedEpochs", &ResilienceStats::quarantinedEpochs),
+    fields::field("peakQuarantined", &ResilienceStats::peakQuarantined),
+    fields::field("detectionLatency", &ResilienceStats::detectionLatency),
+    fields::field("alertsSuppressed", &ResilienceStats::alertsSuppressed),
+    fields::field("alertsInjected", &ResilienceStats::alertsInjected),
+    fields::field("emergencyCyclesFaulted",
+                  &ResilienceStats::emergencyCyclesFaulted),
+    fields::field("emergencyCyclesClean",
+                  &ResilienceStats::emergencyCyclesClean),
+};
+static_assert(fields::covers<ResilienceStats>(kResilienceStatsFields));
+
+/** The list a RunResult's nested stats are walked through. */
+constexpr const auto &fieldsOf(const ResilienceStats &)
+{
+    return kResilienceStatsFields;
+}
+
 /** Everything one simulated (benchmark, policy) run produces. */
 struct RunResult
 {
@@ -140,6 +168,40 @@ struct RunResult
      *  (and detectionLatency = -1) on a clean run. */
     ResilienceStats resilience;
 };
+
+/** RunResult's members in cache::encodeRunResult's wire order. */
+inline constexpr auto kRunResultFields = std::tuple{
+    fields::field("benchmark", &RunResult::benchmark),
+    fields::field("policy", &RunResult::policy, core::PolicyKind::OffChip,
+                  core::PolicyKind::PracVT),
+    fields::field("maxTmax", &RunResult::maxTmax),
+    fields::field("hottestSpot", &RunResult::hottestSpot),
+    fields::field("maxGradient", &RunResult::maxGradient),
+    fields::field("maxNoiseFrac", &RunResult::maxNoiseFrac),
+    fields::field("emergencyFrac", &RunResult::emergencyFrac),
+    fields::field("avgRegulatorLoss", &RunResult::avgRegulatorLoss),
+    fields::field("avgEta", &RunResult::avgEta),
+    fields::field("avgActiveVrs", &RunResult::avgActiveVrs),
+    fields::field("meanPower", &RunResult::meanPower),
+    fields::field("overrideCount", &RunResult::overrideCount),
+    fields::field("timeUs", &RunResult::timeUs),
+    fields::field("totalPowerW", &RunResult::totalPowerW),
+    fields::field("activeVrs", &RunResult::activeVrs),
+    fields::field("trackedVrTemp", &RunResult::trackedVrTemp),
+    fields::field("trackedVrOn", &RunResult::trackedVrOn),
+    fields::field("heatmap", &RunResult::heatmap),
+    fields::field("heatmapW", &RunResult::heatmapW),
+    fields::field("heatmapH", &RunResult::heatmapH),
+    fields::field("heatmapTimeUs", &RunResult::heatmapTimeUs),
+    fields::field("noiseTrace", &RunResult::noiseTrace),
+    fields::field("noiseTraceDomain", &RunResult::noiseTraceDomain),
+    fields::field("noiseTraceTimeUs", &RunResult::noiseTraceTimeUs),
+    fields::field("vrActivity", &RunResult::vrActivity),
+    fields::field("vrAging", &RunResult::vrAging),
+    fields::field("agingImbalance", &RunResult::agingImbalance),
+    fields::field("resilience", &RunResult::resilience),
+};
+static_assert(fields::covers<RunResult>(kRunResultFields));
 
 } // namespace sim
 } // namespace tg

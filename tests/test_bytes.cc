@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/bytes.hh"
+#include "common/fields.hh"
 
 namespace tg {
 namespace bytes {
@@ -37,8 +38,8 @@ TEST(Bytes, ZeroLengthBlobAndVectorsRoundTrip)
 {
     ByteWriter w;
     w.blob({});
-    w.f64vec({});
-    w.i32vec({});
+    fields::put(w, std::vector<double>{});
+    fields::put(w, std::vector<int>{});
     const std::vector<std::uint8_t> buf = w.take();
 
     ByteReader r(buf.data(), buf.size());
@@ -46,10 +47,10 @@ TEST(Bytes, ZeroLengthBlobAndVectorsRoundTrip)
     EXPECT_TRUE(r.blob(blob));
     EXPECT_TRUE(blob.empty()); // previous contents replaced
     std::vector<double> dv{1.0};
-    EXPECT_TRUE(r.f64vec(dv));
+    EXPECT_TRUE(fields::get(r, dv));
     EXPECT_TRUE(dv.empty());
     std::vector<int> iv{7};
-    EXPECT_TRUE(r.i32vec(iv));
+    EXPECT_TRUE(fields::get(r, iv));
     EXPECT_TRUE(iv.empty());
     EXPECT_TRUE(r.exhausted());
 }
@@ -111,7 +112,7 @@ TEST(Bytes, VectorLengthOverflowCannotPassBoundsCheck)
         lengthPrefixOnly(~0ull / 2);
     ByteReader r(huge.data(), huge.size());
     std::vector<double> out;
-    EXPECT_FALSE(r.f64vec(out));
+    EXPECT_FALSE(fields::get(r, out));
     EXPECT_FALSE(r.ok());
 }
 

@@ -21,6 +21,7 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 
 #ifdef __unix__
 #include <unistd.h>
@@ -31,8 +32,10 @@
 #include "cache/serialize.hh"
 #include "cache/store.hh"
 #include "common/bytes.hh"
+#include "common/fields.hh"
 #include "fault/scenario.hh"
 #include "floorplan/power8.hh"
+#include "run_fixtures.hh"
 #include "sim/simulation.hh"
 #include "workload/profile.hh"
 
@@ -120,38 +123,117 @@ TEST(Fingerprint, TypeTagsAndBoundariesDoNotAlias)
               Hasher{}.f64(-0.0).digest());
 }
 
+/** Moves a config member of any listed kind off its value. */
+template <class T>
+void perturb(T &v)
+{
+    if constexpr (std::is_enum_v<T>)
+        v = static_cast<T>(static_cast<int>(v) + 1);
+    else if constexpr (std::is_floating_point_v<T>)
+        v = v * 1.5 + 0.25;
+    else
+        v += 1;
+}
+
+/** Perturbs each given member of one parameter struct in turn and
+ *  expects the config key to move every time; returns how many. */
+template <class P, class... T>
+std::size_t expectEachMovesTheKey(const char *group,
+                                  P sim::SimConfig::*params,
+                                  T P::*...members)
+{
+    const sim::SimConfig base;
+    const Fingerprint ref = configFingerprint(base);
+    int i = 0;
+    (
+        [&] {
+            sim::SimConfig c = base;
+            perturb(c.*params.*members);
+            EXPECT_NE(configFingerprint(c), ref)
+                << group << " member " << i;
+            ++i;
+        }(),
+        ...);
+    return sizeof...(members);
+}
+
 TEST(Fingerprint, ConfigFieldsChangeTheKey)
 {
-    sim::SimConfig base;
+    // Every bit-visible member moves the key: the Hashed scalars of
+    // kSimConfigFields, and each parameter struct's members.
+    // BitInvisibleKnobsDoNotChangeTheKey covers the other five.
+    const sim::SimConfig base;
     const Fingerprint ref = configFingerprint(base);
+    std::size_t moved = 0;
+    fields::forEach(sim::kSimConfigFields, [&]<class E>(const E &e) {
+        using T = std::remove_cvref_t<decltype(base.*e.member)>;
+        if constexpr ((E::flags & fields::Hashed) != 0 &&
+                      std::is_scalar_v<T>) {
+            sim::SimConfig c = base;
+            perturb(c.*e.member);
+            EXPECT_NE(configFingerprint(c), ref) << e.name;
+            ++moved;
+        }
+    });
+    EXPECT_EQ(moved, 9u);
 
-    sim::SimConfig c = base;
-    c.seed = base.seed + 1;
-    EXPECT_NE(configFingerprint(c), ref);
-
-    c = base;
-    c.noiseSamples += 1;
-    EXPECT_NE(configFingerprint(c), ref);
-
-    c = base;
-    c.decisionInterval *= 2.0;
-    EXPECT_NE(configFingerprint(c), ref);
-
-    c = base;
-    c.thermalParams.ambient += 1.0;
-    EXPECT_NE(configFingerprint(c), ref);
-
-    c = base;
-    c.powerParams.densityExu *= 1.01;
-    EXPECT_NE(configFingerprint(c), ref);
-
-    c = base;
-    c.pdnParams.emergencyFrac *= 0.5;
-    EXPECT_NE(configFingerprint(c), ref);
-
-    c = base;
-    c.healthParams.readmitReads += 1;
-    EXPECT_NE(configFingerprint(c), ref);
+    using thermal::ThermalParams;
+    EXPECT_EQ(
+        expectEachMovesTheKey(
+            "thermalParams", &sim::SimConfig::thermalParams,
+            &ThermalParams::gridW, &ThermalParams::gridH,
+            &ThermalParams::spreaderN, &ThermalParams::dieThickness,
+            &ThermalParams::kSilicon, &ThermalParams::cvSilicon,
+            &ThermalParams::timThickness, &ThermalParams::kTim,
+            &ThermalParams::spreaderThickness, &ThermalParams::kCopper,
+            &ThermalParams::cvCopper, &ThermalParams::spreaderSide,
+            &ThermalParams::rConvection,
+            &ThermalParams::vrCouplingResistance, &ThermalParams::ambient,
+            &ThermalParams::step),
+        fields::memberCount<ThermalParams>());
+    using power::PowerParams;
+    EXPECT_EQ(
+        expectEachMovesTheKey(
+            "powerParams", &sim::SimConfig::powerParams,
+            &PowerParams::densityIfu, &PowerParams::densityIsu,
+            &PowerParams::densityExu, &PowerParams::densityLsu,
+            &PowerParams::densityL2, &PowerParams::densityL3,
+            &PowerParams::densityNoc, &PowerParams::densityMc,
+            &PowerParams::staticShareAt80C, &PowerParams::leakageCalibTemp,
+            &PowerParams::leakageDoubling, &PowerParams::logicLeakageBoost,
+            &PowerParams::memoryLeakageDerate),
+        fields::memberCount<PowerParams>());
+    // factorCacheCapacity is the bit-invisible one.
+    using pdn::PdnParams;
+    EXPECT_EQ(expectEachMovesTheKey(
+                  "pdnParams", &sim::SimConfig::pdnParams,
+                  &PdnParams::nodePitch, &PdnParams::sheetResistance,
+                  &PdnParams::decapPerMm2, &PdnParams::gridInductancePerM,
+                  &PdnParams::cycleTime, &PdnParams::emergencyFrac) +
+                  1,
+              fields::memberCount<PdnParams>());
+    using sensors::SensorParams;
+    EXPECT_EQ(expectEachMovesTheKey(
+                  "sensorParams", &sim::SimConfig::sensorParams,
+                  &SensorParams::delay, &SensorParams::quantization,
+                  &SensorParams::noiseSigma),
+              fields::memberCount<SensorParams>());
+    using sensors::PredictorParams;
+    EXPECT_EQ(expectEachMovesTheKey(
+                  "predictorParams", &sim::SimConfig::predictorParams,
+                  &PredictorParams::sensitivity,
+                  &PredictorParams::falseAlarmRate),
+              fields::memberCount<PredictorParams>());
+    using sensors::HealthParams;
+    EXPECT_EQ(
+        expectEachMovesTheKey(
+            "healthParams", &sim::SimConfig::healthParams,
+            &HealthParams::minPlausible, &HealthParams::maxPlausible,
+            &HealthParams::maxStep, &HealthParams::freezeEps,
+            &HealthParams::freezeReads, &HealthParams::freezeNeighbourMove,
+            &HealthParams::neighbourTolerance,
+            &HealthParams::readmitTolerance, &HealthParams::readmitReads),
+        fields::memberCount<HealthParams>());
 }
 
 TEST(Fingerprint, BitInvisibleKnobsDoNotChangeTheKey)
@@ -480,77 +562,20 @@ denseResult()
     return r;
 }
 
-void
-expectFullyIdentical(const sim::RunResult &a, const sim::RunResult &b)
-{
-    EXPECT_EQ(a.benchmark, b.benchmark);
-    EXPECT_EQ(a.policy, b.policy);
-    EXPECT_EQ(a.maxTmax, b.maxTmax);
-    EXPECT_EQ(a.hottestSpot, b.hottestSpot);
-    EXPECT_EQ(a.maxGradient, b.maxGradient);
-    EXPECT_EQ(a.maxNoiseFrac, b.maxNoiseFrac);
-    EXPECT_EQ(a.emergencyFrac, b.emergencyFrac);
-    EXPECT_EQ(a.avgRegulatorLoss, b.avgRegulatorLoss);
-    EXPECT_EQ(a.avgEta, b.avgEta);
-    EXPECT_EQ(a.avgActiveVrs, b.avgActiveVrs);
-    EXPECT_EQ(a.meanPower, b.meanPower);
-    EXPECT_EQ(a.overrideCount, b.overrideCount);
-    EXPECT_EQ(a.timeUs, b.timeUs);
-    EXPECT_EQ(a.totalPowerW, b.totalPowerW);
-    EXPECT_EQ(a.activeVrs, b.activeVrs);
-    EXPECT_EQ(a.trackedVrTemp, b.trackedVrTemp);
-    EXPECT_EQ(a.trackedVrOn, b.trackedVrOn);
-    EXPECT_EQ(a.heatmap, b.heatmap);
-    EXPECT_EQ(a.heatmapW, b.heatmapW);
-    EXPECT_EQ(a.heatmapH, b.heatmapH);
-    EXPECT_EQ(a.heatmapTimeUs, b.heatmapTimeUs);
-    EXPECT_EQ(a.noiseTrace, b.noiseTrace);
-    EXPECT_EQ(a.noiseTraceDomain, b.noiseTraceDomain);
-    EXPECT_EQ(a.noiseTraceTimeUs, b.noiseTraceTimeUs);
-    EXPECT_EQ(a.vrActivity, b.vrActivity);
-    EXPECT_EQ(a.vrAging, b.vrAging);
-    EXPECT_EQ(a.agingImbalance, b.agingImbalance);
-    EXPECT_EQ(a.resilience.scheduledFaults,
-              b.resilience.scheduledFaults);
-    EXPECT_EQ(a.resilience.faultedEpochs, b.resilience.faultedEpochs);
-    EXPECT_EQ(a.resilience.degradedDecisions,
-              b.resilience.degradedDecisions);
-    EXPECT_EQ(a.resilience.floorEngagements,
-              b.resilience.floorEngagements);
-    EXPECT_EQ(a.resilience.underSuppliedDecisions,
-              b.resilience.underSuppliedDecisions);
-    EXPECT_EQ(a.resilience.quarantineEvents,
-              b.resilience.quarantineEvents);
-    EXPECT_EQ(a.resilience.quarantinedEpochs,
-              b.resilience.quarantinedEpochs);
-    EXPECT_EQ(a.resilience.peakQuarantined,
-              b.resilience.peakQuarantined);
-    EXPECT_EQ(a.resilience.detectionLatency,
-              b.resilience.detectionLatency);
-    EXPECT_EQ(a.resilience.alertsSuppressed,
-              b.resilience.alertsSuppressed);
-    EXPECT_EQ(a.resilience.alertsInjected,
-              b.resilience.alertsInjected);
-    EXPECT_EQ(a.resilience.emergencyCyclesFaulted,
-              b.resilience.emergencyCyclesFaulted);
-    EXPECT_EQ(a.resilience.emergencyCyclesClean,
-              b.resilience.emergencyCyclesClean);
-}
-
 TEST(Serialize, RunResultRoundTripsBitExactly)
 {
     const sim::RunResult r = denseResult();
     auto bytes = encodeRunResult(r);
     sim::RunResult back;
     ASSERT_TRUE(decodeRunResult(bytes.data(), bytes.size(), back));
-    expectFullyIdentical(r, back);
+    EXPECT_EQ(sim::firstDifference(r, back), "");
 
     // Default-constructed (empty-series) result round-trips too.
     sim::RunResult empty;
     auto ebytes = encodeRunResult(empty);
     sim::RunResult eback;
     ASSERT_TRUE(decodeRunResult(ebytes.data(), ebytes.size(), eback));
-    expectFullyIdentical(empty, eback);
+    EXPECT_EQ(sim::firstDifference(empty, eback), "");
 }
 
 TEST(Serialize, TruncationAndTrailingGarbageAreRejected)
@@ -619,7 +644,7 @@ TEST_F(DiskTierTest, SaveEvictReloadRoundTripsBitExactly)
     ASSERT_TRUE(tier.load(ArtifactKind::RunResult, key, payload));
     sim::RunResult back;
     ASSERT_TRUE(decodeRunResult(payload.data(), payload.size(), back));
-    expectFullyIdentical(r, back);
+    EXPECT_EQ(sim::firstDifference(r, back), "");
 
     auto st = stats->stats();
     EXPECT_EQ(st.diskWrites, 1u);
@@ -754,7 +779,7 @@ TEST_F(CacheDeterminism, MemoHitEqualsRecomputeAcrossJobCounts)
         sim::Simulation s(chip, cfg);
         auto got = s.run(workload::profileByName("fft"),
                          core::PolicyKind::PracVT);
-        expectFullyIdentical(want, got);
+        EXPECT_EQ(sim::firstDifference(want, got), "");
     }
     // The second loop iteration must have been served by the memo.
     auto st = store().stats();
@@ -780,7 +805,7 @@ TEST_F(CacheDeterminism, DiskTierSurvivesMemoryEviction)
     sim::Simulation warm(chip, cfg);
     auto got = warm.run(workload::profileByName("rayt"),
                         core::PolicyKind::OracVT);
-    expectFullyIdentical(want, got);
+    EXPECT_EQ(sim::firstDifference(want, got), "");
     EXPECT_GT(store().stats().diskHits, disk_hits_before);
 }
 
@@ -808,7 +833,7 @@ TEST_F(CacheDeterminism, CorruptDiskArtifactFallsBackToRecompute)
     sim::Simulation retry(chip, cfg);
     auto got = retry.run(workload::profileByName("fft"),
                          core::PolicyKind::AllOn);
-    expectFullyIdentical(want, got);
+    EXPECT_EQ(sim::firstDifference(want, got), "");
     EXPECT_GT(store().stats().diskRejects, rejects_before);
 }
 
@@ -829,7 +854,7 @@ TEST_F(CacheDeterminism, MemoizationOffStillMatchesAndDoesNotWrite)
     sim::Simulation b(chip, cfg); // prebuild caches hit here
     auto r2 = b.run(workload::profileByName("fft"),
                     core::PolicyKind::PracVT);
-    expectFullyIdentical(r1, r2);
+    EXPECT_EQ(sim::firstDifference(r1, r2), "");
 }
 
 } // namespace

@@ -19,6 +19,7 @@
 
 #include "fault/scenario.hh"
 #include "floorplan/power8.hh"
+#include "run_fixtures.hh"
 #include "sim/simulation.hh"
 #include "workload/profile.hh"
 
@@ -35,52 +36,6 @@ miniConfig(int jobs, int width = 4)
     cfg.jobs = jobs;
     cfg.noiseBatchWidth = width;
     return cfg;
-}
-
-void
-expectSameRun(const RunResult &a, const RunResult &b)
-{
-    EXPECT_EQ(a.benchmark, b.benchmark);
-    EXPECT_EQ(a.policy, b.policy);
-    EXPECT_EQ(a.maxTmax, b.maxTmax);
-    EXPECT_EQ(a.hottestSpot, b.hottestSpot);
-    EXPECT_EQ(a.maxGradient, b.maxGradient);
-    EXPECT_EQ(a.maxNoiseFrac, b.maxNoiseFrac);
-    EXPECT_EQ(a.emergencyFrac, b.emergencyFrac);
-    EXPECT_EQ(a.avgRegulatorLoss, b.avgRegulatorLoss);
-    EXPECT_EQ(a.avgEta, b.avgEta);
-    EXPECT_EQ(a.avgActiveVrs, b.avgActiveVrs);
-    EXPECT_EQ(a.meanPower, b.meanPower);
-    EXPECT_EQ(a.overrideCount, b.overrideCount);
-    EXPECT_EQ(a.agingImbalance, b.agingImbalance);
-    EXPECT_EQ(a.vrActivity, b.vrActivity);
-    EXPECT_EQ(a.vrAging, b.vrAging);
-
-    EXPECT_EQ(a.resilience.scheduledFaults,
-              b.resilience.scheduledFaults);
-    EXPECT_EQ(a.resilience.faultedEpochs, b.resilience.faultedEpochs);
-    EXPECT_EQ(a.resilience.degradedDecisions,
-              b.resilience.degradedDecisions);
-    EXPECT_EQ(a.resilience.floorEngagements,
-              b.resilience.floorEngagements);
-    EXPECT_EQ(a.resilience.underSuppliedDecisions,
-              b.resilience.underSuppliedDecisions);
-    EXPECT_EQ(a.resilience.quarantineEvents,
-              b.resilience.quarantineEvents);
-    EXPECT_EQ(a.resilience.quarantinedEpochs,
-              b.resilience.quarantinedEpochs);
-    EXPECT_EQ(a.resilience.peakQuarantined,
-              b.resilience.peakQuarantined);
-    EXPECT_EQ(a.resilience.detectionLatency,
-              b.resilience.detectionLatency);
-    EXPECT_EQ(a.resilience.alertsSuppressed,
-              b.resilience.alertsSuppressed);
-    EXPECT_EQ(a.resilience.alertsInjected,
-              b.resilience.alertsInjected);
-    EXPECT_EQ(a.resilience.emergencyCyclesFaulted,
-              b.resilience.emergencyCyclesFaulted);
-    EXPECT_EQ(a.resilience.emergencyCyclesClean,
-              b.resilience.emergencyCyclesClean);
 }
 
 /** A bit of everything, sized for the 2-core mini chip. */
@@ -131,7 +86,7 @@ TEST(FaultDeterminism, EmptyScenarioBitIdenticalToCleanRun)
             opts.faultScenario = &empty;
             auto faulted =
                 s.run(profile, core::PolicyKind::PracVT, opts);
-            expectSameRun(clean, faulted);
+            EXPECT_EQ(firstDifference(clean, faulted), "");
             EXPECT_EQ(faulted.resilience.scheduledFaults, 0);
             EXPECT_EQ(faulted.resilience.faultedEpochs, 0);
             EXPECT_EQ(faulted.resilience.detectionLatency, -1.0);
@@ -162,7 +117,7 @@ TEST(FaultDeterminism, FaultedRunBitIdenticalAcrossJobsAndWidth)
                     ref = r;
                     have_ref = true;
                 } else {
-                    expectSameRun(ref, r);
+                    EXPECT_EQ(firstDifference(ref, r), "");
                 }
             }
         }
@@ -190,7 +145,7 @@ TEST(FaultDeterminism, RepeatedFaultedRunsOnOneInstanceBitIdentical)
     auto a = s.run(profile, core::PolicyKind::PracVT, opts);
     s.run(profile, core::PolicyKind::PracVT);  // interleaved clean run
     auto b = s.run(profile, core::PolicyKind::PracVT, opts);
-    expectSameRun(a, b);
+    EXPECT_EQ(firstDifference(a, b), "");
 }
 
 TEST(FaultRun, KilledVrLeavesTheActiveSetWithinOneInterval)

@@ -120,26 +120,6 @@ miniConfig(int jobs)
     return cfg;
 }
 
-void
-expectIdentical(const RunResult &a, const RunResult &b)
-{
-    EXPECT_EQ(a.benchmark, b.benchmark);
-    EXPECT_EQ(a.policy, b.policy);
-    EXPECT_EQ(a.maxTmax, b.maxTmax);
-    EXPECT_EQ(a.hottestSpot, b.hottestSpot);
-    EXPECT_EQ(a.maxGradient, b.maxGradient);
-    EXPECT_EQ(a.maxNoiseFrac, b.maxNoiseFrac);
-    EXPECT_EQ(a.emergencyFrac, b.emergencyFrac);
-    EXPECT_EQ(a.avgRegulatorLoss, b.avgRegulatorLoss);
-    EXPECT_EQ(a.avgEta, b.avgEta);
-    EXPECT_EQ(a.avgActiveVrs, b.avgActiveVrs);
-    EXPECT_EQ(a.meanPower, b.meanPower);
-    EXPECT_EQ(a.overrideCount, b.overrideCount);
-    EXPECT_EQ(a.agingImbalance, b.agingImbalance);
-    EXPECT_EQ(a.vrActivity, b.vrActivity);
-    EXPECT_EQ(a.vrAging, b.vrAging);
-}
-
 TEST(RunDeterminism, SerialAndPooledNoiseWindowsBitIdentical)
 {
     // jobs=1 evaluates every domain's noise window inline; jobs=4
@@ -155,7 +135,7 @@ TEST(RunDeterminism, SerialAndPooledNoiseWindowsBitIdentical)
           core::PolicyKind::PracVT}) {
         auto a = serial.run(workload::profileByName("fft"), policy);
         auto b = pooled.run(workload::profileByName("fft"), policy);
-        expectIdentical(a, b);
+        EXPECT_EQ(firstDifference(a, b), "");
     }
 }
 
@@ -185,7 +165,7 @@ TEST(RunDeterminism, BatchWidthSweepBitIdenticalAcrossJobs)
                     ref = r;
                     have_ref = true;
                 } else {
-                    expectIdentical(ref, r);
+                    EXPECT_EQ(firstDifference(ref, r), "");
                 }
             }
         }
@@ -343,7 +323,10 @@ TEST(RunDeterminism, OverriddenRunDigestsMatchSerialDecide)
     // not others. These digests were recorded with every domain decided
     // one after another (truth check inside each domain's decision);
     // the propose/verify/commit split must reproduce them serially
-    // and with verify on the pool.
+    // and with verify on the pool, at every batch width. The fft run
+    // is 6 epochs, so 24 samples are 4 windows per epoch and never
+    // fill a width-8 truth chunk; the 60-sample runs (10 per epoch)
+    // do.
     struct Golden
     {
         const char *name;
@@ -356,45 +339,57 @@ TEST(RunDeterminism, OverriddenRunDigestsMatchSerialDecide)
         {"fft/OracVT/faulted", 0x120e9bf28bb1c0c6ull, 10},
         {"fft/PracVT/faulted", 0x0a14a8d2b1f8ee46ull, 6},
         {"fft+water_s/OracVT", 0x09a3385e1beed80aull, 12},
+        {"fft/OracVT/60", 0x767e3086d35db25bull, 12},
+        {"fft/PracVT/60", 0x545f5f9545868f7eull, 10},
     };
 
     auto chip = floorplan::buildMiniChip(2);
     const auto &fft = workload::profileByName("fft");
     const auto scenario = mixedFaultScenario(
         static_cast<int>(chip.plan.vrs().size()));
+    const auto vtPolicies = {core::PolicyKind::OracVT,
+                             core::PolicyKind::PracVT};
     for (int jobs : {1, 4}) {
-        SimConfig cfg = miniConfig(jobs);
-        cfg.noiseSamples = 24;
-        cfg.pdnParams.emergencyFrac = 0.05;
-        Simulation s(chip, cfg);
-        std::vector<std::pair<std::string, RunResult>> runs;
-        for (auto policy :
-             {core::PolicyKind::OracVT, core::PolicyKind::PracVT})
+        for (int width : {1, 2, 4, 8}) {
+            SimConfig cfg = miniConfig(jobs);
+            cfg.noiseSamples = 24;
+            cfg.noiseBatchWidth = width;
+            cfg.pdnParams.emergencyFrac = 0.05;
+            Simulation s(chip, cfg);
+            std::vector<std::pair<std::string, RunResult>> runs;
+            for (auto policy : vtPolicies)
+                runs.emplace_back(
+                    std::string("fft/") + core::policyName(policy),
+                    s.run(fft, policy));
+            RecordOptions faulted;
+            faulted.faultScenario = &scenario;
+            for (auto policy : vtPolicies)
+                runs.emplace_back(std::string("fft/") +
+                                      core::policyName(policy) +
+                                      "/faulted",
+                                  s.run(fft, policy, faulted));
             runs.emplace_back(
-                std::string("fft/") + core::policyName(policy),
-                s.run(fft, policy));
-        RecordOptions faulted;
-        faulted.faultScenario = &scenario;
-        for (auto policy :
-             {core::PolicyKind::OracVT, core::PolicyKind::PracVT})
-            runs.emplace_back(std::string("fft/") +
-                                  core::policyName(policy) + "/faulted",
-                              s.run(fft, policy, faulted));
-        runs.emplace_back(
-            "fft+water_s/OracVT",
-            s.runMixed({&fft, &workload::profileByName("water_s")},
-                       "fft+water_s", core::PolicyKind::OracVT));
+                "fft+water_s/OracVT",
+                s.runMixed({&fft, &workload::profileByName("water_s")},
+                           "fft+water_s", core::PolicyKind::OracVT));
+            RecordOptions dense;
+            dense.noiseSamplesOverride = 60;
+            for (auto policy : vtPolicies)
+                runs.emplace_back(std::string("fft/") +
+                                      core::policyName(policy) + "/60",
+                                  s.run(fft, policy, dense));
 
-        ASSERT_EQ(runs.size(), std::size(goldens));
-        for (std::size_t i = 0; i < runs.size(); ++i) {
-            const auto &[name, r] = runs[i];
-            EXPECT_EQ(name, goldens[i].name);
-            EXPECT_EQ(r.overrideCount, goldens[i].overrides)
-                << name << " at jobs " << jobs;
-            const std::uint64_t digest = resultDigest(r);
-            EXPECT_EQ(digest, goldens[i].digest)
-                << name << " at jobs " << jobs << " digest 0x"
-                << std::hex << digest;
+            ASSERT_EQ(runs.size(), std::size(goldens));
+            for (std::size_t i = 0; i < runs.size(); ++i) {
+                const auto &[name, r] = runs[i];
+                EXPECT_EQ(name, goldens[i].name);
+                EXPECT_EQ(r.overrideCount, goldens[i].overrides)
+                    << name << " at jobs " << jobs << " width " << width;
+                const std::uint64_t digest = resultDigest(r);
+                EXPECT_EQ(digest, goldens[i].digest)
+                    << name << " at jobs " << jobs << " width " << width
+                    << " digest 0x" << std::hex << digest;
+            }
         }
     }
 }
@@ -413,10 +408,14 @@ TEST(RunDeterminism, KeepingDroopTracesDoesNotChangeMetrics)
     auto b =
         s.run(workload::profileByName("rayt"),
               core::PolicyKind::OracVT, traced);
-    expectIdentical(a, b);
     EXPECT_TRUE(a.noiseTrace.empty());
     EXPECT_FALSE(b.noiseTrace.empty());
     EXPECT_GE(b.noiseTraceDomain, 0);
+    // Everything but the trace itself matches.
+    b.noiseTrace = a.noiseTrace;
+    b.noiseTraceDomain = a.noiseTraceDomain;
+    b.noiseTraceTimeUs = a.noiseTraceTimeUs;
+    EXPECT_EQ(firstDifference(a, b), "");
 }
 
 TEST(RunDeterminism, RepeatedRunsOnOneInstanceBitIdentical)
@@ -432,7 +431,7 @@ TEST(RunDeterminism, RepeatedRunsOnOneInstanceBitIdentical)
           core::PolicyKind::AllOn);
     auto b = s.run(workload::profileByName("fft"),
                    core::PolicyKind::PracVT);
-    expectIdentical(a, b);
+    EXPECT_EQ(firstDifference(a, b), "");
 }
 
 TEST(AllocationDiscipline, WarmKernelPrimitivesDoNotAllocate)

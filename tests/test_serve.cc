@@ -269,6 +269,50 @@ TEST(ServeProtocol, StatsReplyBytesArePinned)
               0x9a5d152fc205f76cull);
 }
 
+TEST(ServeProtocol, RequestBytesArePinned)
+{
+    // One payload of each request-path message, every member off its
+    // default and distinct from its neighbours: a reordered, dropped
+    // or re-typed member changes the bytes.
+    RunMsg run = sampleRun();
+    run.heatmap = 2;
+    run.noiseTrace = 3;
+    SweepMsg sweep = sampleSweep();
+    sweep.timeSeries = 1;
+    sweep.heatmap = 2;
+    sweep.noiseTrace = 3;
+    sweep.trackVr = 6;
+    sweep.noiseSamplesOverride = 11;
+    CellMsg cell;
+    cell.cell = 42;
+    cell.result = {0xDE, 0xAD, 0xBE, 0xEF, 0x01};
+    DoneMsg done;
+    done.ok = 0;
+    done.status = static_cast<std::uint8_t>(DoneStatus::Busy);
+    done.cells = 7;
+    done.error = "queue full";
+    done.retryAfterMs = 125;
+    struct Pin
+    {
+        const char *name;
+        std::vector<std::uint8_t> wire;
+        std::size_t size;
+        std::uint64_t digest;
+    };
+    const Pin pins[] = {
+        {"run", encodeRun(run), 56u, 0xe1568bd5c946bb31ull},
+        {"sweep", encodeSweep(sweep), 139u, 0xd4e989ddbf2265ffull},
+        {"cell", encodeCell(cell), 21u, 0x6a7f8cf9f9f73f25ull},
+        {"done", encodeDone(done), 36u, 0x0a794e58e80efdfdull},
+    };
+    for (const Pin &p : pins) {
+        EXPECT_EQ(p.wire.size(), p.size) << p.name;
+        EXPECT_EQ(bytes::fnv1a(p.wire.data(), p.wire.size()), p.digest)
+            << p.name << " digest 0x" << std::hex
+            << bytes::fnv1a(p.wire.data(), p.wire.size());
+    }
+}
+
 TEST(ServeProtocol, TruncationIsRejectedAtEveryPrefix)
 {
     const std::vector<std::uint8_t> runBytes =
@@ -314,6 +358,27 @@ TEST(ServeProtocol, AbsurdListLengthIsRejected)
     const std::vector<std::uint8_t> p = w.take();
     SweepMsg out;
     EXPECT_FALSE(decodeSweep(p, out));
+}
+
+TEST(ServeProtocol, ListCountsAreBoundedByPayload)
+{
+    // A list count under the 2^24 cap but above the bytes behind it
+    // is refused before the list is sized: a 16-byte sweep payload
+    // must not cost the daemon's poll thread half a gigabyte.
+    const std::uint64_t claimed = 1ull << 24;
+    for (int list = 0; list < 3; ++list) {
+        bytes::ByteWriter w;
+        w.blob({}); // empty setup blob
+        for (int earlier = 0; earlier < list; ++earlier)
+            w.u64(0); // the lists before this one, empty
+        w.u64(claimed);
+        const std::vector<std::uint8_t> p = w.take();
+        SweepMsg out;
+        EXPECT_FALSE(decodeSweep(p, out)) << "list " << list;
+        EXPECT_LE(out.benchmarks.capacity(), p.size()) << "list " << list;
+        EXPECT_LE(out.policies.capacity(), p.size()) << "list " << list;
+        EXPECT_LE(out.cells.capacity(), p.size()) << "list " << list;
+    }
 }
 
 TEST(ServeProtocol, SocketPathLadder)

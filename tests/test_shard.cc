@@ -380,3 +380,39 @@ TEST(ShardProtocol, SetupDecoderRefusesWhatTheSimulatorAssertsOn)
     sim::SimConfig out;
     EXPECT_FALSE(shard::decodeBasicSetup(p, kind, arg, out));
 }
+
+TEST(ShardProtocol, SetupBlobBytesArePinned)
+{
+    // The default blob, and one with every wire member off its
+    // default, so a reordered, dropped or re-typed member changes the
+    // bytes. A blob is the daemon's warm-context key and travels
+    // between processes: a change here breaks every older client.
+    const std::vector<std::uint8_t> def = shard::encodeBasicSetup(
+        shard::ChipKind::Power8, 0, sim::SimConfig{});
+    EXPECT_EQ(def.size(), 101u);
+    EXPECT_EQ(bytes::fnv1a(def.data(), def.size()), 0x2ed24cd8e9467aadull);
+
+    sim::SimConfig cfg;
+    cfg.regulator = sim::RegulatorChoice::Ldo;
+    cfg.decisionInterval = 2.5e-3;
+    cfg.noiseSamples = 7;
+    cfg.noiseCyclesTotal = 900;
+    cfg.noiseWarmupCycles = 300;
+    cfg.noiseBatchWidth = 8;
+    cfg.profilingEpochs = 5;
+    cfg.practicalDemandMargin = 0.25;
+    cfg.practicalHeadroomVrs = 3;
+    cfg.seed = 0x0123456789abcdefull;
+    cfg.cacheDir = "/var/cache/tg";
+    cfg.memoizeResults = false;
+    const std::vector<std::uint8_t> off =
+        shard::encodeBasicSetup(shard::ChipKind::Mini, 9, cfg);
+    EXPECT_EQ(off.size(), 114u);
+    EXPECT_EQ(bytes::fnv1a(off.data(), off.size()), 0x04e3d5f7ff8f8f8cull);
+
+    shard::ChipKind kind{};
+    int arg = 0;
+    sim::SimConfig back;
+    ASSERT_TRUE(shard::decodeBasicSetup(off, kind, arg, back));
+    EXPECT_EQ(shard::encodeBasicSetup(kind, arg, back), off);
+}
