@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "cache/serialize.hh"
+#include "common/counters.hh"
 #include "serve/client.hh"
 #include "shard/worker.hh"
 #include "sim/sweep.hh"
@@ -79,17 +80,17 @@ void printStats(const serve::StatsReplyMsg &s)
         std::printf("%-19s %llu\n", name,
                     static_cast<unsigned long long>(value));
     };
-    for (const auto &f : serve::kStatsReplyFields)
-        row(f.name, s.*f.member);
-    for (const auto &f : cache::kStoreFields)
-        row(f.name, s.store.*f.member);
+    counters::forEachCounter(s, row);
+    counters::forEachCounter(s.store, row);
     for (int k = 0; k < cache::kArtifactKinds; ++k) {
-        const auto &pk = s.store.kind[static_cast<std::size_t>(k)];
         std::printf("%-11s", cache::artifactKindName(
                                  static_cast<cache::ArtifactKind>(k)));
-        for (const auto &f : cache::kStoreKindFields)
-            std::printf(" %s=%llu", f.name,
-                        static_cast<unsigned long long>(pk.*f.member));
+        counters::forEachCounter(
+            s.store.kind[static_cast<std::size_t>(k)],
+            [](const char *name, std::uint64_t value) {
+                std::printf(" %s=%llu", name,
+                            static_cast<unsigned long long>(value));
+            });
         std::printf("\n");
     }
 }

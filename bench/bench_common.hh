@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/exec.hh"
+#include "common/fields.hh"
 #include "floorplan/power8.hh"
 #include "sim/simulation.hh"
 #include "sim/sweep.hh"
@@ -96,47 +97,8 @@ evaluationSim()
 
 // --- bit-identity checks (determinism-contract assertions) -----------
 
-/** Exact comparison of two vectors of doubles. */
-inline bool
-sameSeries(const std::vector<double> &a, const std::vector<double> &b)
-{
-    return a.size() == b.size() &&
-           std::equal(a.begin(), a.end(), b.begin());
-}
-
-/** Bitwise comparison of every metric two runs report. */
-inline bool
-identicalRuns(const sim::RunResult &a, const sim::RunResult &b,
-              std::string &why)
-{
-    auto fail = [&](const char *field) {
-        why = field;
-        return false;
-    };
-    if (a.benchmark != b.benchmark) return fail("benchmark");
-    if (a.policy != b.policy) return fail("policy");
-    if (a.maxTmax != b.maxTmax) return fail("maxTmax");
-    if (a.hottestSpot != b.hottestSpot) return fail("hottestSpot");
-    if (a.maxGradient != b.maxGradient) return fail("maxGradient");
-    if (a.maxNoiseFrac != b.maxNoiseFrac) return fail("maxNoiseFrac");
-    if (a.emergencyFrac != b.emergencyFrac)
-        return fail("emergencyFrac");
-    if (a.avgRegulatorLoss != b.avgRegulatorLoss)
-        return fail("avgRegulatorLoss");
-    if (a.avgEta != b.avgEta) return fail("avgEta");
-    if (a.avgActiveVrs != b.avgActiveVrs) return fail("avgActiveVrs");
-    if (a.meanPower != b.meanPower) return fail("meanPower");
-    if (a.overrideCount != b.overrideCount)
-        return fail("overrideCount");
-    if (!sameSeries(a.vrActivity, b.vrActivity))
-        return fail("vrActivity");
-    if (!sameSeries(a.vrAging, b.vrAging)) return fail("vrAging");
-    if (a.agingImbalance != b.agingImbalance)
-        return fail("agingImbalance");
-    return true;
-}
-
-/** Bit-compare two grids cell by cell; returns the mismatch count. */
+/** Bit-compare two grids cell by cell, every RunResult member
+ *  (fields::firstDifference); returns the mismatch count. */
 inline int
 compareGrids(const sim::SweepResult &a, const sim::SweepResult &b,
              const char *name_a, const char *name_b)
@@ -144,9 +106,9 @@ compareGrids(const sim::SweepResult &a, const sim::SweepResult &b,
     int mismatches = 0;
     for (const auto &bench_name : a.benchmarks) {
         for (auto k : a.policies) {
-            std::string why;
-            if (!identicalRuns(a.at(bench_name, k),
-                               b.at(bench_name, k), why)) {
+            const std::string why = fields::firstDifference(
+                a.at(bench_name, k), b.at(bench_name, k));
+            if (!why.empty()) {
                 std::fprintf(stderr,
                              "MISMATCH [%s / %s]: field %s differs "
                              "between %s and %s\n",

@@ -67,8 +67,7 @@ void hashMember(Hasher &h, const power::PowerParams &p)
 
 void hashMember(Hasher &h, const pdn::PdnParams &pd)
 {
-    // factorCacheCapacity is bit-invisible: 6 of its 7 members.
-    static_assert(fields::memberCount<pdn::PdnParams>() == 7);
+    static_assert(fields::memberCount<pdn::PdnParams>() == 6);
     h.f64(pd.nodePitch)
         .f64(pd.sheetResistance)
         .f64(pd.decapPerMm2)

@@ -44,13 +44,11 @@ std::string StoreStats::describe() const
         line += '=';
         line += std::to_string(value);
     };
-    for (const auto &f : kStoreFields)
-        append(f.name, this->*f.member);
+    counters::forEachCounter(*this, append);
     for (int k = 0; k < kArtifactKinds; ++k) {
         line += " [";
         line += artifactKindName(static_cast<ArtifactKind>(k));
-        for (const auto &f : kStoreKindFields)
-            append(f.name, kind[static_cast<std::size_t>(k)].*f.member);
+        counters::forEachCounter(kind[static_cast<std::size_t>(k)], append);
         line += ']';
     }
     return line;
@@ -133,18 +131,14 @@ void ArtifactStore::clear()
 StoreStats ArtifactStore::stats() const
 {
     StoreStats out;
-    for (std::size_t k = 0; k < live.kind.size(); ++k)
-        counters::load(live.kind[k], out.kind[k], kStoreKindFields);
-    counters::load(live, out, kStoreFields);
+    counters::load(live, out);
     out.evictions = out.total(&StoreStats::PerKind::evictions);
     return out;
 }
 
 void ArtifactStore::resetStats()
 {
-    for (StoreStats::PerKind &k : live.kind)
-        counters::zero(k, kStoreKindFields);
-    counters::zero(live, kStoreFields);
+    counters::zero(live);
 }
 
 ArtifactStore &store()

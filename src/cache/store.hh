@@ -90,24 +90,37 @@ struct StoreStats
     std::string describe() const;
 };
 
-/** StoreStats::PerKind's counters, in wire order. */
-inline constexpr counters::Field<StoreStats::PerKind> kStoreKindFields[] = {
-    {"hits", &StoreStats::PerKind::hits},
-    {"misses", &StoreStats::PerKind::misses},
-    {"inserts", &StoreStats::PerKind::inserts},
-    {"bytes", &StoreStats::PerKind::bytes, true},
-    {"evictions", &StoreStats::PerKind::evictions},
+/** StoreStats::PerKind's counters, in wire order (common/fields.hh). */
+inline constexpr auto kStoreKindFields = std::tuple{
+    fields::field("hits", &StoreStats::PerKind::hits),
+    fields::field("misses", &StoreStats::PerKind::misses),
+    fields::field("inserts", &StoreStats::PerKind::inserts),
+    fields::field<fields::Wire | fields::Level>("bytes",
+                                                &StoreStats::PerKind::bytes),
+    fields::field("evictions", &StoreStats::PerKind::evictions),
 };
+static_assert(fields::covers<StoreStats::PerKind>(kStoreKindFields));
 
-/** StoreStats's counters outside `kind`, in wire order. */
-inline constexpr counters::Field<StoreStats> kStoreFields[] = {
-    {"evictions", &StoreStats::evictions},
-    {"disk-hits", &StoreStats::diskHits},
-    {"disk-misses", &StoreStats::diskMisses},
-    {"disk-writes", &StoreStats::diskWrites},
-    {"disk-rejects", &StoreStats::diskRejects},
-    {"disk-tmp-swept", &StoreStats::diskTmpSwept},
+constexpr const auto &fieldsOf(const StoreStats::PerKind &)
+{
+    return kStoreKindFields;
+}
+
+/** StoreStats's members, in wire order: the per-kind records (their
+ *  count first, so a build with another kind set is refused rather
+ *  than misread), then the eviction total and the disk counters. */
+inline constexpr auto kStoreFields = std::tuple{
+    fields::field("kind", &StoreStats::kind),
+    fields::field("evictions", &StoreStats::evictions),
+    fields::field("disk-hits", &StoreStats::diskHits),
+    fields::field("disk-misses", &StoreStats::diskMisses),
+    fields::field("disk-writes", &StoreStats::diskWrites),
+    fields::field("disk-rejects", &StoreStats::diskRejects),
+    fields::field("disk-tmp-swept", &StoreStats::diskTmpSwept),
 };
+static_assert(fields::covers<StoreStats>(kStoreFields));
+
+constexpr const auto &fieldsOf(const StoreStats &) { return kStoreFields; }
 
 /**
  * The in-memory tier. All methods are thread-safe.

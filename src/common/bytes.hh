@@ -15,6 +15,7 @@
 #ifndef TG_COMMON_BYTES_HH
 #define TG_COMMON_BYTES_HH
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -34,15 +35,16 @@ constexpr std::uint64_t kMaxDecodedLen = 1ull << 28;
 /** FNV-1a 64-bit hash (checksums of framed/persisted payloads). */
 std::uint64_t fnv1a(const std::uint8_t *data, std::size_t size);
 
-/** Append-only little-endian byte sink. */
+/** Append-only little-endian byte sink. The fixed-width writers are
+ *  inline so the element loops of the field-list codecs stay tight. */
 class ByteWriter
 {
   public:
     void u8(std::uint8_t v) { buf.push_back(v); }
-    void u32(std::uint32_t v);
-    void u64(std::uint64_t v);
+    void u32(std::uint32_t v) { le(v); }
+    void u64(std::uint64_t v) { le(v); }
     void i64(long long v) { u64(static_cast<std::uint64_t>(v)); }
-    void f64(double v);
+    void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
     void str(const std::string &s);
     void blob(const std::vector<std::uint8_t> &v);
 
@@ -50,6 +52,18 @@ class ByteWriter
     std::vector<std::uint8_t> take() { return std::move(buf); }
 
   private:
+    /** Append v least significant byte first, storing through one
+     *  pointer rather than re-reading the vector's end per byte. */
+    template <class T>
+    void le(T v)
+    {
+        const std::size_t at = buf.size();
+        buf.resize(at + sizeof v);
+        std::uint8_t *dst = buf.data() + at;
+        for (std::size_t i = 0; i < sizeof v; ++i)
+            dst[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+
     std::vector<std::uint8_t> buf;
 };
 
@@ -66,11 +80,11 @@ class ByteReader
     {
     }
 
-    std::uint8_t u8();
-    std::uint32_t u32();
-    std::uint64_t u64();
+    std::uint8_t u8() { return le<std::uint8_t>(); }
+    std::uint32_t u32() { return le<std::uint32_t>(); }
+    std::uint64_t u64() { return le<std::uint64_t>(); }
     long long i64() { return static_cast<long long>(u64()); }
-    double f64();
+    double f64() { return std::bit_cast<double>(u64()); }
     std::string str();
     bool blob(std::vector<std::uint8_t> &out);
 
@@ -83,7 +97,29 @@ class ByteReader
     void fail() { failed = true; }
 
   private:
-    bool take(std::size_t count, const std::uint8_t **out);
+    /** The next sizeof(T) bytes as a little-endian T; 0 past the end. */
+    template <class T>
+    T le()
+    {
+        const std::uint8_t *q = nullptr;
+        if (!take(sizeof(T), &q))
+            return 0;
+        T v = 0;
+        for (std::size_t i = 0; i < sizeof(T); ++i)
+            v |= static_cast<T>(q[i]) << (8 * i);
+        return v;
+    }
+
+    bool take(std::size_t count, const std::uint8_t **out)
+    {
+        if (failed || count > n - pos) {
+            failed = true;
+            return false;
+        }
+        *out = p + pos;
+        pos += count;
+        return true;
+    }
 
     const std::uint8_t *p;
     std::size_t n;

@@ -8,10 +8,13 @@
  * std::atomic members is needed. Snapshots are advisory: a copy taken
  * under contention may mix counts from either side of an update.
  *
- * Each record declares one field list, a constant array of
- * (name, member) pairs in wire order. Everything that walks a record
- * (snapshot, reset, wire codec, printouts) iterates that list, so a
- * new counter needs a field, a list entry and its increment sites.
+ * Each record declares one field list (common/fields.hh) in wire
+ * order, returned by its fieldsOf() overload, whose entries are
+ * counters, nested counter records and fixed-size arrays of them.
+ * Everything that walks a record (snapshot, reset, wire codec,
+ * printouts) iterates that list, so a new counter needs a field, a
+ * list entry and its increment sites; the list's coverage check fails
+ * the build when the entry is missing.
  */
 
 #ifndef TG_COMMON_COUNTERS_HH
@@ -20,6 +23,9 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
+
+#include "common/fields.hh"
 
 namespace tg {
 namespace counters {
@@ -27,17 +33,6 @@ namespace counters {
 static_assert(std::atomic_ref<std::uint64_t>::required_alignment <=
                   alignof(std::uint64_t),
               "counter fields must be usable through atomic_ref");
-
-/** One counter of a record type: display name and member. */
-template <class Record>
-struct Field
-{
-    const char *name;
-    std::uint64_t Record::*member;
-    /** A level (resident bytes, queue depth) reads a current amount
-     *  rather than counting events; zero() keeps it. */
-    bool level = false;
-};
 
 /** Relaxed atomic add to a live counter; returns the prior value. */
 inline std::uint64_t add(std::uint64_t &c, std::uint64_t n = 1)
@@ -57,24 +52,50 @@ inline void set(std::uint64_t &c, std::uint64_t v)
     std::atomic_ref<std::uint64_t>(c).store(v, std::memory_order_relaxed);
 }
 
-/** Copy every listed counter of a live record into `out`. */
-template <class Record, std::size_t N>
-void load(const Record &live, Record &out, const Field<Record> (&fields)[N])
+/** Copy a live counter, listed record or array of them into `out`;
+ *  a record through the list its fieldsOf() overload returns. */
+template <class T>
+void load(const T &live, T &out)
 {
-    // atomic_ref<const T> is not C++20; a load never writes.
-    Record &shared = const_cast<Record &>(live);
-    for (const Field<Record> &f : fields)
-        out.*f.member = std::atomic_ref<std::uint64_t>(shared.*f.member)
-                            .load(std::memory_order_relaxed);
+    if constexpr (std::is_same_v<T, std::uint64_t>)
+        // atomic_ref<const T> is not C++20; a load never writes.
+        out = std::atomic_ref<std::uint64_t>(const_cast<T &>(live))
+                  .load(std::memory_order_relaxed);
+    else if constexpr (fields::isStdArray<T>)
+        for (std::size_t i = 0; i < live.size(); ++i)
+            load(live[i], out[i]);
+    else
+        fields::forEach(fieldsOf(live), [&](const auto &e) {
+            load(live.*e.member, out.*e.member);
+        });
 }
 
-/** Zero every listed counter of a live record except the levels. */
-template <class Record, std::size_t N>
-void zero(Record &live, const Field<Record> (&fields)[N])
+/** Zero a live counter, listed record or array of them, keeping
+ *  every entry flagged fields::Level. */
+template <class T>
+void zero(T &live)
 {
-    for (const Field<Record> &f : fields)
-        if (!f.level)
-            set(live.*f.member, 0);
+    if constexpr (std::is_same_v<T, std::uint64_t>)
+        set(live, 0);
+    else if constexpr (fields::isStdArray<T>)
+        for (auto &x : live)
+            zero(x);
+    else
+        fields::forEach(fieldsOf(live), [&]<class E>(const E &e) {
+            if constexpr ((E::flags & fields::Level) == 0)
+                zero(live.*e.member);
+        });
+}
+
+/** Call fn(name, value) for each counter entry of `rec`'s list, in
+ *  order; its nested records and arrays are the caller's to walk. */
+template <class Record, class Fn>
+void forEachCounter(const Record &rec, Fn &&fn)
+{
+    fields::forEach(fieldsOf(rec), [&]<class E>(const E &e) {
+        if constexpr (std::is_same_v<typename E::Type, std::uint64_t>)
+            fn(e.name, rec.*e.member);
+    });
 }
 
 } // namespace counters

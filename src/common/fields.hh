@@ -1,16 +1,18 @@
 /**
  * @file
  * Field lists: a record walked member by member (encoded, decoded,
- * hashed, compared) lists its members once, as a constant tuple of
- * entries beside the struct, and every walker iterates that list.
- * An entry is a member's name and pointer, compile-time flags and an
- * inclusive [lo, hi] bounding a decoded scalar, or the count of a
- * string or vector. DESIGN.md ("Field lists") has the rules.
+ * hashed, compared, snapshotted, printed) lists its members once, as a
+ * constant tuple of entries beside the struct, and every walker
+ * iterates that list. An entry is a member's name and pointer,
+ * compile-time flags and an inclusive [lo, hi] bounding a decoded
+ * scalar, or the count of a string or vector. DESIGN.md ("Field
+ * lists") has the rules.
  */
 
 #ifndef TG_COMMON_FIELDS_HH
 #define TG_COMMON_FIELDS_HH
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -23,9 +25,10 @@
 namespace tg {
 namespace fields {
 
-/** Entry flags: part of the record's content fingerprint, and of its
- *  wire encoding. */
-enum : unsigned { Hashed = 1, Wire = 2 };
+/** Entry flags: part of the record's content fingerprint; part of its
+ *  wire encoding; a level (a counter reading a current amount, which
+ *  counters::zero() keeps). */
+enum : unsigned { Hashed = 1, Wire = 2, Level = 4 };
 
 template <class T>
 using Bound = std::conditional_t<std::is_arithmetic_v<T> || std::is_enum_v<T>,
@@ -48,6 +51,7 @@ template <unsigned Flags, class Record, class T>
 struct Entry
 {
     static constexpr unsigned flags = Flags;
+    using Type = T;
     const char *name;
     T Record::*member;
     Bound<T> lo, hi;
@@ -93,6 +97,16 @@ constexpr bool covers(const List &)
     return memberCount<Record>() == std::tuple_size_v<List>;
 }
 
+/** A record with a field list: its fieldsOf() overload, found by
+ *  argument-dependent lookup, returns the list. */
+template <class T>
+concept Listed = requires(const T &v) { fieldsOf(v); };
+
+template <class T>
+inline constexpr bool isStdArray = false;
+template <class T, std::size_t N>
+inline constexpr bool isStdArray<std::array<T, N>> = true;
+
 template <class Record, class List>
 void putAll(bytes::ByteWriter &w, const Record &rec, const List &list);
 template <class Record, class List>
@@ -125,9 +139,10 @@ void put(bytes::ByteWriter &w, const T &v)
         putAll(w, v, fieldsOf(v));
 }
 
-/** Read `v` by the wire rule. A value outside [lo, hi], and a count
- *  above the bytes left, fail the reader before anything is allocated,
- *  so one check at the end covers a whole decode. Returns r.ok(). */
+/** Read `v` by the wire rule. A value outside [lo, hi], a count above
+ *  the bytes left and a std::array's count other than its size fail
+ *  the reader before anything is allocated, so one check at the end
+ *  covers a whole decode. Returns r.ok(). */
 template <class T>
 bool get(bytes::ByteReader &r, T &v, Bound<T> lo = lowest<T>,
          Bound<T> hi = highest<T>)
@@ -163,7 +178,10 @@ bool get(bytes::ByteReader &r, T &v, Bound<T> lo = lowest<T>,
     } else if constexpr (requires { v.size(); }) {
         const std::uint64_t n = r.u64();
         in = n <= r.left() && n >= lo && n <= hi;
-        v.resize(in ? static_cast<std::size_t>(n) : 0);
+        if constexpr (isStdArray<T>)
+            in = in && n == v.size();
+        else
+            v.resize(in ? static_cast<std::size_t>(n) : 0);
         for (auto &x : v)
             get(r, x);
     } else {
@@ -211,6 +229,38 @@ bool decode(const std::vector<std::uint8_t> &p, Record &rec,
 {
     bytes::ByteReader r(p.data(), p.size());
     return getAll(r, rec, list) && r.exhausted();
+}
+
+/**
+ * The first member of a listed record, in list order, whose bits
+ * differ between `a` and `b` ("resilience.alertsInjected" inside a
+ * nested listed record), or "" when every member matches bit for bit:
+ * `EXPECT_EQ(firstDifference(a, b), "")` names the one that moved.
+ * Members compare by their wire encoding, so a double's sign of zero
+ * and NaN payload count.
+ */
+template <Listed Record>
+std::string firstDifference(const Record &a, const Record &b)
+{
+    std::string diff;
+    forEach(fieldsOf(a), [&](const auto &e) {
+        const auto &x = a.*e.member;
+        const auto &y = b.*e.member;
+        if (!diff.empty())
+            return;
+        if constexpr (Listed<std::remove_cvref_t<decltype(x)>>) {
+            const std::string inner = firstDifference(x, y);
+            if (!inner.empty())
+                diff = std::string(e.name) + "." + inner;
+        } else {
+            bytes::ByteWriter wx, wy;
+            put(wx, x);
+            put(wy, y);
+            if (wx.bytes() != wy.bytes())
+                diff = e.name;
+        }
+    });
+    return diff;
 }
 
 } // namespace fields

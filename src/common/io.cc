@@ -33,15 +33,6 @@ ChaosConfig g_chaosCfg;
  *  operation index each chaos-wrapped call draws. */
 ChaosCounters g_chaos;
 
-constexpr counters::Field<ChaosCounters> kChaosFields[] = {
-    {"ops", &ChaosCounters::ops},
-    {"short-reads", &ChaosCounters::shortReads},
-    {"short-writes", &ChaosCounters::shortWrites},
-    {"eintrs", &ChaosCounters::eintrs},
-    {"resets", &ChaosCounters::resets},
-    {"enospcs", &ChaosCounters::enospcs},
-};
-
 /** Which fault (if any) operation index `op` draws. */
 enum class ChaosDraw
 {
@@ -210,13 +201,13 @@ bool chaosEnabled()
 ChaosCounters chaosCounters()
 {
     ChaosCounters c;
-    counters::load(g_chaos, c, kChaosFields);
+    counters::load(g_chaos, c);
     return c;
 }
 
 void chaosResetCounters()
 {
-    counters::zero(g_chaos, kChaosFields);
+    counters::zero(g_chaos);
 }
 
 #ifdef __unix__

@@ -25,6 +25,8 @@
 #include <cstdint>
 #include <string>
 
+#include "common/fields.hh"
+
 namespace tg {
 namespace io {
 
@@ -95,6 +97,19 @@ struct ChaosCounters
     std::uint64_t resets = 0;
     std::uint64_t enospcs = 0;
 };
+
+/** ChaosCounters' members (common/fields.hh). */
+inline constexpr auto kChaosFields = std::tuple{
+    fields::field("ops", &ChaosCounters::ops),
+    fields::field("short-reads", &ChaosCounters::shortReads),
+    fields::field("short-writes", &ChaosCounters::shortWrites),
+    fields::field("eintrs", &ChaosCounters::eintrs),
+    fields::field("resets", &ChaosCounters::resets),
+    fields::field("enospcs", &ChaosCounters::enospcs),
+};
+static_assert(fields::covers<ChaosCounters>(kChaosFields));
+
+constexpr const auto &fieldsOf(const ChaosCounters &) { return kChaosFields; }
 
 /**
  * Parse a TG_IO_FAULTS spec. False (with a reason in *err) on an

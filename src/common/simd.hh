@@ -51,12 +51,6 @@
 
 namespace tg {
 
-/** Default lockstep width: 4 doubles = one AVX2 register. */
-inline constexpr int kDefaultBatchWidth = 4;
-
-/** Widest lockstep kernel instantiated by the solvers. */
-inline constexpr int kMaxBatchWidth = 8;
-
 namespace detail {
 
 constexpr bool

@@ -41,8 +41,7 @@ solverBytes(const SparseLdltSolver &s)
 /**
  * Everything the base factors and transfer resistances depend on:
  * this domain's slice of the chip, the VR sites in use, the
- * electrical design values the PDN reads, and the grid parameters
- * (minus the bit-invisible factorCacheCapacity).
+ * electrical design values the PDN reads, and the grid parameters.
  */
 cache::Fingerprint
 pdnBaseKey(const floorplan::Chip &chip, int domain,
@@ -428,9 +427,7 @@ DomainPdn::setActive(const std::vector<int> &active_local)
     cacheMap[key] = cacheList.begin();
     current = &cacheList.front().second;
 
-    std::size_t cap =
-        static_cast<std::size_t>(std::max(1, prm.factorCacheCapacity));
-    while (cacheList.size() > cap) {
+    while (cacheList.size() > kFactorCacheCapacity) {
         cacheMap.erase(cacheList.back().first);
         cacheList.pop_back();
     }

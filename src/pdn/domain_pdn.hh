@@ -76,15 +76,6 @@ struct PdnParams
     double gridInductancePerM = 2.5e-7;
     Seconds cycleTime = 0.25e-9; //!< transient step = clock period [s]
     double emergencyFrac = 0.10; //!< voltage-emergency threshold
-    /**
-     * Active-set factorisations kept alive (LRU). The governor flips
-     * among a handful of configurations per domain, so a small cache
-     * removes nearly all Woodbury rebuilds; each entry costs a few
-     * n-vectors of memory. Values below 1 act as 1: only the live
-     * factorisation is kept, so every non-short-circuited
-     * setActive() counts as a miss.
-     */
-    int factorCacheCapacity = 16;
 };
 
 /** Result of one transient noise window. */
@@ -185,6 +176,14 @@ class DomainPdn
 
     /** Widest lockstep kernel instantiated (see common/simd.hh). */
     static constexpr int kMaxWindowBatch = 8;
+
+    /**
+     * Active-set factorisations kept alive (LRU). The governor flips
+     * among a handful of configurations per domain, so a small cache
+     * removes nearly all Woodbury rebuilds; each entry costs a few
+     * n-vectors of memory.
+     */
+    static constexpr std::size_t kFactorCacheCapacity = 16;
 
     /**
      * Advance `count` independent transient windows through the

@@ -188,11 +188,7 @@ sim::SweepResult runShardedSweep(const ShardedSweepOptions &options,
         req.policies.push_back(static_cast<std::uint32_t>(pk));
     req.jobs = static_cast<std::uint32_t>(
         std::max(0, options.jobsPerWorker));
-    req.timeSeries = options.opts.timeSeries ? 1 : 0;
-    req.heatmap = options.opts.heatmap ? 1 : 0;
-    req.noiseTrace = options.opts.noiseTrace ? 1 : 0;
-    req.trackVr = options.opts.trackVr;
-    req.noiseSamplesOverride = options.opts.noiseSamplesOverride;
+    setRecordOptions(req, options.opts);
 
     sim::SweepResult sweep = emptyGrid(req);
     const std::size_t n_policies = req.policies.size();
@@ -203,8 +199,7 @@ sim::SweepResult runShardedSweep(const ShardedSweepOptions &options,
     stats.cellsTotal = n_cells;
 
     std::deque<std::vector<std::uint64_t>> queue;
-    for (auto &shard : shard::partitionCells(n_cells, processes,
-                                             options.minShardCells))
+    for (auto &shard : shard::partitionCells(n_cells, processes))
         queue.push_back(std::move(shard));
     stats.shardsPlanned = static_cast<int>(queue.size());
 

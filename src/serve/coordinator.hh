@@ -80,9 +80,6 @@ struct ShardedSweepOptions
     /** Kill a busy endpoint that leaves a Ping unanswered this long
      *  [ms]; 0 disables pinging (exit/EOF detection still applies). */
     int timeoutMs = 30000;
-
-    /** Partitioner shard-size floor (see partitionCells). */
-    std::size_t minShardCells = 1;
 };
 
 /** Observable outcomes of a sharded sweep (tests, logs). */

@@ -50,6 +50,26 @@ SweepMsg asSweep(const RunMsg &m)
     return s;
 }
 
+sim::RecordOptions recordOptions(const SweepMsg &m)
+{
+    sim::RecordOptions opts;
+    opts.timeSeries = m.timeSeries != 0;
+    opts.heatmap = m.heatmap != 0;
+    opts.noiseTrace = m.noiseTrace != 0;
+    opts.trackVr = static_cast<int>(m.trackVr);
+    opts.noiseSamplesOverride = static_cast<int>(m.noiseSamplesOverride);
+    return opts;
+}
+
+void setRecordOptions(SweepMsg &m, const sim::RecordOptions &opts)
+{
+    m.timeSeries = opts.timeSeries ? 1 : 0;
+    m.heatmap = opts.heatmap ? 1 : 0;
+    m.noiseTrace = opts.noiseTrace ? 1 : 0;
+    m.trackVr = opts.trackVr;
+    m.noiseSamplesOverride = opts.noiseSamplesOverride;
+}
+
 sim::SweepResult emptyGrid(const SweepMsg &m)
 {
     sim::SweepResult grid;
@@ -132,34 +152,13 @@ bool decodeDone(const std::vector<std::uint8_t> &p, DoneMsg &out)
 
 std::vector<std::uint8_t> encodeStatsReply(const StatsReplyMsg &m)
 {
-    bytes::ByteWriter w;
-    for (const auto &f : kStatsReplyFields)
-        w.u64(m.*f.member);
-    // ArtifactStore snapshot: kind count first so a reader can reject
-    // a build with a different kind set instead of misparsing it.
-    w.u64(cache::kArtifactKinds);
-    for (const auto &k : m.store.kind)
-        for (const auto &f : cache::kStoreKindFields)
-            w.u64(k.*f.member);
-    for (const auto &f : cache::kStoreFields)
-        w.u64(m.store.*f.member);
-    return w.take();
+    return fields::encode(m, kStatsReplyFields);
 }
 
 bool decodeStatsReply(const std::vector<std::uint8_t> &p,
                       StatsReplyMsg &out)
 {
-    bytes::ByteReader r(p.data(), p.size());
-    for (const auto &f : kStatsReplyFields)
-        out.*f.member = r.u64();
-    if (r.u64() != cache::kArtifactKinds || !r.ok())
-        return false;
-    for (auto &k : out.store.kind)
-        for (const auto &f : cache::kStoreKindFields)
-            k.*f.member = r.u64();
-    for (const auto &f : cache::kStoreFields)
-        out.store.*f.member = r.u64();
-    return r.exhausted();
+    return fields::decode(p, out, kStatsReplyFields);
 }
 
 std::string resolveSocketPath(const std::string &cliValue)

@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "cache/store.hh"
-#include "common/counters.hh"
 #include "common/fields.hh"
 #include "shard/protocol.hh"
 #include "sim/sweep.hh"
@@ -198,27 +197,36 @@ struct StatsReplyMsg
     cache::StoreStats store;
 };
 
-/** StatsReplyMsg's counters outside `store`, in wire order. The wire
- *  then carries the kind count, cache::kStoreKindFields for each kind
- *  and cache::kStoreFields. */
-inline constexpr counters::Field<StatsReplyMsg> kStatsReplyFields[] = {
-    {"uptime-us", &StatsReplyMsg::uptimeMicros},
-    {"requests-run", &StatsReplyMsg::requestsRun},
-    {"requests-sweep", &StatsReplyMsg::requestsSweep},
-    {"requests-ping", &StatsReplyMsg::requestsPing},
-    {"requests-stats", &StatsReplyMsg::requestsStats},
-    {"requests-rejected", &StatsReplyMsg::requestsRejected},
-    {"cells-served", &StatsReplyMsg::cellsServed},
-    {"contexts-built", &StatsReplyMsg::contextsBuilt},
-    {"contexts-reused", &StatsReplyMsg::contextsReused},
-    {"queue-depth", &StatsReplyMsg::queueDepth, true},
-    {"run-us", &StatsReplyMsg::runMicros},
-    {"sweep-us", &StatsReplyMsg::sweepMicros},
-    {"requests-busy", &StatsReplyMsg::requestsBusy},
-    {"requests-cancelled", &StatsReplyMsg::requestsCancelled},
-    {"requests-deadline", &StatsReplyMsg::requestsDeadline},
-    {"active-requests", &StatsReplyMsg::activeRequests, true},
+/** StatsReplyMsg's members in wire order (common/fields.hh): the
+ *  request-side counters, then the store snapshot through
+ *  cache::kStoreFields. */
+inline constexpr auto kStatsReplyFields = std::tuple{
+    fields::field("uptime-us", &StatsReplyMsg::uptimeMicros),
+    fields::field("requests-run", &StatsReplyMsg::requestsRun),
+    fields::field("requests-sweep", &StatsReplyMsg::requestsSweep),
+    fields::field("requests-ping", &StatsReplyMsg::requestsPing),
+    fields::field("requests-stats", &StatsReplyMsg::requestsStats),
+    fields::field("requests-rejected", &StatsReplyMsg::requestsRejected),
+    fields::field("cells-served", &StatsReplyMsg::cellsServed),
+    fields::field("contexts-built", &StatsReplyMsg::contextsBuilt),
+    fields::field("contexts-reused", &StatsReplyMsg::contextsReused),
+    fields::field<fields::Wire | fields::Level>("queue-depth",
+                                                &StatsReplyMsg::queueDepth),
+    fields::field("run-us", &StatsReplyMsg::runMicros),
+    fields::field("sweep-us", &StatsReplyMsg::sweepMicros),
+    fields::field("requests-busy", &StatsReplyMsg::requestsBusy),
+    fields::field("requests-cancelled", &StatsReplyMsg::requestsCancelled),
+    fields::field("requests-deadline", &StatsReplyMsg::requestsDeadline),
+    fields::field<fields::Wire | fields::Level>(
+        "active-requests", &StatsReplyMsg::activeRequests),
+    fields::field("store", &StatsReplyMsg::store),
 };
+static_assert(fields::covers<StatsReplyMsg>(kStatsReplyFields));
+
+constexpr const auto &fieldsOf(const StatsReplyMsg &)
+{
+    return kStatsReplyFields;
+}
 
 /**
  * The sweep a run request is: `m`'s benchmark under `m`'s policy as a
@@ -227,6 +235,11 @@ inline constexpr counters::Field<StatsReplyMsg> kStatsReplyFields[] = {
  * Client::run reads the reply into emptyGrid(asSweep(m)).
  */
 SweepMsg asSweep(const RunMsg &m);
+
+/** A sweep request's five RecordOptions scalars, read and written (the
+ *  fault scenario and the cancel token never travel). */
+sim::RecordOptions recordOptions(const SweepMsg &m);
+void setRecordOptions(SweepMsg &m, const sim::RecordOptions &opts);
 
 /** The empty result grid of a sweep request: `m`'s benchmark/policy
  *  labels, every slot default-constructed. placeCell() fills it. */

@@ -18,6 +18,7 @@
 #endif
 
 #include "cache/serialize.hh"
+#include "common/counters.hh"
 #include "common/exec.hh"
 #include "common/io.hh"
 #include "common/logging.hh"
@@ -215,7 +216,7 @@ struct Server::Impl
     StatsReplyMsg snapshot() const
     {
         StatsReplyMsg s;
-        counters::load(live, s, kStatsReplyFields);
+        counters::load(live, s);
         s.uptimeMicros = microsSince(startTime);
         s.store = cache::store().stats();
         return s;
@@ -331,13 +332,7 @@ struct Server::Impl
             cells.assign(m.cells.begin(), m.cells.end());
         }
 
-        sim::RecordOptions opts;
-        opts.timeSeries = m.timeSeries != 0;
-        opts.heatmap = m.heatmap != 0;
-        opts.noiseTrace = m.noiseTrace != 0;
-        opts.trackVr = static_cast<int>(m.trackVr);
-        opts.noiseSamplesOverride =
-            static_cast<int>(m.noiseSamplesOverride);
+        sim::RecordOptions opts = recordOptions(m);
         opts.cancel = req.cancel.get();
         std::atomic<std::uint64_t> streamed{0};
         // On cancellation runSweepCells throws after the completed

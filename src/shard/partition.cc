@@ -6,20 +6,16 @@ namespace tg {
 namespace shard {
 
 std::vector<std::vector<std::uint64_t>>
-partitionCells(std::size_t n_cells, int workers,
-               std::size_t min_cells)
+partitionCells(std::size_t n_cells, int workers)
 {
     const std::size_t w =
         static_cast<std::size_t>(std::max(1, workers));
-    const std::size_t floor_cells = std::max<std::size_t>(1, min_cells);
 
     std::vector<std::vector<std::uint64_t>> shards;
     std::size_t next = 0;
     while (next < n_cells) {
         const std::size_t remaining = n_cells - next;
-        std::size_t take = (remaining + 2 * w - 1) / (2 * w);
-        take = std::max(take, floor_cells);
-        take = std::min(take, remaining);
+        const std::size_t take = (remaining + 2 * w - 1) / (2 * w);
         std::vector<std::uint64_t> cells;
         cells.reserve(take);
         for (std::size_t i = 0; i < take; ++i)

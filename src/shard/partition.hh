@@ -30,15 +30,11 @@ namespace shard {
  * workers. Every cell appears in exactly one shard, shards are
  * contiguous, in cell order, with non-increasing sizes.
  *
- * @param n_cells   grid size (0 yields no shards)
- * @param workers   worker count (clamped to >= 1)
- * @param min_cells floor on shard size (clamped to >= 1); raise it
- *                  when per-cell work is tiny relative to dispatch
- *                  overhead
+ * @param n_cells grid size (0 yields no shards)
+ * @param workers worker count (clamped to >= 1)
  */
 std::vector<std::vector<std::uint64_t>>
-partitionCells(std::size_t n_cells, int workers,
-               std::size_t min_cells = 1);
+partitionCells(std::size_t n_cells, int workers);
 
 } // namespace shard
 } // namespace tg

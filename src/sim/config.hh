@@ -57,7 +57,8 @@ struct SimConfig
      */
     int noiseBatchWidth = 4;
 
-    /** Epochs of the theta-profiling pass (Section 6.3). */
+    /** Epochs of the theta-profiling pass (Section 6.3); at least 3,
+     *  since the fit skips the first two. */
     int profilingEpochs = 24;
 
     /**
@@ -144,9 +145,9 @@ inline constexpr auto kSimConfigFields = std::tuple{
     fields::field<fields::Hashed | fields::Wire>(
         "noiseWarmupCycles", &SimConfig::noiseWarmupCycles, 0, 20000),
     fields::field("noiseBatchWidth", &SimConfig::noiseBatchWidth),
+    // The profiling pass records samples from its third epoch on.
     fields::field<fields::Hashed | fields::Wire>(
-        "profilingEpochs", &SimConfig::profilingEpochs,
-        std::numeric_limits<int>::min(), 1000),
+        "profilingEpochs", &SimConfig::profilingEpochs, 3, 1000),
     fields::field<fields::Hashed | fields::Wire>(
         "practicalDemandMargin", &SimConfig::practicalDemandMargin,
         std::numeric_limits<double>::lowest(),

@@ -203,6 +203,8 @@ inline constexpr auto kRunResultFields = std::tuple{
 };
 static_assert(fields::covers<RunResult>(kRunResultFields));
 
+constexpr const auto &fieldsOf(const RunResult &) { return kRunResultFields; }
+
 } // namespace sim
 } // namespace tg
 

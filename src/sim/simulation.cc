@@ -159,7 +159,10 @@ Simulation::calibrateThetas()
     // demand steps under randomised gating so every regulator sees
     // on->off and off->on transitions, then fit deltaT = theta_i *
     // deltaP_i from epoch-to-epoch observations against the full RC
-    // model.
+    // model. The first two epochs only settle the state, so fewer
+    // than three record no sample and leave every theta at 0.
+    TG_ASSERT(cfg.profilingEpochs >= 3, "profilingEpochs ",
+              cfg.profilingEpochs, " is below 3: the fit gets no samples");
     // The pass is a pure function of (chip, config), so its fit is a
     // cacheable artifact: sibling contexts of a sweep — and any later
     // Simulation with the same inputs in this process — adopt the
@@ -574,7 +577,6 @@ struct Simulation::Run
         // *excursions*, not just its mean) plus leakage at the
         // current temperatures.
         framePowerInto(trace->epochDynamic(e), fs.meanPower);
-        const std::uint64_t mean_stamp = ++sim.powerStamp;
 
         readVrTemps();
         sensorBank.readInto(t, fs.vrSensor);
@@ -613,7 +615,7 @@ struct Simulation::Run
         for (int d = 0; d < nDomains; ++d)
             propose(d, e);
         if (verify)
-            forEachDomain([&](int d) { verifyDomain(d, e, mean_stamp); });
+            forEachDomain([&](int d) { verifyDomain(d, e); });
         for (int d = 0; d < nDomains; ++d)
             commit(d, e, span, verify);
         res.overrideCount = governor.overrideCount();
@@ -705,13 +707,13 @@ struct Simulation::Run
      * this epoch? Touches only domain d's PDN and scratch, so domains
      * verify concurrently.
      */
-    void verifyDomain(int d, long e, std::uint64_t mean_stamp)
+    void verifyDomain(int d, long e)
     {
         auto &slot = sim.fs.slots[static_cast<std::size_t>(d)];
         if (slot.decision.overridden)
             return;
         rekey(d, slot.decision.active);
-        slot.truth = epochEmergencyTruth(d, e, sim.fs.meanPower, mean_stamp);
+        slot.truth = epochEmergencyTruth(d, e, sim.fs.meanPower);
     }
 
     /**
@@ -768,7 +770,6 @@ struct Simulation::Run
         Watts total_load = 0.0;
         for (Watts p : fs.blockPower)
             total_load += p;
-        const std::uint64_t frame_stamp = ++sim.powerStamp;
         lastBlockPower = fs.blockPower;
         powerStats.add(total_load);
 
@@ -846,12 +847,12 @@ struct Simulation::Run
                 std::find(set.begin(), set.end(), tl) != set.end() ? 1
                                                                    : 0);
         }
-        enqueueNoise(e, f, now, frame_stamp);
+        enqueueNoise(e, f, now);
     }
 
-    void enqueueNoise(long e, std::size_t f, Seconds now,
-                      std::uint64_t stamp)
+    void enqueueNoise(long e, std::size_t f, Seconds now)
     {
+        bool projected = false;
         for (int s : samplesOfEpoch[static_cast<std::size_t>(e)]) {
             if (sampleFrame[static_cast<std::size_t>(s)] !=
                 static_cast<int>(f))
@@ -860,12 +861,14 @@ struct Simulation::Run
             sim.noiseQueue.push_back({now * 1e6, epochFaulted});
             forEachDomain([&](int d) {
                 auto &sc = sim.noiseScratch[static_cast<std::size_t>(d)];
+                if (!projected)
+                    projectBaseCurrents(d, sim.fs.blockPower);
                 const std::size_t win = windowSize(d);
                 if (sc.queue.size() < (q + 1) * win)
                     sc.queue.resize((q + 1) * win);
-                buildNoiseWindowInto(d, e, s, sim.fs.blockPower, stamp,
-                                     sc.queue.data() + q * win);
+                buildNoiseWindowInto(d, e, s, sc.queue.data() + q * win);
             });
+            projected = true;
             // Width cap: the queue never holds more than one full
             // lockstep dispatch, bounding the window buffers at
             // width * windowSize per domain.
@@ -1024,42 +1027,41 @@ struct Simulation::Run
                                    ->nodeCount());
     }
 
-    /**
-     * Synthesise the load waveform of noise window (epoch, sample)
-     * for domain d into `dst` (winCycles x nodeCount rows). The
-     * waveform is seeded independently of the policy so all policies
-     * see the same workload; `power_stamp` identifies the content of
-     * `block_power` for the scratch's base-current cache. Touches
-     * only domain d's scratch, so domains may build concurrently.
-     */
-    void buildNoiseWindowInto(int d, long e, int sample,
-                              const std::vector<Watts> &block_power,
-                              std::uint64_t power_stamp,
-                              Amperes *dst) const
+    /** Domain d's logic and memory shares of `block_power` (they
+     *  fluctuate with different depths), projected onto its PDN nodes:
+     *  the base currents of every window built against that power. */
+    void projectBaseCurrents(int d,
+                             const std::vector<Watts> &block_power) const
     {
         const std::size_t ud = static_cast<std::size_t>(d);
         const auto &pdn = *sim.pdns[ud];
         auto &sc = sim.noiseScratch[ud];
-
-        // Split the domain's power into logic and memory groups (they
-        // fluctuate with different depths) and project each onto the
-        // PDN nodes. The split depends only on the power vector, so
-        // repeated windows against the same power reuse the cached
-        // base currents.
-        if (sc.stamp != power_stamp || sc.baseLogic.empty()) {
-            sc.pLogic.assign(block_power.size(), 0.0);
-            sc.pMem.assign(block_power.size(), 0.0);
-            for (int b : plan.domains()[ud].blocks) {
-                std::size_t ub = static_cast<std::size_t>(b);
-                if (floorplan::isLogicUnit(plan.blocks()[ub].kind))
-                    sc.pLogic[ub] = block_power[ub];
-                else
-                    sc.pMem[ub] = block_power[ub];
-            }
-            pdn.nodeCurrentsInto(sc.pLogic, sc.baseLogic);
-            pdn.nodeCurrentsInto(sc.pMem, sc.baseMem);
-            sc.stamp = power_stamp;
+        sc.pLogic.assign(block_power.size(), 0.0);
+        sc.pMem.assign(block_power.size(), 0.0);
+        for (int b : plan.domains()[ud].blocks) {
+            std::size_t ub = static_cast<std::size_t>(b);
+            if (floorplan::isLogicUnit(plan.blocks()[ub].kind))
+                sc.pLogic[ub] = block_power[ub];
+            else
+                sc.pMem[ub] = block_power[ub];
         }
+        pdn.nodeCurrentsInto(sc.pLogic, sc.baseLogic);
+        pdn.nodeCurrentsInto(sc.pMem, sc.baseMem);
+    }
+
+    /**
+     * Synthesise the load waveform of noise window (epoch, sample)
+     * for domain d into `dst` (winCycles x nodeCount rows) from the
+     * base currents projectBaseCurrents() left in its scratch. The
+     * waveform is seeded independently of the policy so all policies
+     * see the same workload. Touches only domain d's scratch, so
+     * domains may build concurrently.
+     */
+    void buildNoiseWindowInto(int d, long e, int sample, Amperes *dst) const
+    {
+        const std::size_t ud = static_cast<std::size_t>(d);
+        const auto &pdn = *sim.pdns[ud];
+        auto &sc = sim.noiseScratch[ud];
 
         Rng rng(mixSeed(mixSeed(runSeed, static_cast<std::uint64_t>(
                                              e * 1315423911ll)),
@@ -1111,19 +1113,19 @@ struct Simulation::Run
      * the domain's queue buffers, so the queue must be empty.
      */
     bool epochEmergencyTruth(int d, long e,
-                             const std::vector<Watts> &block_power,
-                             std::uint64_t power_stamp) const
+                             const std::vector<Watts> &block_power) const
     {
         auto &sc = sim.noiseScratch[static_cast<std::size_t>(d)];
         const auto &samples = samplesOfEpoch[static_cast<std::size_t>(e)];
         const std::size_t win = windowSize(d);
         if (sc.queue.size() < width * win)
             sc.queue.resize(width * win);
+        projectBaseCurrents(d, block_power);
         for (std::size_t q0 = 0; q0 < samples.size(); q0 += width) {
             const std::size_t cnt = std::min(width, samples.size() - q0);
             for (std::size_t j = 0; j < cnt; ++j)
-                buildNoiseWindowInto(d, e, samples[q0 + j], block_power,
-                                     power_stamp, sc.queue.data() + j * win);
+                buildNoiseWindowInto(d, e, samples[q0 + j],
+                                     sc.queue.data() + j * win);
             solveWindows(d, 0, cnt, false);
             for (std::size_t j = 0; j < cnt; ++j)
                 if (sc.results[j].emergencyCycles > 0)

@@ -146,12 +146,11 @@ class Simulation
 
     /**
      * Per-domain reusable buffers of the noise sampler. The
-     * logic/memory base-current split depends only on the block-power
-     * vector, so it is cached and keyed by `powerStamp`: repeated
-     * windows against the same power (the emergency ground-truth loop,
-     * multiple samples in one frame) skip the recompute. One scratch
-     * per domain also makes the per-sample fan-out across domains
-     * race-free without locks.
+     * logic/memory base currents are projected from the block power
+     * once per sample frame (and once per emergency ground-truth
+     * check), and every window built against that power reuses them.
+     * One scratch per domain also makes the per-sample fan-out across
+     * domains race-free without locks.
      *
      * `queue` holds built-but-unsolved windows back-to-back (window q
      * at offset q * cycles * nodeCount): each window is synthesised
@@ -167,7 +166,6 @@ class Simulation
      */
     struct NoiseScratch
     {
-        std::uint64_t stamp = 0;          //!< powerStamp of the split
         std::vector<Watts> pLogic;        //!< domain logic power
         std::vector<Watts> pMem;          //!< domain memory power
         std::vector<Amperes> baseLogic;   //!< node currents, logic
@@ -223,7 +221,6 @@ class Simulation
     FrameScratch fs;
     std::vector<NoiseScratch> noiseScratch;   //!< one per domain
     std::vector<QueuedNoiseSample> noiseQueue; //!< cross-epoch queue
-    std::uint64_t powerStamp = 0;  //!< bumped per power recompute
 
     /**
      * Width of the per-sample noise fan-out across domains: cfg.jobs

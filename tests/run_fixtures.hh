@@ -2,8 +2,9 @@
  * @file
  * Fixtures shared by the run-loop determinism suites: a fault
  * scenario that exercises every fault family the run loop reacts to,
- * the FNV-1a digest of a RunResult's bit-exact encoding, the one
- * RunResult comparator, and the process's thread count.
+ * the FNV-1a digest of a RunResult's bit-exact encoding, and the
+ * process's thread count. RunResults compare through
+ * fields::firstDifference (common/fields.hh).
  */
 
 #ifndef TG_TESTS_RUN_FIXTURES_HH
@@ -12,13 +13,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
-#include <string>
-#include <type_traits>
 #include <vector>
 
 #include "cache/serialize.hh"
 #include "common/bytes.hh"
-#include "common/fields.hh"
 #include "fault/scenario.hh"
 #include "sim/result.hh"
 
@@ -59,46 +57,6 @@ resultDigest(const RunResult &r)
 {
     const std::vector<std::uint8_t> encoded = cache::encodeRunResult(r);
     return bytes::fnv1a(encoded.data(), encoded.size());
-}
-
-/**
- * The first member in `list` order whose bits differ between `a` and
- * `b` ("resilience.alertsInjected" inside a nested record), or "" when
- * every member matches bit for bit. Members compare by their wire
- * encoding, so a double's sign of zero and NaN payload count.
- */
-template <class Record, class List>
-std::string
-firstDifference(const Record &a, const Record &b, const List &list)
-{
-    std::string diff;
-    fields::forEach(list, [&](const auto &e) {
-        const auto &x = a.*e.member;
-        const auto &y = b.*e.member;
-        using T = std::remove_cvref_t<decltype(x)>;
-        if (!diff.empty())
-            return;
-        if constexpr (std::is_same_v<T, ResilienceStats>) {
-            const std::string inner = firstDifference(x, y, fieldsOf(x));
-            if (!inner.empty())
-                diff = std::string(e.name) + "." + inner;
-        } else {
-            bytes::ByteWriter wx, wy;
-            fields::put(wx, x);
-            fields::put(wy, y);
-            if (wx.bytes() != wy.bytes())
-                diff = e.name;
-        }
-    });
-    return diff;
-}
-
-/** firstDifference() over every RunResult member:
- *  `EXPECT_EQ(firstDifference(a, b), "")` names the one that moved. */
-inline std::string
-firstDifference(const RunResult &a, const RunResult &b)
-{
-    return firstDifference(a, b, kRunResultFields);
 }
 
 /** Threads of this process (entries of /proc/self/task); 0 where

@@ -86,7 +86,7 @@ TEST(FaultDeterminism, EmptyScenarioBitIdenticalToCleanRun)
             opts.faultScenario = &empty;
             auto faulted =
                 s.run(profile, core::PolicyKind::PracVT, opts);
-            EXPECT_EQ(firstDifference(clean, faulted), "");
+            EXPECT_EQ(fields::firstDifference(clean, faulted), "");
             EXPECT_EQ(faulted.resilience.scheduledFaults, 0);
             EXPECT_EQ(faulted.resilience.faultedEpochs, 0);
             EXPECT_EQ(faulted.resilience.detectionLatency, -1.0);
@@ -117,7 +117,7 @@ TEST(FaultDeterminism, FaultedRunBitIdenticalAcrossJobsAndWidth)
                     ref = r;
                     have_ref = true;
                 } else {
-                    EXPECT_EQ(firstDifference(ref, r), "");
+                    EXPECT_EQ(fields::firstDifference(ref, r), "");
                 }
             }
         }
@@ -145,7 +145,7 @@ TEST(FaultDeterminism, RepeatedFaultedRunsOnOneInstanceBitIdentical)
     auto a = s.run(profile, core::PolicyKind::PracVT, opts);
     s.run(profile, core::PolicyKind::PracVT);  // interleaved clean run
     auto b = s.run(profile, core::PolicyKind::PracVT, opts);
-    EXPECT_EQ(firstDifference(a, b), "");
+    EXPECT_EQ(fields::firstDifference(a, b), "");
 }
 
 TEST(FaultRun, KilledVrLeavesTheActiveSetWithinOneInterval)

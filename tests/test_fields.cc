@@ -3,11 +3,12 @@
  * Tests of the field-list mechanism (common/fields.hh): the aggregate
  * member counter behind every list's coverage check, one round trip
  * and one refusal per kind of the put/get wire rule, the list walkers
- * and the RunResult comparator built on them.
+ * and the record comparator built on them.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -214,6 +215,16 @@ TEST(Fields, ContainersRoundTrip)
     bytes::ByteWriter w;
     w.blob(in.blob);
     EXPECT_EQ(wire(in.blob), w.bytes());
+
+    // A std::array travels as a vector of its size, and reads back
+    // only when the count is that size.
+    const std::array<int, 3> three = {7, -8, 9};
+    EXPECT_EQ(wire(three), wire(std::vector<int>{7, -8, 9}));
+    std::array<int, 3> arr{};
+    EXPECT_TRUE(read(wire(three), arr));
+    EXPECT_EQ(arr, three);
+    EXPECT_FALSE(read(wire(std::vector<int>{7, -8}), arr));
+    EXPECT_FALSE(read(wire(std::vector<int>{7, -8, 9, 10}), arr));
 }
 
 TEST(Fields, CountAboveTheBytesLeftFailsBeforeAllocating)
@@ -299,16 +310,16 @@ TEST(Fields, FirstDifferenceNamesTheMemberThatMoved)
 {
     sim::RunResult a;
     sim::RunResult b;
-    EXPECT_EQ(sim::firstDifference(a, b), "");
+    EXPECT_EQ(firstDifference(a, b), "");
     b.vrAging = {1.0};
-    EXPECT_EQ(sim::firstDifference(a, b), "vrAging");
+    EXPECT_EQ(firstDifference(a, b), "vrAging");
     b = a;
     b.resilience.alertsInjected = 1;
-    EXPECT_EQ(sim::firstDifference(a, b), "resilience.alertsInjected");
+    EXPECT_EQ(firstDifference(a, b), "resilience.alertsInjected");
     // Bit patterns, not ==: the sign of a zero counts.
     b = a;
     b.maxTmax = -0.0;
-    EXPECT_EQ(sim::firstDifference(a, b), "maxTmax");
+    EXPECT_EQ(firstDifference(a, b), "maxTmax");
 }
 
 } // namespace

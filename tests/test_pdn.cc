@@ -400,84 +400,60 @@ TEST_F(PdnTest, CachedFactorisationMatchesFresh)
         EXPECT_EQ(rebuilt_v[i], fresh_v[i]) << "node " << i;
 }
 
-TEST_F(PdnTest, ZeroCacheCapacityDisablesCachingCleanly)
-{
-    // Capacities below 1 act as 1: only the live factorisation is
-    // kept, so revisiting an evicted set misses again and rebuilds it
-    // bit for bit, while an unchanged set still short-circuits.
-    auto load = domainLoad(1.1);
-    dp.setActive({0, 4, 8});
-    const auto v_cached = dp.steadyVoltages(load);
-    for (int capacity : {1, 0, -3}) {
-        PdnParams prm;
-        prm.factorCacheCapacity = capacity;
-        DomainPdn small(chip, 0, vreg::fivrDesign(), prm);
-        const std::uint64_t misses = small.factorCacheMisses();
-        small.setActive({0, 4, 8});
-        const auto v1 = small.steadyVoltages(load);
-        small.setActive({0, 1, 2});
-        EXPECT_NE(small.steadyVoltages(load), v1);
-        small.setActive({0, 4, 8});  // revisit: evicted, rebuilt
-        EXPECT_EQ(small.factorCacheHits(), 0u) << "capacity " << capacity;
-        EXPECT_EQ(small.factorCacheMisses(), misses + 3)
-            << "capacity " << capacity;
-        EXPECT_EQ(small.steadyVoltages(load), v1)
-            << "capacity " << capacity;
-        EXPECT_EQ(v1, v_cached) << "capacity " << capacity;
-
-        small.setActive({8, 4, 0});  // unchanged: no cache traffic
-        EXPECT_EQ(small.factorCacheMisses(), misses + 3)
-            << "capacity " << capacity;
-        EXPECT_EQ(small.factorCacheHits(), 0u) << "capacity " << capacity;
-    }
-}
-
 TEST_F(PdnTest, LruEvictionKeepsRecentAndRebuildsExactly)
 {
-    PdnParams prm;
-    prm.factorCacheCapacity = 3;
-    DomainPdn small(chip, 0, vreg::fivrDesign(), prm);
+    constexpr std::size_t cap = DomainPdn::kFactorCacheCapacity;
     auto load = domainLoad(1.2);
 
-    // Drive more distinct sets than the capacity holds; remember each
-    // set's first-build solution.
-    std::vector<std::vector<int>> sets = {
-        {0}, {1}, {2}, {3}, {4}, {0, 4, 8}};
-    std::vector<std::vector<Volts>> fresh;
-    std::uint64_t misses0 = small.factorCacheMisses();
-    for (const auto &s : sets) {
-        small.setActive(s);
-        fresh.push_back(small.steadyVoltages(load));
+    // Drive three more distinct sets than the cache holds (the
+    // nonempty VR subsets in bitmask order); remember each set's
+    // first-build solution.
+    std::vector<std::vector<int>> sets;
+    for (unsigned mask = 1; sets.size() < cap + 3; ++mask) {
+        ASSERT_LT(mask, 1u << dp.vrCount());
+        std::vector<int> set;
+        for (int k = 0; k < dp.vrCount(); ++k)
+            if ((mask >> k) & 1u)
+                set.push_back(k);
+        sets.push_back(set);
     }
-    EXPECT_EQ(small.factorCacheMisses(), misses0 + sets.size());
-    EXPECT_EQ(small.factorCacheHits(), 0u);
+    const std::size_t n = sets.size();
+    std::vector<std::vector<Volts>> fresh;
+    std::uint64_t misses0 = dp.factorCacheMisses();
+    std::uint64_t hits0 = dp.factorCacheHits();
+    for (const auto &s : sets) {
+        dp.setActive(s);
+        fresh.push_back(dp.steadyVoltages(load));
+    }
+    EXPECT_EQ(dp.factorCacheMisses(), misses0 + n);
+    EXPECT_EQ(dp.factorCacheHits(), hits0);
 
-    // The last `capacity` sets — {4}, {3}, {0,4,8} — are resident:
-    // revisiting them serves hits. (sets[5] is still the active set,
-    // so touch the others first; recency after this block is
-    // {0,4,8} > {3} > {4}.)
-    small.setActive(sets[4]);
-    small.setActive(sets[3]);
-    small.setActive(sets[5]);
-    EXPECT_EQ(small.factorCacheHits(), 3u);
-    EXPECT_EQ(small.factorCacheMisses(), misses0 + sets.size());
+    // The last `cap` sets are resident: revisiting them serves hits.
+    // (sets[n-1] is still the active set, so touch the others first,
+    // newest to oldest; recency after this block is sets[n-1], then
+    // sets[3], sets[4], ..., sets[n-2].)
+    for (std::size_t i = n - 1; i-- > 3;)
+        dp.setActive(sets[i]);
+    dp.setActive(sets[n - 1]);
+    EXPECT_EQ(dp.factorCacheHits(), hits0 + cap);
+    EXPECT_EQ(dp.factorCacheMisses(), misses0 + n);
 
     // A new insertion evicts exactly the least-recently-used entry:
-    // {4} goes, {3} survives.
-    small.setActive(sets[0]);  // miss: evicts sets[4]
-    small.setActive(sets[3]);  // still resident: hit
-    EXPECT_EQ(small.factorCacheHits(), 4u);
-    EXPECT_EQ(small.factorCacheMisses(), misses0 + sets.size() + 1);
-    small.setActive(sets[4]);  // evicted above: miss, rebuilt
-    EXPECT_EQ(small.factorCacheMisses(), misses0 + sets.size() + 2);
+    // sets[n-2] goes, sets[n-3] survives.
+    dp.setActive(sets[0]);      // miss: evicts sets[n-2]
+    dp.setActive(sets[n - 3]);  // still resident: hit
+    EXPECT_EQ(dp.factorCacheHits(), hits0 + cap + 1);
+    EXPECT_EQ(dp.factorCacheMisses(), misses0 + n + 1);
+    dp.setActive(sets[n - 2]);  // evicted above: miss, rebuilt
+    EXPECT_EQ(dp.factorCacheMisses(), misses0 + n + 2);
 
     // Rebuilt-after-eviction entries reproduce the first build bit
     // for bit — eviction can cost time but never changes results.
-    auto rebuilt = small.steadyVoltages(load);
+    auto rebuilt = dp.steadyVoltages(load);
     for (std::size_t i = 0; i < rebuilt.size(); ++i)
-        EXPECT_EQ(rebuilt[i], fresh[4][i]) << "node " << i;
-    small.setActive(sets[0]);  // resident from two inserts ago
-    auto rebuilt0 = small.steadyVoltages(load);
+        EXPECT_EQ(rebuilt[i], fresh[n - 2][i]) << "node " << i;
+    dp.setActive(sets[0]);  // resident from two inserts ago
+    auto rebuilt0 = dp.steadyVoltages(load);
     for (std::size_t i = 0; i < rebuilt0.size(); ++i)
         EXPECT_EQ(rebuilt0[i], fresh[0][i]) << "node " << i;
 }

@@ -135,7 +135,7 @@ TEST(RunDeterminism, SerialAndPooledNoiseWindowsBitIdentical)
           core::PolicyKind::PracVT}) {
         auto a = serial.run(workload::profileByName("fft"), policy);
         auto b = pooled.run(workload::profileByName("fft"), policy);
-        EXPECT_EQ(firstDifference(a, b), "");
+        EXPECT_EQ(fields::firstDifference(a, b), "");
     }
 }
 
@@ -165,7 +165,7 @@ TEST(RunDeterminism, BatchWidthSweepBitIdenticalAcrossJobs)
                     ref = r;
                     have_ref = true;
                 } else {
-                    EXPECT_EQ(firstDifference(ref, r), "");
+                    EXPECT_EQ(fields::firstDifference(ref, r), "");
                 }
             }
         }
@@ -415,7 +415,7 @@ TEST(RunDeterminism, KeepingDroopTracesDoesNotChangeMetrics)
     b.noiseTrace = a.noiseTrace;
     b.noiseTraceDomain = a.noiseTraceDomain;
     b.noiseTraceTimeUs = a.noiseTraceTimeUs;
-    EXPECT_EQ(firstDifference(a, b), "");
+    EXPECT_EQ(fields::firstDifference(a, b), "");
 }
 
 TEST(RunDeterminism, RepeatedRunsOnOneInstanceBitIdentical)
@@ -431,7 +431,7 @@ TEST(RunDeterminism, RepeatedRunsOnOneInstanceBitIdentical)
           core::PolicyKind::AllOn);
     auto b = s.run(workload::profileByName("fft"),
                    core::PolicyKind::PracVT);
-    EXPECT_EQ(firstDifference(a, b), "");
+    EXPECT_EQ(fields::firstDifference(a, b), "");
 }
 
 TEST(AllocationDiscipline, WarmKernelPrimitivesDoNotAllocate)

@@ -223,6 +223,16 @@ TEST(ServeProtocol, StatsReplyRoundTripIncludesStoreSnapshot)
     EXPECT_EQ(out.store.evictions, in.store.evictions);
     EXPECT_EQ(out.store.diskRejects, in.store.diskRejects);
     EXPECT_EQ(out.store.diskTmpSwept, in.store.diskTmpSwept);
+
+    // The kind count follows the 16 request-side counters: a reply
+    // from a build with another kind set is refused, not misread.
+    std::vector<std::uint8_t> wire = encodeStatsReply(in);
+    const std::size_t kindsAt = 16 * 8;
+    ASSERT_EQ(wire[kindsAt], cache::kArtifactKinds);
+    for (std::uint8_t kinds : {0, 3, 5}) {
+        wire[kindsAt] = kinds;
+        EXPECT_FALSE(decodeStatsReply(wire, out)) << int(kinds);
+    }
 }
 
 TEST(ServeProtocol, StatsReplyBytesArePinned)
@@ -332,6 +342,15 @@ TEST(ServeProtocol, TruncationIsRejectedAtEveryPrefix)
             sweepBytes.begin(),
             sweepBytes.begin() + static_cast<std::ptrdiff_t>(cut));
         EXPECT_FALSE(decodeSweep(prefix, out)) << "cut=" << cut;
+    }
+    const std::vector<std::uint8_t> statsBytes =
+        encodeStatsReply(StatsReplyMsg{});
+    for (std::size_t cut = 0; cut < statsBytes.size(); ++cut) {
+        StatsReplyMsg out;
+        const std::vector<std::uint8_t> prefix(
+            statsBytes.begin(),
+            statsBytes.begin() + static_cast<std::ptrdiff_t>(cut));
+        EXPECT_FALSE(decodeStatsReply(prefix, out)) << "cut=" << cut;
     }
 }
 

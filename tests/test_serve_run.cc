@@ -229,7 +229,7 @@ TEST_F(ServeDeterminism, InvalidRequestsGetErrorsNotACrash)
 
     // Well-formed requests carrying values the simulator asserts on
     // (or, for trackVr, indexes with): refused, never executed.
-    std::vector<RunMsg> killers(4, badSetup);
+    std::vector<RunMsg> killers(5, badSetup);
     killers[0].setup = setupWith([](sim::SimConfig &c) {
         c.regulator = static_cast<sim::RegulatorChoice>(2);
     });
@@ -240,6 +240,8 @@ TEST_F(ServeDeterminism, InvalidRequestsGetErrorsNotACrash)
     });
     killers[3].setup = testSetup();
     killers[3].trackVr = 100000000;
+    killers[4].setup =
+        setupWith([](sim::SimConfig &c) { c.profilingEpochs = 2; });
     for (const RunMsg &req : killers) {
         DoneMsg done;
         EXPECT_FALSE(client.run(req, out, &err, &done));
@@ -259,7 +261,7 @@ TEST_F(ServeDeterminism, InvalidRequestsGetErrorsNotACrash)
     EXPECT_EQ(cache::encodeRunResult(out),
               cache::encodeRunResult(referenceGrid().results[1][1]));
 
-    EXPECT_EQ(server->statsSnapshot().requestsRejected, 7u);
+    EXPECT_EQ(server->statsSnapshot().requestsRejected, 8u);
 }
 
 TEST_F(ServeDeterminism, OutOfRangeRecordOptionsGetErrors)

@@ -73,28 +73,17 @@ TEST(ShardPartition, GuidedSizesNonIncreasing)
     EXPECT_EQ(shards.back().size(), 1u);
 }
 
-TEST(ShardPartition, MinCellsFloor)
-{
-    auto shards = shard::partitionCells(100, 8, 5);
-    for (std::size_t i = 0; i + 1 < shards.size(); ++i)
-        EXPECT_GE(shards[i].size(), 5u);
-    // Only the final remnant may dip below the floor.
-    EXPECT_GE(shards.back().size(), 1u);
-}
-
 TEST(ShardPartition, Deterministic)
 {
     EXPECT_EQ(shard::partitionCells(250, 3),
               shard::partitionCells(250, 3));
-    EXPECT_EQ(shard::partitionCells(250, 3, 4),
-              shard::partitionCells(250, 3, 4));
 }
 
 TEST(ShardPartition, DegenerateInputsClamp)
 {
     EXPECT_TRUE(shard::partitionCells(0, 4).empty());
-    // workers and min_cells clamp to >= 1.
-    auto shards = shard::partitionCells(5, 0, 0);
+    // workers clamp to >= 1.
+    auto shards = shard::partitionCells(5, 0);
     std::size_t total = 0;
     for (const auto &s : shards)
         total += s.size();
@@ -326,6 +315,10 @@ TEST(ShardProtocol, SetupDecoderRefusesWhatTheSimulatorAssertsOn)
     edge.decisionInterval = 10e-3;
     edge.profilingEpochs = 1000;
     EXPECT_TRUE(decodes(shard::ChipKind::Mini, 1, edge));
+    // The fewest profiling epochs that give the theta fit a sample.
+    edge = base;
+    edge.profilingEpochs = 3;
+    EXPECT_TRUE(decodes(shard::ChipKind::Mini, 1, edge));
 
     EXPECT_FALSE(decodes(shard::ChipKind::Mini, 0, base));
     EXPECT_FALSE(decodes(shard::ChipKind::Mini, 65, base));
@@ -355,6 +348,7 @@ TEST(ShardProtocol, SetupDecoderRefusesWhatTheSimulatorAssertsOn)
         refused([](sim::SimConfig &c) { c.noiseCyclesTotal = 20001; }));
     EXPECT_TRUE(
         refused([](sim::SimConfig &c) { c.profilingEpochs = 1001; }));
+    EXPECT_TRUE(refused([](sim::SimConfig &c) { c.profilingEpochs = 2; }));
     EXPECT_TRUE(refused([](sim::SimConfig &c) {
         c.noiseWarmupCycles = c.noiseCyclesTotal;
     }));

@@ -96,33 +96,18 @@ TEST_F(SweepTest, LookupFailuresAreFatal)
                  "not part of the sweep");
 }
 
-/** Exact equality of every scalar metric two sweeps share. */
+/** Bit identity of every RunResult member of every cell. */
 void
 expectIdentical(const SweepResult &a, const SweepResult &b)
 {
     ASSERT_EQ(a.benchmarks, b.benchmarks);
     ASSERT_EQ(a.policies, b.policies);
-    for (const auto &bench : a.benchmarks) {
-        for (auto kind : a.policies) {
-            const auto &ra = a.at(bench, kind);
-            const auto &rb = b.at(bench, kind);
-            EXPECT_EQ(ra.benchmark, rb.benchmark);
-            EXPECT_EQ(ra.policy, rb.policy);
-            EXPECT_EQ(ra.maxTmax, rb.maxTmax) << bench;
-            EXPECT_EQ(ra.maxGradient, rb.maxGradient) << bench;
-            EXPECT_EQ(ra.maxNoiseFrac, rb.maxNoiseFrac) << bench;
-            EXPECT_EQ(ra.emergencyFrac, rb.emergencyFrac) << bench;
-            EXPECT_EQ(ra.avgRegulatorLoss, rb.avgRegulatorLoss);
-            EXPECT_EQ(ra.avgEta, rb.avgEta) << bench;
-            EXPECT_EQ(ra.avgActiveVrs, rb.avgActiveVrs) << bench;
-            EXPECT_EQ(ra.meanPower, rb.meanPower) << bench;
-            EXPECT_EQ(ra.overrideCount, rb.overrideCount) << bench;
-            EXPECT_EQ(ra.hottestSpot, rb.hottestSpot) << bench;
-            EXPECT_EQ(ra.vrActivity, rb.vrActivity) << bench;
-            EXPECT_EQ(ra.vrAging, rb.vrAging) << bench;
-            EXPECT_EQ(ra.agingImbalance, rb.agingImbalance) << bench;
-        }
-    }
+    for (const auto &bench : a.benchmarks)
+        for (auto kind : a.policies)
+            EXPECT_EQ(fields::firstDifference(a.at(bench, kind),
+                                              b.at(bench, kind)),
+                      "")
+                << bench << " / " << core::policyName(kind);
 }
 
 TEST_F(SweepTest, ParallelMatchesSerialBitwise)
