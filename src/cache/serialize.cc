@@ -11,6 +11,8 @@ constexpr std::uint32_t kRunResultMagic = 0x54475231; // "TGR1"
 std::vector<std::uint8_t> encodeRunResult(const sim::RunResult &r)
 {
     bytes::ByteWriter w;
+    w.reserve(sizeof kRunResultMagic +
+              fields::encodedSize(r, sim::kRunResultFields));
     w.u32(kRunResultMagic);
     fields::putAll(w, r, sim::kRunResultFields);
     return w.take();

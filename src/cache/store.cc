@@ -67,15 +67,14 @@ std::shared_ptr<const void> ArtifactStore::getRaw(ArtifactKind kind,
         counters::add(kc.misses);
         return nullptr;
     }
-    Shard &s = shardFor(key);
     const Key k{kind, key};
-    std::lock_guard<std::mutex> lock(s.mu);
-    auto it = s.map.find(k);
-    if (it == s.map.end()) {
+    std::lock_guard<std::mutex> lock(mu);
+    auto it = map.find(k);
+    if (it == map.end()) {
         counters::add(kc.misses);
         return nullptr;
     }
-    s.lru.splice(s.lru.begin(), s.lru, it->second); // bump to front
+    lru.splice(lru.begin(), lru, it->second); // bump to front
     counters::add(kc.hits);
     return it->second->value;
 }
@@ -86,46 +85,42 @@ void ArtifactStore::putRaw(ArtifactKind kind, const Fingerprint &key,
 {
     if (!enabledFlag.load(std::memory_order_relaxed) || !value)
         return;
-    Shard &s = shardFor(key);
     const Key k{kind, key};
     StoreStats::PerKind &kc = live.kind[static_cast<std::size_t>(kind)];
-    std::lock_guard<std::mutex> lock(s.mu);
-    if (s.map.find(k) != s.map.end())
+    std::lock_guard<std::mutex> lock(mu);
+    if (map.find(k) != map.end())
         return; // first write wins (identical by determinism)
-    s.lru.push_front(Entry{k, std::move(value), bytes});
-    s.map.emplace(k, s.lru.begin());
-    s.bytes += bytes;
+    lru.push_front(Entry{k, std::move(value), bytes});
+    map.emplace(k, lru.begin());
+    resident += bytes;
     counters::add(kc.inserts);
     counters::add(kc.bytes, bytes);
-    evictLocked(s);
+    evictLocked();
 }
 
-void ArtifactStore::evictLocked(Shard &s)
+void ArtifactStore::evictLocked()
 {
-    while (s.bytes > capacity / kShards && s.lru.size() > 1) {
-        const Entry &victim = s.lru.back();
+    while (resident > capacity && lru.size() > 1) {
+        const Entry &victim = lru.back();
         StoreStats::PerKind &kc =
             live.kind[static_cast<std::size_t>(victim.key.kind)];
         counters::sub(kc.bytes, victim.bytes);
         counters::add(kc.evictions);
-        s.bytes -= victim.bytes;
-        s.map.erase(victim.key);
-        s.lru.pop_back();
+        resident -= victim.bytes;
+        map.erase(victim.key);
+        lru.pop_back();
     }
 }
 
 void ArtifactStore::clear()
 {
-    for (Shard &s : shards) {
-        std::lock_guard<std::mutex> lock(s.mu);
-        for (const Entry &e : s.lru)
-            counters::sub(
-                live.kind[static_cast<std::size_t>(e.key.kind)].bytes,
-                e.bytes);
-        s.lru.clear();
-        s.map.clear();
-        s.bytes = 0;
-    }
+    std::lock_guard<std::mutex> lock(mu);
+    for (const Entry &e : lru)
+        counters::sub(live.kind[static_cast<std::size_t>(e.key.kind)].bytes,
+                      e.bytes);
+    lru.clear();
+    map.clear();
+    resident = 0;
 }
 
 StoreStats ArtifactStore::stats() const

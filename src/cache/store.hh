@@ -1,14 +1,13 @@
 /**
  * @file
- * Sharded, thread-safe, in-memory content-addressed artifact store.
+ * Thread-safe, in-memory content-addressed artifact store.
  *
  * Artifacts are immutable once inserted (shared_ptr<const T>), so a
  * stored object may be handed to any number of concurrent readers —
  * the same read-only-after-build property that lets sweep workers
- * share a PowerTrace. The store is sharded 16 ways by the low
- * fingerprint bits with one mutex per shard, so concurrent sweep
- * workers probing different keys almost never contend; each shard
- * runs LRU eviction against its slice of the byte budget.
+ * share a PowerTrace. One mutex guards one LRU list evicted against
+ * the whole byte budget; a run probes the store only a handful of
+ * times (trace, predictor, PDN bases, memo).
  *
  * Soundness: keys are canonical content fingerprints over every
  * result-bit-relevant input (cache/fingerprint.hh), and every
@@ -34,7 +33,6 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <utility>
 
 #include "cache/fingerprint.hh"
 #include "common/counters.hh"
@@ -168,7 +166,7 @@ class ArtifactStore
     /**
      * Probe, else build and insert. `build` returns
      * shared_ptr<const T>; `bytes(const T&)` sizes it for the budget.
-     * The build runs outside every shard lock, so concurrent
+     * The build runs outside the store's lock, so concurrent
      * same-key builders may race — harmless (identical results).
      */
     template <class T, class Build, class Bytes>
@@ -203,8 +201,6 @@ class ArtifactStore
     }
 
   private:
-    static constexpr int kShards = 16;
-
     struct Key
     {
         ArtifactKind kind;
@@ -232,23 +228,13 @@ class ArtifactStore
         std::size_t bytes = 0;
     };
 
-    struct Shard
-    {
-        std::mutex mu;
-        std::list<Entry> lru; //!< front = most recently used
-        std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> map;
-        std::size_t bytes = 0;
-    };
+    /** Evict LRU entries down to the budget; `mu` is held. */
+    void evictLocked();
 
-    Shard &shardFor(const Fingerprint &key)
-    {
-        return shards[key.lo & (kShards - 1)];
-    }
-
-    /** Evict LRU entries of one shard down to its budget slice. */
-    void evictLocked(Shard &s);
-
-    std::array<Shard, kShards> shards;
+    std::mutex mu; //!< guards lru, map and resident
+    std::list<Entry> lru; //!< front = most recently used
+    std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> map;
+    std::size_t resident = 0; //!< payload bytes in lru
     std::atomic<bool> enabledFlag{true};
     const std::size_t capacity;
 

@@ -48,6 +48,9 @@ class ByteWriter
     void str(const std::string &s);
     void blob(const std::vector<std::uint8_t> &v);
 
+    /** Allocate room for `n` bytes up front (see ByteCounter). */
+    void reserve(std::size_t n) { buf.reserve(n); }
+
     const std::vector<std::uint8_t> &bytes() const { return buf; }
     std::vector<std::uint8_t> take() { return std::move(buf); }
 
@@ -65,6 +68,21 @@ class ByteWriter
     }
 
     std::vector<std::uint8_t> buf;
+};
+
+/** A ByteWriter that only counts: the size of what the same calls
+ *  would append, so an encoder can reserve its buffer once. */
+struct ByteCounter
+{
+    std::size_t size = 0;
+
+    void u8(std::uint8_t) { size += 1; }
+    void u32(std::uint32_t) { size += 4; }
+    void u64(std::uint64_t) { size += 8; }
+    void i64(long long) { size += 8; }
+    void f64(double) { size += 8; }
+    void str(const std::string &s) { size += 8 + s.size(); }
+    void blob(const std::vector<std::uint8_t> &v) { size += 8 + v.size(); }
 };
 
 /**

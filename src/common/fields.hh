@@ -107,15 +107,16 @@ inline constexpr bool isStdArray = false;
 template <class T, std::size_t N>
 inline constexpr bool isStdArray<std::array<T, N>> = true;
 
-template <class Record, class List>
-void putAll(bytes::ByteWriter &w, const Record &rec, const List &list);
+template <class Writer, class Record, class List>
+void putAll(Writer &w, const Record &rec, const List &list);
 template <class Record, class List>
 bool getAll(bytes::ByteReader &r, Record &rec, const List &list);
 
-/** Append `v` by the wire rule (DESIGN.md, "Field lists"); a nested
- *  record through the list its fieldsOf() overload returns. */
-template <class T>
-void put(bytes::ByteWriter &w, const T &v)
+/** Append `v` by the wire rule (DESIGN.md, "Field lists") to a
+ *  bytes::ByteWriter, or count its bytes on a bytes::ByteCounter; a
+ *  nested record through the list its fieldsOf() overload returns. */
+template <class Writer, class T>
+void put(Writer &w, const T &v)
 {
     if constexpr (std::is_same_v<T, bool> || std::is_same_v<T, std::uint8_t>)
         w.u8(v);
@@ -193,8 +194,8 @@ bool get(bytes::ByteReader &r, T &v, Bound<T> lo = lowest<T>,
 }
 
 /** Append every Wire member of `rec`, in list order. */
-template <class Record, class List>
-void putAll(bytes::ByteWriter &w, const Record &rec, const List &list)
+template <class Writer, class Record, class List>
+void putAll(Writer &w, const Record &rec, const List &list)
 {
     forEach(list, [&]<class E>(const E &e) {
         if constexpr ((E::flags & Wire) != 0)
@@ -213,12 +214,23 @@ bool getAll(bytes::ByteReader &r, Record &rec, const List &list)
     return r.ok();
 }
 
+/** Bytes putAll() appends for `rec`, counted by walking the same
+ *  list, so an encoder can reserve its buffer once. */
+template <class Record, class List>
+std::size_t encodedSize(const Record &rec, const List &list)
+{
+    bytes::ByteCounter n;
+    putAll(n, rec, list);
+    return n.size;
+}
+
 /** A payload holding `rec` alone, and its decoder, which also refuses
  *  trailing bytes. */
 template <class Record, class List>
 std::vector<std::uint8_t> encode(const Record &rec, const List &list)
 {
     bytes::ByteWriter w;
+    w.reserve(encodedSize(rec, list));
     putAll(w, rec, list);
     return w.take();
 }

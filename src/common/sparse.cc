@@ -213,21 +213,14 @@ rcmOrdering(const SparseMatrix &a)
     return order;
 }
 
-SparseLdltSolver::SparseLdltSolver(const SparseMatrix &a,
-                                   Ordering ordering)
+SparseLdltSolver::SparseLdltSolver(const SparseMatrix &a)
     : n(a.rows())
 {
     if (a.rows() != a.cols())
         fatal("LDL^T factorisation requires a square matrix, got ",
               a.rows(), "x", a.cols());
 
-    if (ordering == Ordering::Rcm) {
-        perm = rcmOrdering(a);
-    } else {
-        perm.resize(n);
-        for (std::size_t i = 0; i < n; ++i)
-            perm[i] = i;
-    }
+    perm = rcmOrdering(a);
     std::vector<std::size_t> iperm(n);
     for (std::size_t i = 0; i < n; ++i)
         iperm[perm[i]] = i;

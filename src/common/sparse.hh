@@ -14,9 +14,7 @@
  *    Under the RCM ordering all factor fill is confined to a narrow
  *    variable band, so factorisation costs O(n b^2) and each solve
  *    O(n b) for envelope bandwidth b — versus O(n^3)/O(n^2) for the
- *    dense LU these systems used before. Ordering::Natural keeps the
- *    caller's numbering and degrades to a plain banded solver, the
- *    fallback for matrices that are already banded by construction.
+ *    dense LU these systems used before.
  *
  * Solvers keep a reusable scratch vector so solveInPlace() performs
  * no heap allocation after the first call; a given solver instance
@@ -100,24 +98,16 @@ std::vector<std::size_t> rcmOrdering(const SparseMatrix &a);
  * definite sparse matrix, factored once at construction and
  * back-substituted per solve.
  *
- * With Ordering::Rcm (default) the matrix is permuted by reverse
- * Cuthill-McKee first, which confines the envelope of a grid matrix
- * to a band of roughly the grid's smaller edge. Ordering::Natural is
- * the banded fallback: no permutation, envelope as assembled.
+ * The matrix is permuted by reverse Cuthill-McKee first, which
+ * confines the envelope of a grid matrix to a band of roughly the
+ * grid's smaller edge.
  *
  * Panics when a pivot is not strictly positive (matrix not SPD).
  */
 class SparseLdltSolver
 {
   public:
-    enum class Ordering
-    {
-        Rcm,     //!< reverse Cuthill-McKee fill-reducing permutation
-        Natural, //!< keep the caller's numbering (banded fallback)
-    };
-
-    explicit SparseLdltSolver(const SparseMatrix &a,
-                              Ordering ordering = Ordering::Rcm);
+    explicit SparseLdltSolver(const SparseMatrix &a);
 
     /** Solve A x = b, returning x. */
     std::vector<double> solve(const std::vector<double> &b) const;

@@ -48,12 +48,12 @@ struct SimConfig
     int noiseWarmupCycles = 200; //!< leading cycles excluded
 
     /**
-     * Lockstep lanes of the batched transient kernel: a domain's
-     * queued noise windows advance through the shared factorisation
-     * up to this many at a time (1 = each window is solved as soon as
-     * its frame queues it; clamped to pdn::DomainPdn::kMaxWindowBatch).
-     * Purely a throughput knob — results are bit-identical at every
-     * width.
+     * Lanes per lockstep chunk of the batched transient kernel: a
+     * domain solves up to this many sampled windows at a time, from
+     * consecutive samples that share an active set, and a truth check
+     * its epoch's windows likewise (clamped to [1,
+     * pdn::DomainPdn::kMaxWindowBatch]). Purely a throughput knob —
+     * results are bit-identical at every width.
      */
     int noiseBatchWidth = 4;
 

@@ -1,6 +1,8 @@
 #include "sim/simulation.hh"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <numeric>
@@ -265,32 +267,21 @@ Simulation::calibrateThetas()
             3 * sizeof(double) * static_cast<std::size_t>(n_vrs));
 }
 
-int
-Simulation::noiseBatchWidth() const
-{
-    return std::clamp(cfg.noiseBatchWidth, 1,
-                      pdn::DomainPdn::kMaxWindowBatch);
-}
-
 /**
  * One runMixed() call: the members are the run's state, the methods
  * its stages. The constructor prepares (power trace, sample
  * schedule, fault arming, thermal bootstrap); epoch() decides each
  * domain's active set (propose, verify, commit), then advances the
- * epoch's frames, queueing the noise windows scheduled there;
- * finish() drains the queue and assembles the result.
+ * epoch's frames, recording each sample frame's block power;
+ * finish() solves every sampled noise window and assembles the
+ * result.
  *
- * A noise window is synthesised at its scheduled frame, against that
- * frame's block power, but solved later in lockstep batches; the
- * queue rides across epochs. rekey() solves a domain's pending
- * windows before its active set changes, so every window solves
- * under the factorisation of the epoch that scheduled it; drain()
- * solves and reduces everything at the width cap, at the decision
- * boundary of an emergency-override epoch, and at the end of the
- * run. The reduction replays global (sample,
- * domain) order serially — the exact max/sum/compare sequence of
- * evaluating each window at its frame — and lanes of a batch never
- * interact, so where a flush falls is bit-invisible.
+ * The sampled windows feed only the reported noise metrics, so they
+ * are solved in one place at the end. A window is built from its own
+ * frame's power and its (epoch, sample, domain) RNG key and solved
+ * under its epoch's committed set; lanes of a batch never interact,
+ * and the reduction replays (sample, domain) order serially, so
+ * solving at the end yields the bits of solving at the frame.
  */
 struct Simulation::Run
 {
@@ -309,7 +300,8 @@ struct Simulation::Run
           fpe(std::max(1, static_cast<int>(std::round(
                               s.cfg.decisionInterval / dt)))),
           winCycles(static_cast<std::size_t>(s.cfg.noiseCyclesTotal)),
-          width(static_cast<std::size_t>(s.noiseBatchWidth())),
+          width(static_cast<std::size_t>(std::clamp(
+              s.cfg.noiseBatchWidth, 1, pdn::DomainPdn::kMaxWindowBatch))),
           governor(p, nDomains), aging(nVrs),
           sensorBank(nVrs, s.cfg.sensorParams, mixSeed(runSeed, 0x5eb5u)),
           emPredictor(s.cfg.predictorParams, mixSeed(runSeed, 0xe456u)),
@@ -363,7 +355,7 @@ struct Simulation::Run
     const Seconds dt;
     const int fpe;                //!< frames per decision epoch
     const std::size_t winCycles;  //!< cycles per noise window
-    const std::size_t width;      //!< lockstep lanes per batch
+    const std::size_t width;      //!< lockstep lanes per chunk
 
     // Prepared inputs.
     std::vector<double> didt;     //!< per-domain di/dt intensity
@@ -382,13 +374,17 @@ struct Simulation::Run
     std::vector<WmaForecaster> wma;
     std::unique_ptr<fault::FaultInjector> injector;
     std::unique_ptr<sensors::SensorHealthMonitor> health;
-    bool epochFaulted = false;    //!< any fault active this epoch
 
     // Physical state.
     std::vector<Watts> vrLoss;
     std::vector<std::vector<int>> activeSets;
     std::vector<Celsius> temps;
     std::vector<Watts> lastBlockPower;
+
+    // Noise-sample records, solved by finish().
+    std::vector<Watts> samplePower;       //!< block power, row per sample
+    std::vector<std::uint64_t> epochSets; //!< committed sets, row per epoch
+    std::vector<std::uint8_t> epochFaulted; //!< any fault active
 
     // Accumulators.
     RunResult res;
@@ -397,9 +393,6 @@ struct Simulation::Run
     RunningStats activeStats;
     double etaWeighted = 0.0;
     double etaWeight = 0.0;
-    long emergencyCycles = 0;
-    long analysedCycles = 0;
-    double bestTraceNoise = -1.0;
 
     // --- Prepare ---------------------------------------------------------
 
@@ -476,19 +469,26 @@ struct Simulation::Run
                 s);
         }
 
+        samplePower.resize(static_cast<std::size_t>(n_samples) * nBlocks);
+        epochSets.resize(static_cast<std::size_t>(nEpochs * nDomains));
+        epochFaulted.resize(static_cast<std::size_t>(nEpochs));
+
         // Noise windows are independent across domains (per-domain
-        // PDN scratch, per-domain NoiseScratch, RNG streams keyed by
-        // (run seed, epoch, sample, domain)), so window synthesis and
-        // the batched solves fan out across the process pool.
-        // Results are reduced serially in (sample, domain) order, so
-        // any worker count is bit-identical to the serial path. Sweep
-        // workers (already on a pool thread) run their fan-out inline,
-        // so they resolve no width and print no TG_JOBS warning.
+        // PDN and NoiseScratch, RNG streams keyed by (run seed, epoch,
+        // sample, domain)), so finish() fans them out across the
+        // process pool. Sweep workers (already on a pool thread) run
+        // it inline, so they resolve no width and print no TG_JOBS
+        // warning.
         sim.noiseScratch.resize(static_cast<std::size_t>(nDomains));
-        sim.noiseQueue.clear();
-        for (auto &sc : sim.noiseScratch)
-            sc.solved = 0;
-        if (sim.noiseJobs == 0 && n_samples > 0 && nDomains > 1 &&
+        if (n_samples == 0)
+            return;
+        for (int d = 0; d < nDomains; ++d) {
+            auto &sc = sim.noiseScratch[static_cast<std::size_t>(d)];
+            sc.chunk.resize(width * windowSize(d));
+            sc.results.resize(
+                std::max(static_cast<std::size_t>(n_samples), width));
+        }
+        if (sim.noiseJobs == 0 && nDomains > 1 &&
             exec::ThreadPool::workerIndex() < 0)
             sim.noiseJobs = exec::resolveJobs(sim.cfg.jobs);
     }
@@ -548,8 +548,9 @@ struct Simulation::Run
         // fixed for the whole epoch.
         if (injector) {
             injector->advanceTo(t);
-            epochFaulted = injector->anyActive();
-            if (epochFaulted)
+            epochFaulted[static_cast<std::size_t>(e)] =
+                injector->anyActive();
+            if (epochFaulted[static_cast<std::size_t>(e)])
                 ++res.resilience.faultedEpochs;
         }
         if (!offChip)
@@ -562,15 +563,6 @@ struct Simulation::Run
     {
         auto &fs = sim.fs;
         auto &rs = res.resilience;
-        // Verify epochs re-key the factorisation and reuse the queue
-        // buffers, so windows pending from earlier epochs drain first
-        // (the decision-boundary flush rule). Epochs verify skips
-        // keep their queues pending.
-        const bool verify =
-            emergencyOverride &&
-            !samplesOfEpoch[static_cast<std::size_t>(e)].empty();
-        if (verify)
-            drain();
 
         // Epoch provisioning power: the trace's blended mean/peak row
         // (oracular policies provision n_on for the epoch's demand
@@ -610,8 +602,10 @@ struct Simulation::Run
         // are stateless, the governor's counters are sums, the alert
         // draws are keyed by (domain, decision) and (decision, event),
         // and a verify task touches only its own domain's PDN and
-        // scratch (the drain above emptied the queue, so its rekey
-        // flushes nothing).
+        // scratch.
+        const bool verify =
+            emergencyOverride &&
+            !samplesOfEpoch[static_cast<std::size_t>(e)].empty();
         for (int d = 0; d < nDomains; ++d)
             propose(d, e);
         if (verify)
@@ -712,13 +706,14 @@ struct Simulation::Run
         auto &slot = sim.fs.slots[static_cast<std::size_t>(d)];
         if (slot.decision.overridden)
             return;
-        rekey(d, slot.decision.active);
+        rekey(d, maskOf(slot.decision.active));
         slot.truth = epochEmergencyTruth(d, e, sim.fs.meanPower);
     }
 
     /**
      * Alert on a verified proposal's truth (the override when it
-     * fires), then install domain d's final active set.
+     * fires), then install domain d's final active set and record it
+     * for the epoch's noise samples.
      */
     void commit(int d, long e, Seconds span, bool verified)
     {
@@ -738,24 +733,36 @@ struct Simulation::Run
 
         const auto &active = slot.decision.active;
         activeSets[ud] = active;
-        rekey(d, active);
+        epochSets[static_cast<std::size_t>(e * nDomains + d)] =
+            maskOf(active);
         governor.recordActivity(
             d, active,
             static_cast<int>(plan.domains()[ud].vrs.size()), span);
     }
 
-    /**
-     * The one place a domain's active set changes. Unchanged
-     * selections keep the cached factorisation AND any windows
-     * pending against it; a change solves the domain's pending
-     * windows under the outgoing set first.
-     */
-    void rekey(int d, const std::vector<int> &set)
+    /** Bitmask of local VR indices (a DomainPdn keeps <= 64 VRs). */
+    static std::uint64_t maskOf(const std::vector<int> &set)
     {
-        auto &pdn = *sim.pdns[static_cast<std::size_t>(d)];
-        if (set == pdn.active())
+        std::uint64_t mask = 0;
+        for (int l : set)
+            mask |= std::uint64_t{1} << l;
+        return mask;
+    }
+
+    /**
+     * Key domain d's PDN to the active set `mask`: the one place a
+     * PDN's set changes. An unchanged set keeps the factorisation.
+     */
+    void rekey(int d, std::uint64_t mask)
+    {
+        const std::size_t ud = static_cast<std::size_t>(d);
+        auto &pdn = *sim.pdns[ud];
+        if (mask == maskOf(pdn.active()))
             return;
-        flushDomain(d);
+        auto &set = sim.noiseScratch[ud].set;
+        set.clear();
+        for (; mask != 0; mask &= mask - 1)
+            set.push_back(std::countr_zero(mask));
         pdn.setActive(set);
     }
 
@@ -847,60 +854,56 @@ struct Simulation::Run
                 std::find(set.begin(), set.end(), tl) != set.end() ? 1
                                                                    : 0);
         }
-        enqueueNoise(e, f, now);
-    }
-
-    void enqueueNoise(long e, std::size_t f, Seconds now)
-    {
-        bool projected = false;
-        for (int s : samplesOfEpoch[static_cast<std::size_t>(e)]) {
-            if (sampleFrame[static_cast<std::size_t>(s)] !=
+        // The sampled windows are built and solved in finish(); their
+        // frames only keep the power the windows are built from.
+        for (int sample : samplesOfEpoch[static_cast<std::size_t>(e)])
+            if (sampleFrame[static_cast<std::size_t>(sample)] ==
                 static_cast<int>(f))
-                continue;
-            const std::size_t q = sim.noiseQueue.size();
-            sim.noiseQueue.push_back({now * 1e6, epochFaulted});
-            forEachDomain([&](int d) {
-                auto &sc = sim.noiseScratch[static_cast<std::size_t>(d)];
-                if (!projected)
-                    projectBaseCurrents(d, sim.fs.blockPower);
-                const std::size_t win = windowSize(d);
-                if (sc.queue.size() < (q + 1) * win)
-                    sc.queue.resize((q + 1) * win);
-                buildNoiseWindowInto(d, e, s, sc.queue.data() + q * win);
-            });
-            projected = true;
-            // Width cap: the queue never holds more than one full
-            // lockstep dispatch, bounding the window buffers at
-            // width * windowSize per domain.
-            if (sim.noiseQueue.size() >= width)
-                drain();
-        }
+                std::copy(fs.blockPower.begin(), fs.blockPower.end(),
+                          samplePower.data() +
+                              static_cast<std::size_t>(sample) * nBlocks);
     }
 
-    // --- Flush and drain -------------------------------------------------
+    // --- Finish ----------------------------------------------------------
 
-    void flushDomain(int d)
+    /**
+     * Solve every sampled window, then reduce. Each domain walks the
+     * samples in order: up to `width` consecutive samples whose
+     * epochs committed the same set form one lockstep chunk, so the
+     * PDN re-keys only where the recorded set changes. Domains walk
+     * concurrently and check for cancellation between chunks. The
+     * reduction runs serially in (sample, domain) order: the
+     * max/sum/compare sequence of evaluating each window at its frame.
+     */
+    void solveNoise()
     {
-        auto &sc = sim.noiseScratch[static_cast<std::size_t>(d)];
-        const std::size_t k = sim.noiseQueue.size();
-        if (sc.solved < k) {
-            solveWindows(d, sc.solved, k, opts.noiseTrace);
-            sc.solved = k;
-        }
-    }
-
-    void drain()
-    {
-        auto &queue = sim.noiseQueue;
-        if (queue.empty())
+        const std::size_t n = sampleFrame.size();
+        if (n == 0)
             return;
-        forEachDomain([&](int d) { flushDomain(d); });
-        for (std::size_t q = 0; q < queue.size(); ++q) {
+        forEachDomain([&](int d) {
+            auto *out =
+                sim.noiseScratch[static_cast<std::size_t>(d)].results.data();
+            for (std::size_t s0 = 0, cnt = 0; s0 < n; s0 += cnt) {
+                if (opts.cancel)
+                    opts.cancel->throwIfCancelled();
+                cnt = 1;
+                while (cnt < width && s0 + cnt < n &&
+                       sampleSet(s0 + cnt, d) == sampleSet(s0, d))
+                    ++cnt;
+                solveSamples(d, s0, cnt, false, out + s0);
+            }
+        });
+
+        long emergency_cycles = 0;
+        long analysed_cycles = 0;
+        double best_trace = -1.0;
+        std::size_t traced = n;
+        for (std::size_t s = 0; s < n; ++s) {
             int em_max = 0;
             int analysed = 0;
             for (int d = 0; d < nDomains; ++d) {
-                auto &w = sim.noiseScratch[static_cast<std::size_t>(d)]
-                              .results[q];
+                const auto &w =
+                    sim.noiseScratch[static_cast<std::size_t>(d)].results[s];
                 double max_noise = w.maxNoiseFrac;
                 if (emergencyOverride) {
                     // Even when the *predictive* path missed (PracVT's
@@ -915,30 +918,67 @@ struct Simulation::Run
                 res.maxNoiseFrac = std::max(res.maxNoiseFrac, max_noise);
                 em_max = std::max(em_max, w.emergencyCycles);
                 analysed = w.analysedCycles;
-                if (opts.noiseTrace && max_noise > bestTraceNoise) {
-                    bestTraceNoise = max_noise;
-                    res.noiseTrace = std::move(w.trace);
+                if (opts.noiseTrace && max_noise > best_trace) {
+                    best_trace = max_noise;
+                    traced = s;
                     res.noiseTraceDomain = d;
-                    res.noiseTraceTimeUs = queue[q].timeUs;
                 }
             }
-            emergencyCycles += em_max;
-            analysedCycles += analysed;
-            // Attributed to the epoch the sample was *scheduled* in,
-            // recorded at queue time.
+            emergency_cycles += em_max;
+            analysed_cycles += analysed;
+            // Attributed to the epoch the sample was scheduled in.
+            const int e = sampleFrame[s] / fpe;
             if (injector)
-                (queue[q].faulted ? res.resilience.emergencyCyclesFaulted
-                                  : res.resilience.emergencyCyclesClean) +=
-                    em_max;
+                (epochFaulted[static_cast<std::size_t>(e)]
+                     ? res.resilience.emergencyCyclesFaulted
+                     : res.resilience.emergencyCyclesClean) += em_max;
         }
-        queue.clear();
-        for (auto &sc : sim.noiseScratch)
-            sc.solved = 0;
+        if (analysed_cycles > 0)
+            res.emergencyFrac = static_cast<double>(emergency_cycles) /
+                                static_cast<double>(analysed_cycles);
+
+        // The deepest window's droop trace: that one window solved
+        // again with its trace kept (a lane's trace is the scalar one).
+        if (traced < n) {
+            pdn::NoiseResult w;
+            solveSamples(res.noiseTraceDomain, traced, 1, true, &w);
+            res.noiseTrace = std::move(w.trace);
+            res.noiseTraceTimeUs =
+                static_cast<double>(sampleFrame[traced]) * dt * 1e6;
+        }
+    }
+
+    /**
+     * Build domain d's windows of samples [s0, s0 + count), whose
+     * epochs committed one set, into its chunk and solve them under
+     * that set into `out`.
+     */
+    void solveSamples(int d, std::size_t s0, std::size_t count,
+                      bool keep_trace, pdn::NoiseResult *out)
+    {
+        auto &sc = sim.noiseScratch[static_cast<std::size_t>(d)];
+        const std::size_t win = windowSize(d);
+        for (std::size_t j = 0; j < count; ++j) {
+            const std::size_t s = s0 + j;
+            projectBaseCurrents(d, samplePower.data() + s * nBlocks);
+            buildNoiseWindowInto(d, sampleFrame[s] / fpe,
+                                 static_cast<int>(s),
+                                 sc.chunk.data() + j * win);
+        }
+        rekey(d, sampleSet(s0, d));
+        solveChunk(d, count, keep_trace, out);
+    }
+
+    /** Domain d's committed set in the epoch of sample s. */
+    std::uint64_t sampleSet(std::size_t s, int d) const
+    {
+        const int e = sampleFrame[s] / fpe;
+        return epochSets[static_cast<std::size_t>(e * nDomains + d)];
     }
 
     RunResult finish()
     {
-        drain();  // whatever still rides the queue
+        solveNoise();
 
         res.avgRegulatorLoss = plossStats.mean();
         res.meanPower = powerStats.mean();
@@ -946,10 +986,6 @@ struct Simulation::Run
         res.avgEta = offChip ? 1.0
                              : (etaWeight > 0.0 ? etaWeighted / etaWeight
                                                 : 0.0);
-        res.emergencyFrac =
-            analysedCycles > 0 ? static_cast<double>(emergencyCycles) /
-                                     static_cast<double>(analysedCycles)
-                               : 0.0;
         if (injector) {
             auto &rs = res.resilience;
             rs.scheduledFaults =
@@ -1019,7 +1055,7 @@ struct Simulation::Run
                           });
     }
 
-    /** Values in one of domain d's queued noise windows. */
+    /** Values in one of domain d's noise windows. */
     std::size_t windowSize(int d) const
     {
         return winCycles * static_cast<std::size_t>(
@@ -1030,14 +1066,13 @@ struct Simulation::Run
     /** Domain d's logic and memory shares of `block_power` (they
      *  fluctuate with different depths), projected onto its PDN nodes:
      *  the base currents of every window built against that power. */
-    void projectBaseCurrents(int d,
-                             const std::vector<Watts> &block_power) const
+    void projectBaseCurrents(int d, const Watts *block_power) const
     {
         const std::size_t ud = static_cast<std::size_t>(d);
         const auto &pdn = *sim.pdns[ud];
         auto &sc = sim.noiseScratch[ud];
-        sc.pLogic.assign(block_power.size(), 0.0);
-        sc.pMem.assign(block_power.size(), 0.0);
+        sc.pLogic.assign(nBlocks, 0.0);
+        sc.pMem.assign(nBlocks, 0.0);
         for (int b : plan.domains()[ud].blocks) {
             std::size_t ub = static_cast<std::size_t>(b);
             if (floorplan::isLogicUnit(plan.blocks()[ub].kind))
@@ -1080,28 +1115,21 @@ struct Simulation::Run
         }
     }
 
-    /**
-     * Solve domain d's queued windows [q0, q1) into its results
-     * [q0, q1), `width` lockstep lanes at a time.
-     */
-    void solveWindows(int d, std::size_t q0, std::size_t q1,
-                      bool keep_trace) const
+    /** Solve the first `count` windows of domain d's chunk into `out`. */
+    void solveChunk(int d, std::size_t count, bool keep_trace,
+                    pdn::NoiseResult *out) const
     {
-        auto &sc = sim.noiseScratch[static_cast<std::size_t>(d)];
-        const auto &pdn = *sim.pdns[static_cast<std::size_t>(d)];
+        std::array<pdn::DomainPdn::WindowSpec,
+                   pdn::DomainPdn::kMaxWindowBatch> specs;
+        const std::size_t ud = static_cast<std::size_t>(d);
+        const auto &pdn = *sim.pdns[ud];
         const std::size_t n = static_cast<std::size_t>(pdn.nodeCount());
-        const std::size_t win = windowSize(d);
-        if (sc.specs.size() < q1)
-            sc.specs.resize(q1);
-        if (sc.results.size() < q1)
-            sc.results.resize(q1);
-        for (std::size_t q = q0; q < q1; ++q)
-            sc.specs[q] = {sc.queue.data() + q * win, n};
-        for (std::size_t c = q0; c < q1; c += width)
-            pdn.transientWindowBatch(
-                sc.specs.data() + c, static_cast<int>(std::min(width, q1 - c)),
-                winCycles, sim.cfg.noiseWarmupCycles, keep_trace,
-                sc.results.data() + c);
+        for (std::size_t j = 0; j < count; ++j)
+            specs[j] = {sim.noiseScratch[ud].chunk.data() + j * windowSize(d),
+                        n};
+        pdn.transientWindowBatch(specs.data(), static_cast<int>(count),
+                                 winCycles, sim.cfg.noiseWarmupCycles,
+                                 keep_trace, out);
     }
 
     /**
@@ -1109,8 +1137,7 @@ struct Simulation::Run
      * current active set suffer a voltage emergency in any of epoch
      * e's sample windows? Windows advance `width` at a time with an
      * early exit between chunks — the OR over windows is what the
-     * per-window early-exit loop computed, bit-identically. Reuses
-     * the domain's queue buffers, so the queue must be empty.
+     * per-window early-exit loop computed, bit-identically.
      */
     bool epochEmergencyTruth(int d, long e,
                              const std::vector<Watts> &block_power) const
@@ -1118,15 +1145,13 @@ struct Simulation::Run
         auto &sc = sim.noiseScratch[static_cast<std::size_t>(d)];
         const auto &samples = samplesOfEpoch[static_cast<std::size_t>(e)];
         const std::size_t win = windowSize(d);
-        if (sc.queue.size() < width * win)
-            sc.queue.resize(width * win);
-        projectBaseCurrents(d, block_power);
+        projectBaseCurrents(d, block_power.data());
         for (std::size_t q0 = 0; q0 < samples.size(); q0 += width) {
             const std::size_t cnt = std::min(width, samples.size() - q0);
             for (std::size_t j = 0; j < cnt; ++j)
                 buildNoiseWindowInto(d, e, samples[q0 + j],
-                                     sc.queue.data() + j * win);
-            solveWindows(d, 0, cnt, false);
+                                     sc.chunk.data() + j * win);
+            solveChunk(d, cnt, false, sc.results.data());
             for (std::size_t j = 0; j < cnt; ++j)
                 if (sc.results[j].emergencyCycles > 0)
                     return true;

@@ -137,32 +137,18 @@ class Simulation
 
     void calibrateThetas();
 
-    /**
-     * The state and stages of one runMixed() call (defined in
-     * simulation.cc): prepare, then per epoch decide and advance
-     * frames while noise windows queue, then finish.
-     */
+    /** The state and stages of one runMixed() call (defined in
+     *  simulation.cc): prepare, decide and advance each epoch, finish. */
     struct Run;
 
     /**
-     * Per-domain reusable buffers of the noise sampler. The
-     * logic/memory base currents are projected from the block power
-     * once per sample frame (and once per emergency ground-truth
-     * check), and every window built against that power reuses them.
-     * One scratch per domain also makes the per-sample fan-out across
-     * domains race-free without locks.
-     *
-     * `queue` holds built-but-unsolved windows back-to-back (window q
-     * at offset q * cycles * nodeCount): each window is synthesised
-     * at its scheduled frame, against that frame's block power, and
-     * drains through the PDN's lockstep transientWindowBatch() later.
-     * The queue rides across epochs whose decision left the domain's
-     * active set unchanged, so rarely-gating policies fill maximally
-     * wide lanes; `solved` counts the leading windows already solved
-     * by an early per-domain flush (a set change solves them under
-     * the outgoing factorisation first). `results` receives one
-     * NoiseResult per queued window and survives until the global
-     * reduction.
+     * Per-domain reusable buffers of the noise sampler; one scratch
+     * per domain makes the fan-outs across domains race-free without
+     * locks. `chunk` holds up to `width` built windows back-to-back
+     * (window j at offset j * cycles * nodeCount): the lanes of one
+     * lockstep transientWindowBatch(). `results` holds one
+     * NoiseResult per lane in a truth check, and one per sample in
+     * finish(), where the reduction reads them.
      */
     struct NoiseScratch
     {
@@ -171,17 +157,9 @@ class Simulation
         std::vector<Amperes> baseLogic;   //!< node currents, logic
         std::vector<Amperes> baseMem;     //!< node currents, memory
         std::vector<double> mult;         //!< cycle multipliers
-        std::vector<Amperes> queue;       //!< queued window buffers
-        std::vector<pdn::DomainPdn::WindowSpec> specs; //!< batch views
-        std::vector<pdn::NoiseResult> results; //!< per-window results
-        std::size_t solved = 0; //!< windows already solved (flushes)
-    };
-
-    /** One queued noise sample (possibly from an earlier epoch). */
-    struct QueuedNoiseSample
-    {
-        double timeUs = 0.0; //!< scheduled frame time [us] (traces)
-        bool faulted = false; //!< scheduling epoch had active faults
+        std::vector<Amperes> chunk;       //!< built window buffers
+        std::vector<pdn::NoiseResult> results; //!< per lane / sample
+        std::vector<int> set;             //!< a re-key's local VRs
     };
 
     /**
@@ -219,18 +197,14 @@ class Simulation
     };
 
     FrameScratch fs;
-    std::vector<NoiseScratch> noiseScratch;   //!< one per domain
-    std::vector<QueuedNoiseSample> noiseQueue; //!< cross-epoch queue
+    std::vector<NoiseScratch> noiseScratch; //!< one per domain
 
     /**
-     * Width of the per-sample noise fan-out across domains: cfg.jobs
-     * resolved once, on the first run off a pool thread that samples
-     * noise (0 until then), so an invalid TG_JOBS warns once.
+     * Width of the fan-outs across domains: cfg.jobs resolved once,
+     * on the first run off a pool thread that samples noise (0 until
+     * then), so an invalid TG_JOBS warns once.
      */
     int noiseJobs = 0;
-
-    /** cfg.noiseBatchWidth clamped to [1, kMaxWindowBatch]. */
-    int noiseBatchWidth() const;
 };
 
 } // namespace sim

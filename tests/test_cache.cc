@@ -2,7 +2,7 @@
  * @file
  * Tests of the content-addressed artifact cache (src/cache): the
  * fingerprint layer (golden digests + field sensitivity + knob
- * invariance), the sharded in-memory store, the bit-exact RunResult
+ * invariance), the in-memory LRU store, the bit-exact RunResult
  * serializer, the checksummed disk tier, and the end-to-end
  * cache-hit-equals-recompute contract of Simulation memoization.
  *
@@ -362,51 +362,35 @@ TEST(ArtifactStore, DisabledStoreMissesAndDropsPuts)
 
 TEST(ArtifactStore, EvictsLeastRecentlyUsedUnderPressure)
 {
-    // Tiny budget: entries land in per-key shards, each shard holds
-    // at most its slice. Insert many large entries into one shard by
-    // fixing the low fingerprint bits, then check older ones left.
-    ArtifactStore s(1024); // 64 bytes per shard slice
-    Fingerprint base = keyOf(4);
-    auto shard_key = [&](std::uint64_t i) {
-        Fingerprint f = keyOf(i);
-        f.lo = (f.lo & ~0xfull); // all in shard 0
-        return f;
-    };
+    // Tiny budget: a 64-byte store holds one 48-byte entry. Insert
+    // many, then check older ones left.
+    ArtifactStore s(64);
     for (std::uint64_t i = 0; i < 8; ++i)
-        s.put<int>(ArtifactKind::PowerTrace, shard_key(i),
+        s.put<int>(ArtifactKind::PowerTrace, keyOf(i),
                    std::make_shared<const int>(int(i)), 48);
-    (void)base;
     auto st = s.stats();
     EXPECT_GT(st.evictions, 0u);
     // The newest entry always survives (eviction keeps >= 1).
-    EXPECT_NE(s.get<int>(ArtifactKind::PowerTrace, shard_key(7)),
-              nullptr);
+    EXPECT_NE(s.get<int>(ArtifactKind::PowerTrace, keyOf(7)), nullptr);
     // The oldest was evicted.
-    EXPECT_EQ(s.get<int>(ArtifactKind::PowerTrace, shard_key(0)),
-              nullptr);
+    EXPECT_EQ(s.get<int>(ArtifactKind::PowerTrace, keyOf(0)), nullptr);
 }
 
 TEST(ArtifactStore, ResetStatsZeroesRatesAndKeepsResidentBytes)
 {
     const std::filesystem::path dir = privateTempDir();
     std::filesystem::remove_all(dir);
-    ArtifactStore s(1024); // 64 bytes per shard slice
-    auto in_shard = [](std::uint64_t i, std::uint64_t shard) {
-        Fingerprint f = keyOf(i);
-        f.lo = (f.lo & ~0xfull) | shard;
-        return f;
-    };
-    // Two 48-byte traces in one slice: the second evicts the first.
-    s.put<int>(ArtifactKind::PowerTrace, in_shard(200, 0),
+    ArtifactStore s(64);
+    // Two 48-byte traces in 64 bytes: the second evicts the first,
+    // and an 8-byte result fits beside it.
+    s.put<int>(ArtifactKind::PowerTrace, keyOf(200),
                std::make_shared<const int>(1), 48);
-    s.put<int>(ArtifactKind::PowerTrace, in_shard(201, 0),
+    s.put<int>(ArtifactKind::PowerTrace, keyOf(201),
                std::make_shared<const int>(2), 48);
-    s.put<int>(ArtifactKind::RunResult, in_shard(202, 1),
+    s.put<int>(ArtifactKind::RunResult, keyOf(202),
                std::make_shared<const int>(3), 8);
-    EXPECT_NE(s.get<int>(ArtifactKind::PowerTrace, in_shard(201, 0)),
-              nullptr);
-    EXPECT_EQ(s.get<int>(ArtifactKind::PowerTrace, in_shard(200, 0)),
-              nullptr);
+    EXPECT_NE(s.get<int>(ArtifactKind::PowerTrace, keyOf(201)), nullptr);
+    EXPECT_EQ(s.get<int>(ArtifactKind::PowerTrace, keyOf(200)), nullptr);
 
     DiskTier tier(dir.string(), &s);
     std::vector<std::uint8_t> payload;

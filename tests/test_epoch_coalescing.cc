@@ -1,20 +1,20 @@
 /**
  * @file
- * Bit-identity tests of cross-epoch noise-window coalescing.
+ * Bit-identity tests of the finish-time noise solve across widths.
  *
- * Built windows ride one queue across epochs whose decision kept the
- * active set, draining on a set change (per domain, before the
- * re-key), an emergency-truth decision boundary, the batch width
- * cap, or the end of the run. At width 1 the cap drains every window
- * as soon as its frame queues it — the immediate evaluation the
- * hexfloat goldens in test_run_determinism.cc were captured from — so
- * width 1 at jobs 1 is the reference. Wider queues must match it in
- * every RunResult byte at every worker count: for a policy that never
- * flushes mid-run (AllOn: maximal lanes), for the paper's full policy
- * (PracVT: the emergency-truth boundary drains almost every sampled
- * epoch), for a set-changing policy without the override (OracT: the
- * per-domain flush-before-rekey path), and under an active fault
- * scenario (per-sample fault attribution recorded at queue time).
+ * finish() solves every sampled window: each domain walks the samples
+ * in order and solves up to noiseBatchWidth consecutive samples whose
+ * epochs committed the same active set as one lockstep chunk. At
+ * width 1 every window is solved alone, as the hexfloat goldens in
+ * test_run_determinism.cc were captured (one scalar solve per window
+ * at its frame), so width 1 at jobs 1 is the reference. Wider chunks
+ * must match it in every RunResult byte at every worker count: for a
+ * policy that never changes its set (AllOn: full chunks), for the
+ * paper's full policy (PracVT: its truth checks re-key the PDNs to
+ * proposals during the run), for a set-changing policy without the
+ * override (OracT: chunks end where a domain's set changes), and
+ * under an active fault scenario (fault attribution by the epoch a
+ * sample was scheduled in).
  */
 
 #include <gtest/gtest.h>
@@ -33,7 +33,7 @@ SimConfig
 miniConfig(int jobs, int width)
 {
     SimConfig cfg;
-    cfg.noiseSamples = 24;  // multiple windows per drain: real lanes
+    cfg.noiseSamples = 24;  // several windows per chunk: real lanes
     cfg.profilingEpochs = 8;
     cfg.jobs = jobs;
     cfg.noiseBatchWidth = width;
@@ -53,7 +53,7 @@ runWith(const floorplan::Chip &chip, core::PolicyKind policy,
 
 /** Widths {4, 8} x jobs {1, 4} against the width-1 reference. */
 void
-expectWideQueuesMatchWidthOne(const floorplan::Chip &chip,
+expectWideChunksMatchWidthOne(const floorplan::Chip &chip,
                               core::PolicyKind policy,
                               const fault::FaultScenario *scenario =
                                   nullptr)
@@ -70,45 +70,45 @@ expectWideQueuesMatchWidthOne(const floorplan::Chip &chip,
 
 TEST(CoalesceDeterminism, MatchesPerEpochPathAcrossJobsAndWidths)
 {
-    // AllOn never changes sets, so its windows only drain at the
-    // width cap and the end of the run — maximal coalescing; PracVT's
-    // emergency-truth boundary forces a drain at the start of nearly
-    // every sampled epoch — frequent flushes.
+    // AllOn never changes sets, so every chunk is full; PracVT's truth
+    // checks re-key each domain to its proposals during the run, so
+    // finish() re-keys to every epoch's committed set.
     auto chip = floorplan::buildMiniChip(2);
     for (auto policy :
          {core::PolicyKind::AllOn, core::PolicyKind::PracVT})
-        expectWideQueuesMatchWidthOne(chip, policy);
+        expectWideChunksMatchWidthOne(chip, policy);
 }
 
 TEST(CoalesceDeterminism, SetChangingPolicyFlushesBeforeRekey)
 {
     // OracT re-selects active sets each epoch without the emergency
-    // override, so pending windows hit the flush-before-rekey path:
-    // they must solve under the factorisation of the epoch that
-    // scheduled them, not the incoming one.
+    // override, so a domain's chunks end where its committed set
+    // changes: each window must solve under the set of the epoch that
+    // scheduled it, not a later one.
     auto chip = floorplan::buildMiniChip(2);
-    expectWideQueuesMatchWidthOne(chip, core::PolicyKind::OracT);
+    expectWideChunksMatchWidthOne(chip, core::PolicyKind::OracT);
 }
 
 TEST(CoalesceDeterminism, FaultScenarioMatchesPerEpochPath)
 {
-    // Deferred reduction must attribute emergency cycles to the
-    // epoch a sample was *scheduled* in (recorded at queue time),
-    // exactly as immediate evaluation attributes them.
+    // The finish-time reduction must attribute emergency cycles to
+    // the epoch a sample was scheduled in (that epoch's recorded
+    // fault flag), exactly as evaluation at the frame did.
     auto chip = floorplan::buildMiniChip(2);
     int n_vrs = static_cast<int>(chip.plan.vrs().size());
     ASSERT_GE(n_vrs, 4);
     const auto scenario = mixedFaultScenario(n_vrs);
     for (auto policy :
          {core::PolicyKind::AllOn, core::PolicyKind::PracVT})
-        expectWideQueuesMatchWidthOne(chip, policy, &scenario);
+        expectWideChunksMatchWidthOne(chip, policy, &scenario);
 }
 
 TEST(CoalesceDeterminism, TracesAndTimeSeriesSurviveDeferral)
 {
     // The deepest-droop trace and its timestamp come out of the
-    // deferred reduction; they must match immediate evaluation's pick
-    // (same strict-> comparison sequence in queue order).
+    // finish-time reduction and the traced re-solve; they must match
+    // the width-1 pick (same strict-> comparison sequence in (sample,
+    // domain) order).
     auto chip = floorplan::buildMiniChip(1);
     RecordOptions opts;
     opts.noiseTrace = true;

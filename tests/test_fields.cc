@@ -91,12 +91,16 @@ constexpr auto kScalarsFields = std::tuple{
 };
 static_assert(covers<Scalars>(kScalarsFields));
 
-/** Bytes of one value under the wire rule. */
+/** Bytes of one value under the wire rule, which a ByteCounter
+ *  walking the same value must count exactly. */
 template <class T>
 std::vector<std::uint8_t> wire(const T &v)
 {
     bytes::ByteWriter w;
     put(w, v);
+    bytes::ByteCounter n;
+    put(n, v);
+    EXPECT_EQ(n.size, w.bytes().size());
     return w.take();
 }
 

@@ -2,17 +2,18 @@
  * @file
  * Determinism and allocation-discipline tests of the run loop.
  *
- * The noise windows of a sample frame are evaluated concurrently
- * across domains when SimConfig::jobs allows it; results must be
- * bit-identical to the serial path at every worker count, and
- * independent of whether droop traces are kept. The steady-state
- * per-frame kernel must not touch the heap: a counting global
- * operator new verifies both the individual *Into primitives and a
- * whole warmed-up run.
+ * The sampled noise windows are solved concurrently across domains
+ * when SimConfig::jobs allows it; results must be bit-identical to
+ * the serial path at every worker count, and independent of whether
+ * droop traces are kept. The steady-state per-frame kernel must not
+ * touch the heap: a counting global operator new verifies the
+ * individual *Into primitives, a whole warmed-up run and the
+ * one-allocation RunResult encoder.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <iterator>
@@ -70,6 +71,12 @@ operator new[](std::size_t size, const std::nothrow_t &) noexcept
     return std::malloc(size);
 }
 
+// gcc's -Wmismatched-new-delete sees free() in a replaced operator
+// delete and assumes the memory came from the default operator new.
+// Every replacement here allocates with malloc, so the pairing holds.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+
 void
 operator delete(void *p) noexcept
 {
@@ -105,6 +112,8 @@ operator delete[](void *p, const std::nothrow_t &) noexcept
 {
     std::free(p);
 }
+
+#pragma GCC diagnostic pop
 
 namespace tg {
 namespace sim {
@@ -394,6 +403,56 @@ TEST(RunDeterminism, OverriddenRunDigestsMatchSerialDecide)
     }
 }
 
+TEST(RunDeterminism, FinishReKeysToEvictedActiveSets)
+{
+    // finish() solves every sampled window under its epoch's
+    // committed set, re-keying each domain's PDN as the recorded sets
+    // change. At a 0.1 ms decision interval fft runs 60 epochs on the
+    // mini chip, and OracT and PracVT key more distinct sets in a core
+    // domain than its factorisation cache keeps (checked through the
+    // misses), so the cache evicts while the replay runs and a window
+    // whose set was evicted is solved under a rebuilt factorisation.
+    // The digests were recorded while each window was still solved
+    // during the run, under the factorisation of the epoch that
+    // scheduled it.
+    struct Golden
+    {
+        core::PolicyKind policy;
+        std::uint64_t digest;
+    };
+    const Golden goldens[] = {
+        {core::PolicyKind::OracT, 0x4889825f7d01feabull},
+        {core::PolicyKind::PracVT, 0x83c4ff651086ae9bull},
+    };
+
+    auto chip = floorplan::buildMiniChip(2);
+    for (int jobs : {1, 4}) {
+        for (int width : {1, 4}) {
+            for (const auto &g : goldens) {
+                SimConfig cfg = miniConfig(jobs);
+                cfg.noiseSamples = 48;
+                cfg.decisionInterval = 0.1e-3;
+                cfg.noiseBatchWidth = width;
+                Simulation s(chip, cfg);
+                const RunResult r =
+                    s.run(workload::profileByName("fft"), g.policy);
+                const std::uint64_t digest = resultDigest(r);
+                EXPECT_EQ(digest, g.digest)
+                    << core::policyName(g.policy) << " at jobs " << jobs
+                    << " width " << width << " digest 0x" << std::hex
+                    << digest;
+                std::uint64_t misses = 0;
+                for (std::size_t d = 0; d < chip.plan.domains().size(); ++d)
+                    misses = std::max(
+                        misses, s.domainPdn(static_cast<int>(d))
+                                    .factorCacheMisses());
+                EXPECT_GT(misses, pdn::DomainPdn::kFactorCacheCapacity)
+                    << core::policyName(g.policy);
+            }
+        }
+    }
+}
+
 TEST(RunDeterminism, KeepingDroopTracesDoesNotChangeMetrics)
 {
     auto chip = floorplan::buildMiniChip(1);
@@ -495,6 +554,27 @@ TEST(AllocationDiscipline, WarmKernelPrimitivesDoNotAllocate)
     long after = g_allocCount.load(std::memory_order_relaxed);
     EXPECT_EQ(after - before, 0)
         << "warm per-frame primitives must not touch the heap";
+}
+
+TEST(AllocationDiscipline, EncodingAResultAllocatesOnce)
+{
+    // encodeRunResult sizes its payload with a counting pass over the
+    // field list, then writes into one reserved buffer.
+    auto chip = floorplan::buildMiniChip(1);
+    Simulation s(chip, miniConfig(1));
+    RecordOptions series;
+    series.timeSeries = true;
+    const RunResult r = s.run(workload::profileByName("fft"),
+                              core::PolicyKind::PracVT, series);
+    ASSERT_FALSE(r.timeUs.empty());
+    const std::size_t size = cache::encodeRunResult(r).size();
+
+    long before = g_allocCount.load(std::memory_order_relaxed);
+    const std::vector<std::uint8_t> encoded = cache::encodeRunResult(r);
+    long after = g_allocCount.load(std::memory_order_relaxed);
+    EXPECT_EQ(after - before, 1) << encoded.size() << "-byte payload";
+    EXPECT_EQ(encoded.size(), size);
+    EXPECT_EQ(encoded.capacity(), size);
 }
 
 TEST(AllocationDiscipline, WarmRunAllocationsAreBounded)
