@@ -3,7 +3,7 @@
  * The persistent sweep daemon.
  *
  *     tg_serve [--socket PATH] [--jobs N] [--contexts N]
- *              [--queue-depth N] [--busy-retry MS] [--verbose]
+ *              [--queue-depth N] [--verbose]
  *
  * Listens on a Unix-domain socket (--socket, else $TG_SERVE_SOCKET,
  * else /tmp/tg_serve.<uid>.sock) and answers tg_client requests until
@@ -11,7 +11,7 @@
  * both drain queued requests and flush replies before exiting.
  *
  * --queue-depth bounds the admission queue: requests beyond it get
- * an immediate busy reply carrying the --busy-retry hint instead of
+ * an immediate busy reply carrying a 200 ms retry hint instead of
  * waiting in an unbounded line.
  *
  * The daemon's value is what stays warm between requests: thermal and
@@ -43,8 +43,7 @@ int usage(const char *argv0)
 {
     std::fprintf(stderr,
                  "usage: %s [--socket PATH] [--jobs N] "
-                 "[--contexts N] [--queue-depth N] "
-                 "[--busy-retry MS] [--verbose]\n",
+                 "[--contexts N] [--queue-depth N] [--verbose]\n",
                  argv0);
     return 2;
 }
@@ -65,9 +64,6 @@ int main(int argc, char **argv)
             options.contextCacheSize = std::atoi(argv[++i]);
         } else if (arg == "--queue-depth" && i + 1 < argc) {
             options.maxQueueDepth = std::atoi(argv[++i]);
-        } else if (arg == "--busy-retry" && i + 1 < argc) {
-            options.busyRetryMs = static_cast<std::uint64_t>(
-                std::atol(argv[++i]));
         } else if (arg == "--verbose") {
             options.verbose = true;
         } else {

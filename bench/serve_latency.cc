@@ -27,11 +27,8 @@
 #include <cstring>
 #include <filesystem>
 #include <string>
-#include <vector>
-
-#ifdef __unix__
 #include <unistd.h>
-#endif
+#include <vector>
 
 #include "bench_common.hh"
 #include "cache/serialize.hh"
@@ -92,8 +89,6 @@ int coldChild(const std::string &cacheDir, int jobs)
     std::printf("checksum=%016" PRIx64 "\n", gridChecksum(grid));
     return 0;
 }
-
-#ifdef __unix__
 
 std::string selfPath(const char *argv0)
 {
@@ -309,8 +304,6 @@ int runLadder(const std::string &binary, int jobs, int iterations)
     return failures ? 1 : 0;
 }
 
-#endif // __unix__
-
 } // namespace
 
 int main(int argc, char **argv)
@@ -323,12 +316,7 @@ int main(int argc, char **argv)
         if (!std::strcmp(argv[i], "--cold-child") && i + 1 < argc)
             return coldChild(argv[i + 1], jobs);
 
-#ifdef __unix__
     const int iterations =
         bench::parseIntFlag(argc, argv, "--iters", 3);
     return runLadder(selfPath(argv[0]), jobs, iterations);
-#else
-    std::printf("serve_latency: skipped (requires a POSIX host)\n");
-    return 0;
-#endif
 }

@@ -6,13 +6,10 @@
 #include <fstream>
 #include <mutex>
 #include <set>
+#include <unistd.h>
 
 #include "common/bytes.hh"
 #include "common/io.hh"
-
-#ifdef __unix__
-#include <unistd.h>
-#endif
 
 namespace tg {
 namespace cache {
@@ -26,10 +23,7 @@ constexpr std::uint32_t kFormatVersion = 1;
 std::uint64_t tempToken()
 {
     static std::atomic<std::uint64_t> counter{0};
-    std::uint64_t pid = 0;
-#ifdef __unix__
-    pid = static_cast<std::uint64_t>(::getpid());
-#endif
+    const std::uint64_t pid = static_cast<std::uint64_t>(::getpid());
     return (pid << 20) ^ counter.fetch_add(1);
 }
 

@@ -67,13 +67,7 @@ void hashMember(Hasher &h, const power::PowerParams &p)
 
 void hashMember(Hasher &h, const pdn::PdnParams &pd)
 {
-    static_assert(fields::memberCount<pdn::PdnParams>() == 6);
-    h.f64(pd.nodePitch)
-        .f64(pd.sheetResistance)
-        .f64(pd.decapPerMm2)
-        .f64(pd.gridInductancePerM)
-        .f64(pd.cycleTime)
-        .f64(pd.emergencyFrac);
+    hashPdnParams(h, pd);
 }
 
 void hashMember(Hasher &h, const sensors::SensorParams &sn)
@@ -172,8 +166,16 @@ Fingerprint Hasher::digest() const
     return out;
 }
 
+// Every record a hand-written chain below walks has a count check,
+// so a new member fails the build until the chain takes it.
 Fingerprint chipFingerprint(const floorplan::Chip &chip)
 {
+    static_assert(fields::memberCount<floorplan::Chip>() == 2);
+    static_assert(fields::memberCount<floorplan::Block>() == 5);
+    static_assert(fields::memberCount<floorplan::VrSite>() == 5);
+    static_assert(fields::memberCount<floorplan::VddDomain>() == 5);
+    static_assert(fields::memberCount<floorplan::Rect>() == 4);
+    static_assert(fields::memberCount<floorplan::ChipParams>() == 7);
     Hasher h;
     h.str("tg.chip.v1");
 
@@ -227,6 +229,17 @@ Fingerprint chipFingerprint(const floorplan::Chip &chip)
     return h.digest();
 }
 
+void hashPdnParams(Hasher &h, const pdn::PdnParams &p)
+{
+    static_assert(fields::memberCount<pdn::PdnParams>() == 6);
+    h.f64(p.nodePitch)
+        .f64(p.sheetResistance)
+        .f64(p.decapPerMm2)
+        .f64(p.gridInductancePerM)
+        .f64(p.cycleTime)
+        .f64(p.emergencyFrac);
+}
+
 Fingerprint configFingerprint(const sim::SimConfig &cfg)
 {
     Hasher h;
@@ -261,6 +274,9 @@ Fingerprint powerParamsFingerprint(const power::PowerParams &pw)
 
 Fingerprint profileFingerprint(const workload::BenchmarkProfile &p)
 {
+    static_assert(fields::memberCount<workload::BenchmarkProfile>() == 12);
+    static_assert(fields::memberCount<workload::InstructionMix>() == 5);
+    static_assert(fields::memberCount<workload::MissRates>() == 3);
     Hasher h;
     h.str("tg.profile.v1");
     h.str(p.name)
@@ -286,6 +302,7 @@ Fingerprint profileFingerprint(const workload::BenchmarkProfile &p)
 
 Fingerprint scenarioFingerprint(const fault::FaultScenario &scenario)
 {
+    static_assert(fields::memberCount<fault::FaultEvent>() == 5);
     Hasher h;
     h.str("tg.scenario.v1");
     h.u64(scenario.seed());
@@ -302,6 +319,9 @@ Fingerprint scenarioFingerprint(const fault::FaultScenario &scenario)
 
 Fingerprint recordOptionsFingerprint(const sim::RecordOptions &opts)
 {
+    // Seven members; `cancel` is execution control, never a result
+    // bit, so it is deliberately left out of the key.
+    static_assert(fields::memberCount<sim::RecordOptions>() == 7);
     Hasher h;
     h.str("tg.record.v1");
     h.boolean(opts.timeSeries)

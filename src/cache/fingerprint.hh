@@ -37,6 +37,9 @@ namespace tg {
 namespace floorplan {
 struct Chip;
 }
+namespace pdn {
+struct PdnParams;
+}
 namespace power {
 struct PowerParams;
 }
@@ -101,6 +104,13 @@ class Hasher
 
 /** Chip geometry + parameters: blocks, VR sites, domains, die. */
 Fingerprint chipFingerprint(const floorplan::Chip &chip);
+
+/**
+ * Absorb every PdnParams member into `h`, in declaration order: the
+ * one chain both configFingerprint and the PDN base-factor key
+ * (pdn/domain_pdn.cc) hash the grid parameters with.
+ */
+void hashPdnParams(Hasher &h, const pdn::PdnParams &p);
 
 /** Every SimConfig member that can influence a result bit: the
  *  Hashed entries of sim::kSimConfigFields (see the header note). */

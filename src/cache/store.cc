@@ -145,12 +145,7 @@ ArtifactStore &store()
             if (v > 0)
                 cap = static_cast<std::size_t>(v) << 20;
         }
-        auto *s = new ArtifactStore(cap);
-        if (const char *e = std::getenv("TG_CACHE")) {
-            if (e[0] == '0' && e[1] == '\0')
-                s->setEnabled(false);
-        }
-        return s;
+        return new ArtifactStore(cap);
     }();
     return *instance;
 }

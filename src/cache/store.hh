@@ -16,9 +16,8 @@
  * double-build of the same key is therefore also harmless: both
  * builders produce identical bytes and either copy may win.
  *
- * The process-wide singleton store() honours:
- *  - TG_CACHE=0       disable entirely (every probe misses, puts drop)
- *  - TG_CACHE_MEM_MB  in-memory byte budget (default 512 MiB)
+ * The process-wide singleton store() takes its in-memory byte budget
+ * from TG_CACHE_MEM_MB (default 512 MiB).
  */
 
 #ifndef TG_CACHE_STORE_HH
@@ -243,7 +242,7 @@ class ArtifactStore
 
 /**
  * Process-wide store shared by every Simulation/sweep in the
- * process. Construction honours TG_CACHE / TG_CACHE_MEM_MB.
+ * process. Construction honours TG_CACHE_MEM_MB.
  */
 ArtifactStore &store();
 

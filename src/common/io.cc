@@ -3,18 +3,15 @@
 #include <atomic>
 #include <cerrno>
 #include <cstdlib>
-#include <mutex>
-
-#include "common/bytes.hh"
-#include "common/counters.hh"
-
-#ifdef __unix__
 #include <cstring>
 #include <fcntl.h>
+#include <mutex>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
-#endif
+
+#include "common/bytes.hh"
+#include "common/counters.hh"
 
 namespace tg {
 namespace io {
@@ -106,6 +103,34 @@ std::size_t shortLen(const ChaosConfig &cfg, std::uint64_t op,
         cfg.seed;
     const std::size_t cap = 1 + static_cast<std::size_t>(h % 16);
     return want < cap ? want : cap;
+}
+
+/** Draw the next operation index's fault for a read or write of
+ *  `count` bytes. False (errno set) when the operation fails
+ *  outright; otherwise a short draw truncates `count`. */
+bool chaosTransfer(std::size_t &count, bool isRead)
+{
+    if (!chaosEnabled() || count == 0)
+        return true;
+    const ChaosConfig cfg = chaosConfig();
+    const std::uint64_t op = counters::add(g_chaos.ops);
+    switch (drawFor(cfg, op, isRead)) {
+    case ChaosDraw::Eintr:
+        counters::add(g_chaos.eintrs);
+        errno = EINTR;
+        return false;
+    case ChaosDraw::Reset:
+        counters::add(g_chaos.resets);
+        errno = ECONNRESET;
+        return false;
+    case ChaosDraw::Short:
+        counters::add(isRead ? g_chaos.shortReads : g_chaos.shortWrites);
+        count = shortLen(cfg, op, count);
+        break;
+    default:
+        break;
+    }
+    return true;
 }
 
 } // namespace
@@ -210,71 +235,19 @@ void chaosResetCounters()
     counters::zero(g_chaos);
 }
 
-#ifdef __unix__
-
 long chaosRead(int fd, void *buf, std::size_t count)
 {
-    if (chaosEnabled() && count > 0) {
-        const ChaosConfig cfg = chaosConfig();
-        const std::uint64_t op = counters::add(g_chaos.ops);
-        switch (drawFor(cfg, op, /*isRead=*/true)) {
-        case ChaosDraw::Eintr:
-            counters::add(g_chaos.eintrs);
-            errno = EINTR;
-            return -1;
-        case ChaosDraw::Reset:
-            counters::add(g_chaos.resets);
-            errno = ECONNRESET;
-            return -1;
-        case ChaosDraw::Short:
-            counters::add(g_chaos.shortReads);
-            count = shortLen(cfg, op, count);
-            break;
-        default:
-            break;
-        }
-    }
+    if (!chaosTransfer(count, /*isRead=*/true))
+        return -1;
     return static_cast<long>(::read(fd, buf, count));
 }
 
 long chaosWrite(int fd, const void *buf, std::size_t count)
 {
-    if (chaosEnabled() && count > 0) {
-        const ChaosConfig cfg = chaosConfig();
-        const std::uint64_t op = counters::add(g_chaos.ops);
-        switch (drawFor(cfg, op, /*isRead=*/false)) {
-        case ChaosDraw::Eintr:
-            counters::add(g_chaos.eintrs);
-            errno = EINTR;
-            return -1;
-        case ChaosDraw::Reset:
-            counters::add(g_chaos.resets);
-            errno = ECONNRESET;
-            return -1;
-        case ChaosDraw::Short:
-            counters::add(g_chaos.shortWrites);
-            count = shortLen(cfg, op, count);
-            break;
-        default:
-            break;
-        }
-    }
+    if (!chaosTransfer(count, /*isRead=*/false))
+        return -1;
     return static_cast<long>(::write(fd, buf, count));
 }
-
-#else // !__unix__
-
-long chaosRead(int, void *, std::size_t)
-{
-    return -1;
-}
-
-long chaosWrite(int, const void *, std::size_t)
-{
-    return -1;
-}
-
-#endif // __unix__
 
 bool chaosDiskWriteAllowed()
 {
@@ -291,8 +264,6 @@ bool chaosDiskWriteAllowed()
     }
     return true;
 }
-
-#ifdef __unix__
 
 bool writeAll(int fd, const std::uint8_t *data, std::size_t size)
 {
@@ -405,22 +376,6 @@ int connectUnix(const std::string &path)
     }
     return fd;
 }
-
-#else // !__unix__
-
-bool writeAll(int, const std::uint8_t *, std::size_t) { return false; }
-bool setNonBlocking(int, bool) { return false; }
-
-int listenUnix(const std::string &, int, std::string *err)
-{
-    if (err)
-        *err = "Unix-domain sockets require a POSIX host";
-    return -1;
-}
-
-int connectUnix(const std::string &) { return -1; }
-
-#endif // __unix__
 
 } // namespace io
 } // namespace tg

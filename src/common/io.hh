@@ -6,8 +6,6 @@
  *
  * Everything here is a thin, EINTR-hardened wrapper: policy (framing,
  * corruption handling, event-loop structure) stays with the callers.
- * On non-POSIX hosts the functions exist but fail, mirroring the
- * service stack's platform gating.
  *
  * Chaos harness: every read/write in the service stack routes through
  * chaosRead()/chaosWrite(), a deterministic fault shim that injects

@@ -12,17 +12,15 @@
  * extracting lane l reproduces the scalar result bit for bit.
  *
  * Storage is chosen for the register allocator, not just the
- * vector units. On GCC/Clang, power-of-two widths are built
- * recursively from named lo/hi halves that bottom out in a two-lane
- * generic vector (`vector_size(16)`), one SSE2/NEON register. Both
- * the obvious alternatives defeat scalar replacement in GCC and cost
- * the batched envelope solver stack round-trips per matrix entry:
- * a `double[W]` array member is never promoted, and a single wide
- * 32/64-byte generic vector is legalised through stack slots on
- * 128-bit baselines. The nested-struct form keeps every half in a
- * register. Non-power-of-two widths (and other compilers) fall back
- * to a plain array with fixed trip-count loops — identical results
- * by construction.
+ * vector units. A width is built recursively from named lo/hi halves
+ * that bottom out in a two-lane GCC/Clang vector (`vector_size(16)`),
+ * one SSE2/NEON register. Both the obvious alternatives defeat scalar
+ * replacement in GCC and cost the batched envelope solver stack
+ * round-trips per matrix entry: a `double[W]` array member is never
+ * promoted, and a single wide 32/64-byte generic vector is legalised
+ * through stack slots on 128-bit baselines. The nested-struct form
+ * keeps every half in a register. Widths are powers of two from 2
+ * up; the kernels use 2, 4 and 8.
  *
  * When the target has 256-bit registers (`__AVX__`, e.g. a
  * -DTG_ARCH=x86-64-v3 build) the four-lane base case is a single
@@ -39,16 +37,6 @@
 #ifndef TG_COMMON_SIMD_HH
 #define TG_COMMON_SIMD_HH
 
-#include <algorithm>
-#include <cstddef>
-#include <cstring>
-
-#if defined(__clang__) || (defined(__GNUC__) && __GNUC__ >= 8)
-#define TG_SIMD_VECTOR_EXT 1
-#else
-#define TG_SIMD_VECTOR_EXT 0
-#endif
-
 namespace tg {
 
 namespace detail {
@@ -60,168 +48,19 @@ isPow2(int w)
 }
 
 /**
- * Portable lane storage: a plain array, operated on by fixed
- * trip-count loops. All LaneStore variants expose the same
- * member-function vocabulary so DoubleBatch is layout-agnostic.
- */
-template <int W, bool Native>
-struct LaneStore
-{
-    double v[W];
-
-    double get(int l) const { return v[l]; }
-    void loadFrom(const double *p) { std::memcpy(v, p, sizeof v); }
-    void storeTo(double *p) const { std::memcpy(p, v, sizeof v); }
-    void fill(double s)
-    {
-        for (int l = 0; l < W; ++l)
-            v[l] = s;
-    }
-    void add(const LaneStore &o)
-    {
-        for (int l = 0; l < W; ++l)
-            v[l] += o.v[l];
-    }
-    void sub(const LaneStore &o)
-    {
-        for (int l = 0; l < W; ++l)
-            v[l] -= o.v[l];
-    }
-    void mul(const LaneStore &o)
-    {
-        for (int l = 0; l < W; ++l)
-            v[l] *= o.v[l];
-    }
-    void div(const LaneStore &o)
-    {
-        for (int l = 0; l < W; ++l)
-            v[l] /= o.v[l];
-    }
-    void muls(double s)
-    {
-        for (int l = 0; l < W; ++l)
-            v[l] *= s;
-    }
-    void divs(double s)
-    {
-        for (int l = 0; l < W; ++l)
-            v[l] /= s;
-    }
-    void maxOf(const LaneStore &a, const LaneStore &b)
-    {
-        for (int l = 0; l < W; ++l)
-            v[l] = std::max(a.v[l], b.v[l]);
-    }
-};
-
-#if TG_SIMD_VECTOR_EXT
-
-/** Base case: two lanes in one native 16-byte vector register. */
-template <>
-struct LaneStore<2, true>
-{
-    typedef double Vec2 __attribute__((vector_size(16)));
-    /**
-     * Unaligned-view twin of Vec2 for memory traffic: element
-     * alignment only, plus may_alias so dereferencing a cast
-     * double* is sanctioned under TBAA. A plain memcpy here baits
-     * GCC into staging wide batches through 16-byte stack copies
-     * (a store-forwarding stall per matrix entry on AVX builds);
-     * the unaligned vector type compiles to one movupd/vmovupd.
-     */
-    typedef double Vec2U
-        __attribute__((vector_size(16), aligned(8), may_alias));
-    Vec2 v;
-
-    double get(int l) const { return v[l]; }
-    void loadFrom(const double *p)
-    {
-        v = *reinterpret_cast<const Vec2U *>(p);
-    }
-    void storeTo(double *p) const
-    {
-        *reinterpret_cast<Vec2U *>(p) = v;
-    }
-    void fill(double s)
-    {
-        v[0] = s;
-        v[1] = s;
-    }
-    void add(const LaneStore &o) { v += o.v; }
-    void sub(const LaneStore &o) { v -= o.v; }
-    void mul(const LaneStore &o) { v *= o.v; }
-    void div(const LaneStore &o) { v /= o.v; }
-    void muls(double s) { v *= s; }
-    void divs(double s) { v /= s; }
-    /** std::max per lane: exactly (a < b ? b : a). */
-    void maxOf(const LaneStore &a, const LaneStore &b)
-    {
-        v = (a.v < b.v) ? b.v : a.v;
-    }
-};
-
-#if defined(__AVX__)
-
-/**
- * Four lanes in one native 32-byte vector register. This full
- * specialization outranks the recursive partial below, so on AVX
- * targets the lo/hi recursion for W >= 8 bottoms out here instead
- * of at the two-lane case: width 8 becomes two YMM registers.
- * Exists only when the target really has 256-bit registers —
- * on 128-bit baselines GCC would legalise it through stack slots.
- */
-template <>
-struct LaneStore<4, true>
-{
-    typedef double Vec4 __attribute__((vector_size(32)));
-    /** Unaligned view for loads/stores — see LaneStore<2>::Vec2U. */
-    typedef double Vec4U
-        __attribute__((vector_size(32), aligned(8), may_alias));
-    Vec4 v;
-
-    double get(int l) const { return v[l]; }
-    void loadFrom(const double *p)
-    {
-        v = *reinterpret_cast<const Vec4U *>(p);
-    }
-    void storeTo(double *p) const
-    {
-        *reinterpret_cast<Vec4U *>(p) = v;
-    }
-    void fill(double s)
-    {
-        v[0] = s;
-        v[1] = s;
-        v[2] = s;
-        v[3] = s;
-    }
-    void add(const LaneStore &o) { v += o.v; }
-    void sub(const LaneStore &o) { v -= o.v; }
-    void mul(const LaneStore &o) { v *= o.v; }
-    void div(const LaneStore &o) { v /= o.v; }
-    void muls(double s) { v *= s; }
-    void divs(double s) { v /= s; }
-    /** std::max per lane: exactly (a < b ? b : a). */
-    void maxOf(const LaneStore &a, const LaneStore &b)
-    {
-        v = (a.v < b.v) ? b.v : a.v;
-    }
-};
-
-#endif // __AVX__
-
-/**
- * Wider powers of two recurse into named halves: `lo` holds lanes
- * [0, W/2), `hi` the rest, contiguous in memory. Named members —
+ * Lane storage for W lanes: named halves, `lo` holding lanes
+ * [0, W/2) and `hi` the rest, contiguous in memory. Named members —
  * unlike an array of halves or one wide generic vector — survive
  * GCC's scalar replacement, so accumulators of any width live
- * entirely in registers.
+ * entirely in registers. The recursion ends at the full
+ * specializations below, which every variant's member-function
+ * vocabulary mirrors so DoubleBatch is layout-agnostic.
  */
 template <int W>
-struct LaneStore<W, true>
+struct LaneStore
 {
     static_assert(W >= 4 && isPow2(W), "recursive storage width");
-    LaneStore<W / 2, true> lo, hi;
+    LaneStore<W / 2> lo, hi;
 
     double get(int l) const
     {
@@ -279,19 +118,109 @@ struct LaneStore<W, true>
     }
 };
 
-#endif // TG_SIMD_VECTOR_EXT
+/** Base case: two lanes in one native 16-byte vector register. */
+template <>
+struct LaneStore<2>
+{
+    typedef double Vec2 __attribute__((vector_size(16)));
+    /**
+     * Unaligned-view twin of Vec2 for memory traffic: element
+     * alignment only, plus may_alias so dereferencing a cast
+     * double* is sanctioned under TBAA. A plain memcpy here baits
+     * GCC into staging wide batches through 16-byte stack copies
+     * (a store-forwarding stall per matrix entry on AVX builds);
+     * the unaligned vector type compiles to one movupd/vmovupd.
+     */
+    typedef double Vec2U
+        __attribute__((vector_size(16), aligned(8), may_alias));
+    Vec2 v;
+
+    double get(int l) const { return v[l]; }
+    void loadFrom(const double *p)
+    {
+        v = *reinterpret_cast<const Vec2U *>(p);
+    }
+    void storeTo(double *p) const
+    {
+        *reinterpret_cast<Vec2U *>(p) = v;
+    }
+    void fill(double s)
+    {
+        v[0] = s;
+        v[1] = s;
+    }
+    void add(const LaneStore &o) { v += o.v; }
+    void sub(const LaneStore &o) { v -= o.v; }
+    void mul(const LaneStore &o) { v *= o.v; }
+    void div(const LaneStore &o) { v /= o.v; }
+    void muls(double s) { v *= s; }
+    void divs(double s) { v /= s; }
+    /** std::max per lane: exactly (a < b ? b : a). */
+    void maxOf(const LaneStore &a, const LaneStore &b)
+    {
+        v = (a.v < b.v) ? b.v : a.v;
+    }
+};
+
+#if defined(__AVX__)
+
+/**
+ * Four lanes in one native 32-byte vector register. On AVX targets
+ * this full specialization replaces the lo/hi recursion at width 4,
+ * so the recursion for W >= 8 bottoms out here instead of at the
+ * two-lane case: width 8 becomes two YMM registers.
+ * Exists only when the target really has 256-bit registers —
+ * on 128-bit baselines GCC would legalise it through stack slots.
+ */
+template <>
+struct LaneStore<4>
+{
+    typedef double Vec4 __attribute__((vector_size(32)));
+    /** Unaligned view for loads/stores — see LaneStore<2>::Vec2U. */
+    typedef double Vec4U
+        __attribute__((vector_size(32), aligned(8), may_alias));
+    Vec4 v;
+
+    double get(int l) const { return v[l]; }
+    void loadFrom(const double *p)
+    {
+        v = *reinterpret_cast<const Vec4U *>(p);
+    }
+    void storeTo(double *p) const
+    {
+        *reinterpret_cast<Vec4U *>(p) = v;
+    }
+    void fill(double s)
+    {
+        v[0] = s;
+        v[1] = s;
+        v[2] = s;
+        v[3] = s;
+    }
+    void add(const LaneStore &o) { v += o.v; }
+    void sub(const LaneStore &o) { v -= o.v; }
+    void mul(const LaneStore &o) { v *= o.v; }
+    void div(const LaneStore &o) { v /= o.v; }
+    void muls(double s) { v *= s; }
+    void divs(double s) { v /= s; }
+    /** std::max per lane: exactly (a < b ? b : a). */
+    void maxOf(const LaneStore &a, const LaneStore &b)
+    {
+        v = (a.v < b.v) ? b.v : a.v;
+    }
+};
+
+#endif // __AVX__
 
 } // namespace detail
 
 template <int W>
 struct DoubleBatch
 {
-    static_assert(W >= 1 && W <= 16, "unsupported batch width");
+    static_assert(W >= 2 && detail::isPow2(W),
+                  "batch width must be a power of two >= 2");
 
-    static constexpr bool kNative =
-        TG_SIMD_VECTOR_EXT && W >= 2 && detail::isPow2(W);
-
-    detail::LaneStore<W, kNative> s;
+    detail::LaneStore<W> s;
 
     static constexpr int width() { return W; }
 

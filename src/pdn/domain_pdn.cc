@@ -6,6 +6,7 @@
 
 #include "cache/fingerprint.hh"
 #include "cache/store.hh"
+#include "common/fields.hh"
 #include "common/logging.hh"
 #include "common/simd.hh"
 
@@ -48,6 +49,8 @@ pdnBaseKey(const floorplan::Chip &chip, int domain,
            const vreg::VrDesign &design, const PdnParams &prm,
            const std::vector<floorplan::Rect> &sites)
 {
+    // A new VrDesign member fails the build until the chain takes it.
+    static_assert(fields::memberCount<vreg::VrDesign>() == 8);
     cache::Hasher h;
     h.str("tg.key.pdn-base.v1");
     h.fp(cache::chipFingerprint(chip));
@@ -61,12 +64,7 @@ pdnBaseKey(const floorplan::Chip &chip, int domain,
         .f64(design.responseTime)
         .f64(design.outputResistance)
         .f64(design.outputInductance);
-    h.f64(prm.nodePitch)
-        .f64(prm.sheetResistance)
-        .f64(prm.decapPerMm2)
-        .f64(prm.gridInductancePerM)
-        .f64(prm.cycleTime)
-        .f64(prm.emergencyFrac);
+    cache::hashPdnParams(h, prm);
     h.u64(sites.size());
     for (const auto &r : sites)
         h.f64(r.x).f64(r.y).f64(r.w).f64(r.h);
@@ -910,40 +908,6 @@ DomainPdn::transferResistance(int node, int vr_local) const
               node, " vr ", vr_local);
     // Floor to keep 1/r finite for callers; see kTransferRFloor.
     return std::max(r, kTransferRFloor);
-}
-
-double
-DomainPdn::estimateNoise(const std::vector<int> &active_local,
-                         const std::vector<Amperes> &node_currents,
-                         double didt) const
-{
-    TG_ASSERT(!active_local.empty(), "empty candidate active set");
-    std::size_t n = static_cast<std::size_t>(nNodes);
-    double vdd = chipRef.params.vdd;
-
-    // Characteristic impedance of the step response: the active
-    // branches' inductance in parallel against the domain decap.
-    double c_total = 0.0;
-    for (std::size_t i = 0; i < n; ++i)
-        c_total += decap[i];
-    double inv_l = 0.0;
-    for (int k : active_local)
-        inv_l += 1.0 / vrLoopL[static_cast<std::size_t>(k)];
-    double z_char = std::sqrt(1.0 / (inv_l * c_total));
-
-    double worst = 0.0;
-    for (std::size_t j = 0; j < n; ++j) {
-        if (!loadNode[j] || node_currents[j] <= 0.0)
-            continue;
-        double inv_sum = 0.0;
-        for (int k : active_local)
-            inv_sum += 1.0 / transferResistance(static_cast<int>(j), k);
-        double r_eff = 1.0 / inv_sum;
-        double steady = node_currents[j] * r_eff;
-        double transient = didt * node_currents[j] * z_char;
-        worst = std::max(worst, (steady + transient) / vdd);
-    }
-    return worst;
 }
 
 } // namespace pdn

@@ -101,7 +101,8 @@ class DomainPdn
     /**
      * Transfer resistances are bounded below by the VR output
      * resistance (~1e-2 ohm); this floor only guards a degenerate
-     * entry from being divided to infinity in the noise estimators.
+     * entry from being divided to infinity where a caller sums 1/r
+     * (OracV's parallel-path droop scan, core/policies.cc).
      */
     static constexpr double kTransferRFloor = 1e-9;
 
@@ -206,22 +207,11 @@ class DomainPdn
      * Steady-state transfer resistance from mesh node `node` to VR
      * `vr_local` [ohm]: the droop at `node` per ampere drawn there
      * when `vr_local` is the only active VR (includes the VR output
-     * resistance). Policies use these to estimate the noise impact
-     * of a candidate active set without a transient solve. Values
-     * are floored at kTransferRFloor so callers may divide freely.
+     * resistance). OracV finds its worst-droop node and ranks VRs
+     * by these without a transient solve. Values are floored at
+     * kTransferRFloor so callers may divide freely.
      */
     double transferResistance(int node, int vr_local) const;
-
-    /**
-     * Fast policy-facing noise estimate for a candidate active set:
-     * treats the paths to the active VRs as parallel resistances per
-     * node (exact for a star topology, a good ranking proxy on a
-     * mesh) and adds the inductive droop of redistributing each
-     * node's current step through the active branches.
-     */
-    double estimateNoise(const std::vector<int> &active_local,
-                         const std::vector<Amperes> &node_currents,
-                         double didt) const;
 
     /** Mesh node nearest to a VR site (local VR index). */
     int vrAttachNode(int vr_local) const { return vrNodes[vr_local]; }

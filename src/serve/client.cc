@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <thread>
-
-#ifdef __unix__
 #include <unistd.h>
-#endif
 
 #include "common/bytes.hh"
 #include "common/io.hh"
@@ -36,10 +33,8 @@ Client::~Client()
 
 void Client::close()
 {
-#ifdef __unix__
     if (fd >= 0)
         ::close(fd);
-#endif
     fd = -1;
     parser = FrameParser();
     pending.clear();
@@ -63,10 +58,7 @@ bool Client::connectWithRetry(const std::string &socketPath,
     using Clock = std::chrono::steady_clock;
     const Clock::time_point give_up =
         Clock::now() + std::chrono::milliseconds(waitMs);
-    std::uint64_t pid = 0;
-#ifdef __unix__
-    pid = static_cast<std::uint64_t>(::getpid());
-#endif
+    const std::uint64_t pid = static_cast<std::uint64_t>(::getpid());
     std::uint64_t delayMs = 10;
     for (std::uint64_t attempt = 0;; ++attempt) {
         // An accepted connection is not enough: the listening socket

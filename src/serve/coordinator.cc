@@ -8,16 +8,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
-#include <set>
-
-#ifdef __unix__
 #include <fcntl.h>
 #include <poll.h>
+#include <set>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <time.h>
 #include <unistd.h>
-#endif
 
 #include "common/logging.hh"
 #include "serve/server.hh"
@@ -41,8 +38,6 @@ bool isEndpointInvocation(int argc, char **argv)
             return true;
     return false;
 }
-
-#ifdef __unix__
 
 namespace {
 
@@ -409,22 +404,6 @@ int endpointMain(int argc, char **argv)
     server.wait();
     return 0;
 }
-
-#else // !__unix__
-
-sim::SweepResult runShardedSweep(const ShardedSweepOptions &,
-                                 ShardedSweepStats *)
-{
-    fatal("the sharded sweep coordinator requires a POSIX host");
-}
-
-int endpointMain(int, char **)
-{
-    warn("sweep endpoints require a POSIX host");
-    return 2;
-}
-
-#endif // __unix__
 
 } // namespace serve
 } // namespace tg

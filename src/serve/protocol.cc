@@ -2,12 +2,9 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <unistd.h>
 
 #include "cache/serialize.hh"
-
-#ifdef __unix__
-#include <unistd.h>
-#endif
 
 namespace tg {
 namespace serve {
@@ -169,12 +166,8 @@ std::string resolveSocketPath(const std::string &cliValue)
         if (*env)
             return env;
     char buf[64];
-#ifdef __unix__
     std::snprintf(buf, sizeof buf, "/tmp/tg_serve.%lu.sock",
                   static_cast<unsigned long>(::getuid()));
-#else
-    std::snprintf(buf, sizeof buf, "/tmp/tg_serve.sock");
-#endif
     return std::string(buf);
 }
 

@@ -6,16 +6,13 @@
 #include <csignal>
 #include <cstring>
 #include <deque>
+#include <fcntl.h>
 #include <list>
 #include <map>
 #include <mutex>
-
-#ifdef __unix__
-#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
-#endif
 
 #include "cache/serialize.hh"
 #include "common/counters.hh"
@@ -30,8 +27,6 @@
 namespace tg {
 namespace serve {
 
-#ifdef __unix__
-
 namespace {
 
 using shard::Frame;
@@ -44,6 +39,9 @@ using Clock = std::chrono::steady_clock;
 /** Drop a connection whose unsent outbound bytes exceed this (a
  *  client that stopped reading mid-stream). */
 constexpr std::size_t kMaxOutboundBytes = std::size_t(256) << 20;
+
+/** Retry hint carried in Busy replies [ms]. */
+constexpr std::uint64_t kBusyRetryMs = 200;
 
 std::uint64_t microsSince(Clock::time_point t0)
 {
@@ -117,8 +115,8 @@ struct Ctx
     std::uint64_t key = 0; //!< fnv1a over the setup blob
     floorplan::Chip chip;  //!< owned: Simulation keeps a reference
     sim::SimConfig cfg;
-    std::unique_ptr<sim::Simulation> sim;
-    sim::SweepContexts contexts; //!< per-runner Simulations
+    std::unique_ptr<sim::Simulation> sim; //!< runner 0 of a fan-out
+    sim::SweepContexts contexts;          //!< runners 1 .. width - 1
 };
 
 } // namespace
@@ -301,7 +299,7 @@ struct Server::Impl
 
     /** Execute one request: at jobs 1 inline on the context's
      *  Simulation (a run is its one-cell sweep at jobs 1), at any other
-     *  jobs value `width` wide. */
+     *  jobs value `width` wide, runner 0 on that same Simulation. */
     void execute(const PendingRequest &req)
     {
         const Clock::time_point t0 = Clock::now();
@@ -570,7 +568,7 @@ struct Server::Impl
                 appendOut(c, FrameType::ServeDone,
                           encodeDone(makeDone(
                               DoneStatus::Busy, 0, "queue full",
-                              options.busyRetryMs)));
+                              kBusyRetryMs)));
             return true;
         }
         default:
@@ -841,43 +839,6 @@ StatsReplyMsg Server::statsSnapshot() const
 {
     return impl->snapshot();
 }
-
-#else // !__unix__
-
-struct Server::Impl
-{
-    explicit Impl(const ServerOptions &o) : options(o) {}
-    ServerOptions options;
-};
-
-Server::Server(const ServerOptions &options)
-    : impl(std::make_unique<Impl>(options))
-{
-}
-
-Server::~Server() = default;
-
-bool Server::start(std::string *err)
-{
-    if (err)
-        *err = "the sweep server requires a POSIX host";
-    return false;
-}
-
-void Server::requestStop() {}
-void Server::wait() {}
-
-const std::string &Server::socketPath() const
-{
-    return impl->options.socketPath;
-}
-
-StatsReplyMsg Server::statsSnapshot() const
-{
-    return StatsReplyMsg{};
-}
-
-#endif // __unix__
 
 } // namespace serve
 } // namespace tg

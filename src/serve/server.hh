@@ -25,8 +25,9 @@
  *                   keyed by the setup blob), and runs its cells: a
  *                   jobs-1 request inline on the context's own
  *                   Simulation, any other on the process pool,
- *                   ServerOptions::jobs wide. It posts result frames
- *                   back through the poll thread's completion queue.
+ *                   ServerOptions::jobs wide, with runner 0 on that
+ *                   same Simulation. It posts result frames back
+ *                   through the poll thread's completion queue.
  *
  * Scheduling is deliberately FIFO one-request-at-a-time: requests
  * parallelise internally across the pool, so interleaving two sweeps
@@ -55,8 +56,9 @@
  * contexts return to the LRU intact — the daemon then serves the
  * next request bit-identically. Admission control bounds the queue
  * (maxQueueDepth): an over-limit request is answered immediately
- * with DoneStatus::Busy plus a retry hint, from the poll thread, so
- * overload degrades to fast rejections instead of unbounded memory.
+ * with DoneStatus::Busy plus a fixed 200 ms retry hint, from the poll
+ * thread, so overload degrades to fast rejections instead of
+ * unbounded memory.
  * A connection whose outbound buffer exceeds a fixed 256 MiB (a
  * reader that stopped reading mid-stream) is dropped and its request
  * cancelled.
@@ -91,13 +93,12 @@ struct ServerOptions
      *  exec::resolveJobs ladder (TG_JOBS, hardware concurrency). */
     int jobs = 0;
     /** Warm simulation contexts kept (LRU); each holds a chip's
-     *  factorisations, predictor fit and per-worker Simulations. */
+     *  factorisations, predictor fit and one Simulation per runner
+     *  of the widest fan-out it has served. */
     int contextCacheSize = 4;
     /** Admission bound: Run/Sweep requests waiting for the executor
      *  beyond this get an immediate DoneStatus::Busy. */
     int maxQueueDepth = 64;
-    /** Retry hint carried in Busy replies. */
-    std::uint64_t busyRetryMs = 200;
     bool verbose = false;
 };
 

@@ -1,11 +1,6 @@
 #include "shard/protocol.hh"
 
 #include <cerrno>
-#include <cstring>
-
-#ifdef __unix__
-#include <unistd.h>
-#endif
 
 #include "common/io.hh"
 
@@ -99,8 +94,6 @@ bool writeFrameToFd(int fd, FrameType type,
     return io::writeAll(fd, frame.data(), frame.size());
 }
 
-#ifdef __unix__
-
 PumpStatus pumpFrames(int fd, FrameParser &parser,
                       const std::function<bool(const Frame &)> &handle)
 {
@@ -125,16 +118,6 @@ PumpStatus pumpFrames(int fd, FrameParser &parser,
         return PumpStatus::Corrupt;
     return PumpStatus::Ok;
 }
-
-#else // !__unix__
-
-PumpStatus pumpFrames(int, FrameParser &,
-                      const std::function<bool(const Frame &)> &)
-{
-    return PumpStatus::Error;
-}
-
-#endif // __unix__
 
 } // namespace shard
 } // namespace tg

@@ -105,10 +105,10 @@ runSweepCells(Simulation &simulation,
 
     // Thermally-aware policies need the fitted theta predictor.
     // Calibrate it once on the caller's context and hand the fit to
-    // every worker below, instead of paying the profiling pass once
-    // per worker (the pass is deterministic in the config, so this
-    // does not change any result). Only policies actually present in
-    // the requested cells count.
+    // every other runner below, instead of paying the profiling pass
+    // once per runner (the pass is deterministic in the config, so
+    // this does not change any result). Only policies actually present
+    // in the requested cells count.
     const bool want_predictor = std::any_of(
         cells.begin(), cells.end(), [&](std::size_t c) {
             return core::isThermallyAware(
@@ -132,55 +132,50 @@ runSweepCells(Simulation &simulation,
         TG_ASSERT(c < benchmarks.size() * policies.size(),
                   "sweep cell index out of range");
 
-    auto run_one = [&](Simulation &ctx, std::size_t task) {
+    // Runner 0 runs on the caller's `simulation`; runner r >= 1 on
+    // its own context, contexts.sims[r - 1]. run() is deterministic in
+    // (chip, config, profile, policy) but mutates per-instance solver
+    // state (PDN active-set factorisations, scratch), so concurrent
+    // runs must not share an instance. While runner 0 runs, the other
+    // runners read only `simulation`'s chip, config and the predictor
+    // fitted above, none of which a run writes. Each builds its
+    // context lazily on its first cell, so construction (thermal and
+    // PDN factorisations) overlaps across runners. Results land in
+    // pre-assigned (benchmark, policy) slots, so the grid is
+    // bit-identical at any runner count; one runner runs the cells
+    // inline in order (exec::parallelFor). A caller-owned
+    // SweepContexts keeps the contexts (and their solver caches)
+    // alive across batches.
+    SweepContexts local;
+    SweepContexts &contexts = reuse ? *reuse : local;
+    if (contexts.sims.size() + 1 < static_cast<std::size_t>(n_jobs))
+        contexts.sims.resize(static_cast<std::size_t>(n_jobs) - 1);
+    auto context = [&](int worker) -> Simulation & {
+        if (worker == 0)
+            return simulation;
+        auto &ctx = contexts.sims[static_cast<std::size_t>(worker) - 1];
+        if (!ctx)
+            ctx = std::make_unique<Simulation>(simulation.chip(),
+                                               simulation.config());
+        if (want_predictor && !ctx->hasPredictor())
+            ctx->adoptPredictor(simulation.thermalPredictor(),
+                                simulation.predictorRSquared());
+        return *ctx;
+    };
+    exec::parallelFor(n_tasks, n_jobs, [&](int worker, std::size_t task) {
         // Cancellation point: once per cell, before any work. Each
         // in-flight cell also checks per epoch (via opts.cancel), so
-        // a cancel lands within one epoch on every worker; the first
+        // a cancel lands within one epoch on every runner; the first
         // CancelledError aborts the fan-out and is rethrown to the
         // caller. Cells already emitted are complete — a cancelled
         // sweep streams whole cells or nothing, never a torn one.
         if (opts.cancel)
             opts.cancel->throwIfCancelled();
         const std::size_t cell = cells[task];
-        std::size_t b = cell / policies.size();
-        std::size_t p = cell % policies.size();
-        RunResult r = ctx.run(*row_profiles[b], policies[p], opts);
-        emit(cell, std::move(r));
-    };
-
-    if (n_jobs <= 1) {
-        for (std::size_t task = 0; task < n_tasks; ++task)
-            run_one(simulation, task);
-        return;
-    }
-
-    // One Simulation per worker: run() is deterministic in (chip,
-    // config, profile, policy) but mutates per-instance solver state
-    // (PDN active-set factorisations, lazy predictor), so concurrent
-    // runs must not share an instance. Each worker builds its own
-    // context lazily on its first task — construction (thermal and
-    // PDN factorisations) then overlaps across workers. Results land
-    // in pre-assigned (benchmark, policy) slots, so the grid comes
-    // back in the same order as the serial path, bit-identical at
-    // any worker count. A caller-owned SweepContexts keeps the
-    // contexts (and their solver caches) alive across batches.
-    SweepContexts local;
-    SweepContexts &contexts = reuse ? *reuse : local;
-    if (contexts.sims.size() < static_cast<std::size_t>(n_jobs))
-        contexts.sims.resize(static_cast<std::size_t>(n_jobs));
-    exec::parallelFor(n_tasks, n_jobs, [&](int worker, std::size_t task) {
-        auto &ctx = contexts.sims[static_cast<std::size_t>(worker)];
-        if (!ctx) {
-            ctx = std::make_unique<Simulation>(simulation.chip(),
-                                               simulation.config());
-            if (want_predictor)
-                ctx->adoptPredictor(simulation.thermalPredictor(),
-                                    simulation.predictorRSquared());
-        } else if (want_predictor && !ctx->hasPredictor()) {
-            ctx->adoptPredictor(simulation.thermalPredictor(),
-                                simulation.predictorRSquared());
-        }
-        run_one(*ctx, task);
+        const std::size_t b = cell / policies.size();
+        const std::size_t p = cell % policies.size();
+        emit(cell,
+             context(worker).run(*row_profiles[b], policies[p], opts));
     });
 }
 

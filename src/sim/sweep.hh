@@ -49,12 +49,14 @@ struct SweepResult
 };
 
 /**
- * Reusable per-runner Simulation contexts of runSweepCells(). A
- * caller that issues many cell batches against the same grid (the
- * sweep server's warm contexts) passes one instance across calls so
- * per-context construction (thermal/PDN factorisations, predictor
- * adoption) is paid once, not per batch. Contexts are only valid for
- * the (chip, config) of the Simulation they were built from.
+ * Reusable Simulation contexts of runSweepCells(), one per runner
+ * after the first: runner 0 runs on the caller's Simulation, runner
+ * r >= 1 on sims[r - 1]. A caller that issues many cell batches
+ * against the same grid (the sweep server's warm contexts) passes one
+ * instance across calls so per-context construction (thermal/PDN
+ * factorisations, predictor adoption) is paid once, not per batch.
+ * Contexts are only valid for the (chip, config) of the Simulation
+ * they were built from.
  */
 struct SweepContexts
 {
@@ -86,12 +88,14 @@ std::string progressLine(const RunResult &r);
  * exactly-once contract holds for them and the rest are never
  * started.
  *
- * At one job the cells run inline on `simulation`; otherwise they fan
- * out with exec::parallelFor, min(jobs, cells) runners wide, each
- * runner on its own context.
+ * The cells fan out with exec::parallelFor, min(jobs, cells) runners
+ * wide: runner 0 on `simulation` itself, each other runner on its own
+ * context built from `simulation`'s chip and config. One runner runs
+ * every cell inline, in order, on `simulation`.
  *
  * @param reuse optional cross-call contexts (see SweepContexts), one
- *              per runner; nullptr builds fresh ones per call.
+ *              per runner after the first; nullptr builds fresh ones
+ *              per call.
  */
 void runSweepCells(Simulation &simulation,
                    const std::vector<std::string> &benchmarks,
@@ -106,11 +110,12 @@ void runSweepCells(Simulation &simulation,
  * Run every (benchmark, policy) combination. Benchmarks default to
  * all 14 SPLASH-2x profiles, policies to the paper's full set.
  *
- * The grid fans out over the process pool (see common/exec.hh): each
- * runner owns a private Simulation context built from `simulation`'s
- * chip and config, and every (benchmark, policy) cell lands in its
- * pre-assigned slot, so the returned SweepResult is bit-identical at
- * any worker count — `--jobs 8` and `--jobs 1` agree exactly.
+ * The grid fans out over the process pool as runSweepCells() does:
+ * runner 0 on `simulation`, each other runner on a private context
+ * built from its chip and config. Every (benchmark, policy) cell
+ * lands in its pre-assigned slot, so the returned SweepResult is
+ * bit-identical at any worker count — `--jobs 8` and `--jobs 1` agree
+ * exactly.
  *
  * @param progress when true, prints one line per completed run so
  *                 long sweeps show liveness (completion order under

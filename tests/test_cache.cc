@@ -22,10 +22,7 @@
 #include <string>
 #include <thread>
 #include <type_traits>
-
-#ifdef __unix__
 #include <unistd.h>
-#endif
 
 #include "cache/disk.hh"
 #include "cache/fingerprint.hh"
@@ -52,10 +49,7 @@ std::filesystem::path privateTempDir()
 {
     const auto *info =
         ::testing::UnitTest::GetInstance()->current_test_info();
-    long pid = 0;
-#ifdef __unix__
-    pid = static_cast<long>(::getpid());
-#endif
+    const long pid = static_cast<long>(::getpid());
     return std::filesystem::path(::testing::TempDir()) /
            (std::string("tg-") + info->test_suite_name() + "." +
             info->name() + "-" + std::to_string(pid));

@@ -18,11 +18,8 @@
 #include <fstream>
 #include <string>
 #include <thread>
-#include <vector>
-
-#ifdef __unix__
 #include <unistd.h>
-#endif
+#include <vector>
 
 #include "cache/disk.hh"
 #include "common/io.hh"
@@ -38,9 +35,6 @@ class IoChaos : public ::testing::Test
   protected:
     void SetUp() override
     {
-#ifndef __unix__
-        GTEST_SKIP() << "chaos I/O requires a POSIX host";
-#endif
         chaosConfigure(ChaosConfig{});
         chaosResetCounters();
     }
@@ -106,8 +100,6 @@ TEST_F(IoChaos, ParseRejectsMalformedSpecs)
         EXPECT_EQ(cfg.seed, 123u) << bad;
     }
 }
-
-#ifdef __unix__
 
 /** Pipe with a reader thread draining into `sink` (raw read(2), so
  *  the reader consumes no chaos op indices). */
@@ -278,8 +270,6 @@ TEST_F(IoChaos, DisabledShimIsARawPassThrough)
     ::close(fds[1]);
 }
 
-#endif // __unix__
-
 // ===================================================================
 // Disk tier under chaos: ENOSPC rejection and crash-debris hygiene
 // ===================================================================
@@ -294,10 +284,7 @@ class DiskChaos : public IoChaos
         // A unique root per test: the constructor's orphan auto-sweep
         // runs once per (process, directory), and parallel `ctest -j`
         // processes must not share one.
-        long pid = 0;
-#ifdef __unix__
-        pid = static_cast<long>(::getpid());
-#endif
+        const long pid = static_cast<long>(::getpid());
         dir = std::filesystem::path(::testing::TempDir()) /
               ("tg-chaos-disk-" + std::to_string(pid) + "-" +
                std::to_string(++counter));

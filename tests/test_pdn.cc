@@ -251,26 +251,6 @@ TEST_F(PdnTest, MemorySideSelectionIsNoisier)
     EXPECT_GT(mem, logic);
 }
 
-TEST_F(PdnTest, EstimateRanksSelectionsLikeTheSolver)
-{
-    auto load = domainLoad(1.2);
-    std::vector<std::vector<int>> sets = {
-        {0, 1, 2}, {6, 7, 8}, {0, 4, 8}, allVrs()};
-    std::vector<double> est;
-    std::vector<double> exact;
-    for (const auto &s : sets) {
-        est.push_back(dp.estimateNoise(s, load, 0.3));
-        dp.setActive(s);
-        exact.push_back(dp.steadyMaxNoise(load));
-    }
-    for (std::size_t a = 0; a < sets.size(); ++a)
-        for (std::size_t b = 0; b < sets.size(); ++b)
-            if (exact[a] > exact[b] * 1.15) {
-                EXPECT_GT(est[a], est[b])
-                    << "sets " << a << " vs " << b;
-            }
-}
-
 TEST_F(PdnTest, LdoDesignLessTransientNoiseThanBuck)
 {
     DomainPdn ldo(chip, 0, vreg::ldoDesign(), {});
@@ -473,8 +453,8 @@ TEST_F(PdnTest, SetActiveShortCircuitsUnchangedSets)
 
 TEST_F(PdnTest, TransferResistanceIsFloored)
 {
-    // The accessor promises a strictly positive value so the noise
-    // estimators may divide freely.
+    // The accessor promises a strictly positive value so OracV may
+    // divide by it freely.
     for (int j = 0; j < dp.nodeCount(); ++j)
         for (int k = 0; k < dp.vrCount(); ++k)
             EXPECT_GE(dp.transferResistance(j, k),

@@ -16,13 +16,10 @@
 
 #include <chrono>
 #include <string>
-#include <thread>
-#include <vector>
-
-#ifdef __unix__
 #include <sys/socket.h>
+#include <thread>
 #include <unistd.h>
-#endif
+#include <vector>
 
 #include "cache/serialize.hh"
 #include "common/io.hh"
@@ -108,9 +105,6 @@ class ServeDeterminism : public ::testing::Test
   protected:
     void SetUp() override
     {
-#ifndef __unix__
-        GTEST_SKIP() << "the sweep server requires a POSIX host";
-#endif
         ServerOptions options;
         options.socketPath = "/tmp/tg_serve_test." +
                              std::to_string(::getpid()) + ".sock";
@@ -384,8 +378,6 @@ TEST_F(ServeDeterminism, ShutdownFrameDrainsTheServer)
     server.reset();
 }
 
-#ifdef __unix__
-
 TEST(ServeEndpoint, ConnectedSocketpairServesBitIdenticallyAndExitsOnClose)
 {
     // The sharded-sweep endpoint shape: a server whose only client is
@@ -527,8 +519,6 @@ TEST(ServeClient, RunRepliesGetTheSweepReplyChecks)
     EXPECT_FALSE(
         runAgainstScript({{FrameType::ServeDone, doneOk(0)}}, &err));
 }
-
-#endif // __unix__
 
 } // namespace
 } // namespace serve

@@ -126,6 +126,37 @@ TEST_F(SweepTest, ParallelMatchesSerialBitwise)
     expectIdentical(serial, parallel);
 }
 
+TEST_F(SweepTest, CallerSimulationIsRunnerZero)
+{
+    // A width-4 fan-out runs runner 0 on the caller's Simulation, so a
+    // caller-owned SweepContexts holds one context per other runner.
+    // Every cell still matches a jobs-1 run on a separate context.
+    const std::vector<std::string> benchmarks = {"rayt", "fft"};
+    const std::vector<core::PolicyKind> policies = {
+        core::PolicyKind::AllOn, core::PolicyKind::OracT,
+        core::PolicyKind::OracV, core::PolicyKind::PracVT};
+    std::vector<std::size_t> cells(benchmarks.size() * policies.size());
+    for (std::size_t c = 0; c < cells.size(); ++c)
+        cells[c] = c;
+
+    std::vector<RunResult> wide(cells.size()), serial(cells.size());
+    SweepContexts contexts;
+    runSweepCells(
+        simulation, benchmarks, policies, cells, 4, {},
+        [&](std::size_t c, RunResult &&r) { wide[c] = std::move(r); },
+        &contexts);
+    EXPECT_EQ(contexts.sims.size(), 3u);
+
+    Simulation reference(chip, config());
+    runSweepCells(reference, benchmarks, policies, cells, 1, {},
+                  [&](std::size_t c, RunResult &&r) {
+                      serial[c] = std::move(r);
+                  });
+    for (std::size_t c = 0; c < cells.size(); ++c)
+        EXPECT_EQ(fields::firstDifference(wide[c], serial[c]), "")
+            << "cell " << c;
+}
+
 TEST_F(SweepTest, JobsFromConfigAndEnvironment)
 {
     SimConfig cfg = config();
@@ -146,8 +177,9 @@ TEST_F(SweepTest, JobsFromConfigAndEnvironment)
 TEST_F(SweepTest, RepeatedSweepsOnOneContextAgree)
 {
     // run() must not depend on solver state left by earlier runs on
-    // the same Simulation — the property that makes per-worker
-    // context reuse (and the serial fallback) deterministic.
+    // the same Simulation — the property that makes per-runner
+    // context reuse (and runner 0 on the caller's context)
+    // deterministic.
     auto first = runSweep(simulation, {"rayt"},
                           {core::PolicyKind::OracV,
                            core::PolicyKind::OracT},
