@@ -22,6 +22,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "floorplan/floorplan.hh"
 #include "floorplan/power8.hh"
 #include "sim/simulation.hh"
 #include "workload/profile.hh"
@@ -156,6 +157,77 @@ BM_TransientKernelBatch(benchmark::State &state)
         static_cast<std::int64_t>(kCycles));
 }
 BENCHMARK(BM_TransientKernelBatch)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
+    ->Unit(benchmark::kMillisecond);
+
+/**
+ * The same kernel over rank-2 lanes, as the run loop feeds it: each
+ * lane is two node-current profiles (logic, memory) and two
+ * per-cycle scale rows, and the kernel forms the currents. The same
+ * load steps, widths and items/s as BM_TransientKernelBatch, so the
+ * two compare the row sources; width 1 is the two-lane kernel with
+ * the lane paired with itself.
+ */
+void
+BM_TransientKernelRank2(benchmark::State &state)
+{
+    auto &s = sharedSim();
+    const auto &pdn = s.domainPdn(0);
+    constexpr std::size_t kCycles = 512;
+    constexpr int kWarmup = 128;
+
+    struct Lane
+    {
+        std::vector<Amperes> logic, mem;
+        std::vector<double> ml, mm;
+    };
+    // Eight distinct load-step lanes, built once per process.
+    static const std::vector<Lane> lanes = [&]() {
+        const auto &chip = s.chip();
+        std::vector<Lane> l;
+        for (int i = 0; i < 8; ++i) {
+            std::vector<Watts> logic(chip.plan.blocks().size(), 0.0);
+            std::vector<Watts> mem(chip.plan.blocks().size(), 0.0);
+            for (int b : chip.plan.domains()[0].blocks) {
+                const auto ub = static_cast<std::size_t>(b);
+                (floorplan::isLogicUnit(chip.plan.blocks()[ub].kind)
+                     ? logic
+                     : mem)[ub] = 0.6 + 0.15 * i;
+            }
+            Lane lane{pdn.nodeCurrents(logic), pdn.nodeCurrents(mem), {},
+                      {}};
+            for (std::size_t c = 0; c < kCycles; ++c) {
+                double m = 1.0 + 0.5 * ((c / 64) % 2);
+                lane.ml.push_back(m);
+                lane.mm.push_back(1.0 + 0.35 * (m - 1.0));
+            }
+            l.push_back(std::move(lane));
+        }
+        return l;
+    }();
+
+    int width = static_cast<int>(state.range(0));
+    std::vector<pdn::DomainPdn::WindowLane> specs;
+    for (int i = 0; i < width; ++i) {
+        const Lane &l = lanes[static_cast<std::size_t>(i)];
+        specs.push_back(
+            {l.logic.data(), l.mem.data(), l.ml.data(), l.mm.data()});
+    }
+    std::vector<pdn::NoiseResult> out(
+        static_cast<std::size_t>(width));
+    for (auto _ : state) {
+        pdn.transientWindowBatch(specs.data(), width, kCycles,
+                                 kWarmup, false, out.data());
+        benchmark::DoNotOptimize(out[0].maxNoiseFrac);
+    }
+    state.SetItemsProcessed(
+        state.iterations() * static_cast<std::int64_t>(width) *
+        static_cast<std::int64_t>(kCycles));
+}
+BENCHMARK(BM_TransientKernelRank2)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)

@@ -352,9 +352,10 @@ SparseLdltSolver::solveInPlace(double *bx) const
  * scalar solveInPlace(), with every row operation applied to all W
  * lanes before moving on. Lane l therefore sees the scalar op
  * sequence exactly, and the W-wide inner loops auto-vectorise.
+ * Pinned to a 64-byte line like solveInPlace().
  */
 template <int W>
-void
+__attribute__((aligned(64))) void
 SparseLdltSolver::solveBatchFixed(double *bx) const
 {
     using B = DoubleBatch<W>;

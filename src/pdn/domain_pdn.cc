@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <type_traits>
 
 #include "cache/fingerprint.hh"
 #include "cache/store.hh"
@@ -70,6 +71,86 @@ pdnBaseKey(const floorplan::Chip &chip, int domain,
         h.f64(r.x).f64(r.y).f64(r.w).f64(r.h);
     return h.digest();
 }
+
+/**
+ * The lockstep kernel's row sources: where W lanes' load currents
+ * come from. cycle(c) selects a cycle and at(i) gives node i's
+ * currents across the lanes in that cycle.
+ */
+template <int W, class Lane>
+struct LaneRows;
+
+/** Written-out windows: lane l's cycle c is the row at
+ *  `currents + c * stride`, gathered node by node. */
+template <int W>
+struct LaneRows<W, DomainPdn::WindowSpec>
+{
+    LaneRows(const DomainPdn::WindowSpec *w, std::size_t,
+             std::vector<double> &)
+        : windows(w)
+    {
+    }
+    void cycle(std::size_t c)
+    {
+        for (int l = 0; l < W; ++l)
+            row[l] = windows[l].currents + c * windows[l].stride;
+    }
+    DoubleBatch<W> at(std::size_t i) const
+    {
+        double cur[W];
+        for (int l = 0; l < W; ++l)
+            cur[l] = row[l][i];
+        return DoubleBatch<W>::load(cur);
+    }
+
+    const DomainPdn::WindowSpec *windows;
+    const Amperes *row[W] = {};
+};
+
+/**
+ * Rank-2 lanes: the lanes' logic and memory node currents are
+ * interleaved once per batch (node i of lane l at i * W + l), a
+ * cycle's two scale rows are gathered once per cycle, and each
+ * current is the scalar expression logic[i] * ml + mem[i] * mm
+ * evaluated lane-wise.
+ */
+template <int W>
+struct LaneRows<W, DomainPdn::WindowLane>
+{
+    LaneRows(const DomainPdn::WindowLane *l, std::size_t n,
+             std::vector<double> &scratch)
+        : lanes(l)
+    {
+        scratch.resize(2 * n * W);
+        logic = scratch.data();
+        mem = logic + n * W;
+        for (std::size_t i = 0; i < n; ++i)
+            for (int k = 0; k < W; ++k) {
+                logic[i * W + k] = lanes[k].logic[i];
+                mem[i * W + k] = lanes[k].mem[i];
+            }
+    }
+    void cycle(std::size_t c)
+    {
+        double a[W], b[W];
+        for (int l = 0; l < W; ++l) {
+            a[l] = lanes[l].logicScale[c];
+            b[l] = lanes[l].memScale[c];
+        }
+        ml = DoubleBatch<W>::load(a);
+        mm = DoubleBatch<W>::load(b);
+    }
+    DoubleBatch<W> at(std::size_t i) const
+    {
+        return DoubleBatch<W>::load(logic + i * W) * ml +
+               DoubleBatch<W>::load(mem + i * W) * mm;
+    }
+
+    const DomainPdn::WindowLane *lanes;
+    double *logic = nullptr;
+    double *mem = nullptr;
+    DoubleBatch<W> ml, mm;
+};
 
 } // namespace
 
@@ -636,16 +717,18 @@ DomainPdn::solveReducedBatch(const SparseLdltSolver &base,
 }
 
 /**
- * Fixed-width lockstep transient kernel: W independent cycle-current
- * windows advance through the shared factorisation, one lane each.
- * Every per-cycle step mirrors the scalar transientWindow() loop
- * with the lane dimension innermost, so lane l's floating-point
- * op sequence — rhs assembly, solve, branch update, droop max — is
- * the scalar sequence exactly.
+ * Fixed-width lockstep transient kernel: W independent windows
+ * advance through the shared factorisation, one lane each, reading
+ * their load currents from the Lane type's row source. Every
+ * per-cycle step mirrors the scalar transientWindow() loop with the
+ * lane dimension innermost, so lane l's floating-point op sequence —
+ * rhs assembly, solve, branch update, droop max — is the scalar
+ * sequence exactly. Aligned like SparseLdltSolver::solveInPlace, so
+ * its speed does not follow unrelated code's size.
  */
-template <int W>
-void
-DomainPdn::transientWindowLockstep(const WindowSpec *windows,
+template <int W, class Lane>
+__attribute__((aligned(64))) void
+DomainPdn::transientWindowLockstep(const Lane *lanes,
                                    std::size_t cycles, int warmup,
                                    bool keep_trace,
                                    NoiseResult *out) const
@@ -656,6 +739,7 @@ DomainPdn::transientWindowLockstep(const WindowSpec *windows,
     double vdd = chipRef.params.vdd;
     double dt = prm.cycleTime;
     double r_out = design.outputResistance;
+    LaneRows<W, Lane> rows(lanes, n, batchLoad);
 
     branchR.resize(m);
     for (std::size_t k = 0; k < m; ++k)
@@ -665,9 +749,13 @@ DomainPdn::transientWindowLockstep(const WindowSpec *windows,
     // Initial condition per lane: steady state at the lane's first
     // cycle, branch currents from Vdd = V_node + R_out I.
     batchVolt.resize(n * W);
-    for (std::size_t i = 0; i < n; ++i)
+    rows.cycle(0);
+    for (std::size_t i = 0; i < n; ++i) {
+        double cur[W];
+        rows.at(i).store(cur);
         for (int l = 0; l < W; ++l)
-            batchVolt[i * W + l] = -windows[l].currents[i];
+            batchVolt[i * W + l] = -cur[l];
+    }
     for (std::size_t k = 0; k < m; ++k) {
         std::size_t node = static_cast<std::size_t>(
             vrNodes[static_cast<std::size_t>(activeSet[k])]);
@@ -697,17 +785,12 @@ DomainPdn::transientWindowLockstep(const WindowSpec *windows,
     batchRhs.resize(n * W);
     batchBranchRhs.resize(m * W);
     for (std::size_t cyc = 0; cyc < cycles; ++cyc) {
-        const Amperes *rows[W];
-        for (int l = 0; l < W; ++l)
-            rows[l] = windows[l].currents + cyc * windows[l].stride;
+        rows.cycle(cyc);
         for (std::size_t i = 0; i < n; ++i) {
             const double g = decap[i] / dt;
-            double cur[W];
-            for (int l = 0; l < W; ++l)
-                cur[l] = rows[l][i];
             // Lane l: g * volt - current, the scalar rhs expression
             // (batch * scalar multiplies lane-first, bit-commutative).
-            (B::load(batchVolt.data() + i * W) * g - B::load(cur))
+            (B::load(batchVolt.data() + i * W) * g - rows.at(i))
                 .store(batchRhs.data() + i * W);
         }
         for (std::size_t k = 0; k < m; ++k) {
@@ -753,44 +836,60 @@ DomainPdn::transientWindowLockstep(const WindowSpec *windows,
     }
 }
 
+template <class Lane>
 void
-DomainPdn::transientWindowBatch(const WindowSpec *windows, int count,
-                                std::size_t cycles, int warmup,
-                                bool keep_trace,
-                                NoiseResult *out) const
+DomainPdn::solveLanes(const Lane *lanes, int count, std::size_t cycles,
+                      int warmup, bool keep_trace, NoiseResult *out) const
 {
+    constexpr bool kRank2 = std::is_same_v<Lane, WindowLane>;
     TG_ASSERT(count > 0, "empty window batch");
     TG_ASSERT(cycles > 0, "empty transient window");
     TG_ASSERT(warmup >= 0 && warmup < static_cast<int>(cycles),
               "warmup must leave analysis cycles");
     TG_ASSERT(current != nullptr, "setActive() must precede solves");
-    for (int i = 0; i < count; ++i)
-        TG_ASSERT(windows[i].stride >=
-                      static_cast<std::size_t>(nNodes),
-                  "cycle stride below node count");
+    for (int i = 0; i < count; ++i) {
+        if constexpr (kRank2)
+            TG_ASSERT(lanes[i].logic && lanes[i].mem &&
+                          lanes[i].logicScale && lanes[i].memScale,
+                      "rank-2 lane without a current profile or scale row");
+        else
+            TG_ASSERT(lanes[i].stride >= static_cast<std::size_t>(nNodes),
+                      "cycle stride below node count");
+    }
 
-    // Chunk into the widest fixed kernels, scalar ragged tail. Any
-    // chunking yields the same bits: lanes never interact.
+    // Chunk into the widest fixed kernels. Any chunking yields the
+    // same bits: lanes never interact.
     int done = 0;
-    while (done < count) {
-        int left = count - done;
+    while (count - done >= 2) {
+        const int left = count - done;
         if (left >= 8) {
-            transientWindowLockstep<8>(windows + done, cycles, warmup,
+            transientWindowLockstep<8>(lanes + done, cycles, warmup,
                                        keep_trace, out + done);
             done += 8;
         } else if (left >= 4) {
-            transientWindowLockstep<4>(windows + done, cycles, warmup,
+            transientWindowLockstep<4>(lanes + done, cycles, warmup,
                                        keep_trace, out + done);
             done += 4;
-        } else if (left >= 2) {
-            transientWindowLockstep<2>(windows + done, cycles, warmup,
+        } else {
+            transientWindowLockstep<2>(lanes + done, cycles, warmup,
                                        keep_trace, out + done);
             done += 2;
+        }
+    }
+    // The ragged tail: a written-out window runs the scalar kernel; a
+    // rank-2 lane runs as a two-lane batch with itself, whose lane 0
+    // is the scalar result.
+    if (done < count) {
+        if constexpr (kRank2) {
+            const WindowLane pair[2] = {lanes[done], lanes[done]};
+            NoiseResult res[2];
+            transientWindowLockstep<2>(pair, cycles, warmup, keep_trace,
+                                       res);
+            out[done] = std::move(res[0]);
         } else {
-            out[done] = transientWindow(windows[done].currents, cycles,
-                                        windows[done].stride, warmup,
+            out[done] = transientWindow(lanes[done].currents, cycles,
+                                        lanes[done].stride, warmup,
                                         keep_trace);
-            ++done;
         }
     }
 
@@ -800,6 +899,24 @@ DomainPdn::transientWindowBatch(const WindowSpec *windows, int count,
                         "non-finite max droop from window batch lane ",
                         i);
 #endif
+}
+
+void
+DomainPdn::transientWindowBatch(const WindowSpec *windows, int count,
+                                std::size_t cycles, int warmup,
+                                bool keep_trace,
+                                NoiseResult *out) const
+{
+    solveLanes(windows, count, cycles, warmup, keep_trace, out);
+}
+
+void
+DomainPdn::transientWindowBatch(const WindowLane *lanes, int count,
+                                std::size_t cycles, int warmup,
+                                bool keep_trace,
+                                NoiseResult *out) const
+{
+    solveLanes(lanes, count, cycles, warmup, keep_trace, out);
 }
 
 std::pair<double, double>

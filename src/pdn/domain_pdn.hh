@@ -175,6 +175,21 @@ class DomainPdn
         std::size_t stride = 0;            //!< row stride >= nodeCount()
     };
 
+    /**
+     * One rank-2 window of a lockstep batch: the load current of
+     * cycle c at node i is logic[i] * logicScale[c] + mem[i] *
+     * memScale[c], formed inside the kernel. A window costs
+     * 2 * (nodeCount() + cycles) doubles instead of the
+     * cycles * nodeCount() of its written-out WindowSpec form.
+     */
+    struct WindowLane
+    {
+        const Amperes *logic = nullptr;     //!< nodeCount() currents
+        const Amperes *mem = nullptr;       //!< nodeCount() currents
+        const double *logicScale = nullptr; //!< one per cycle
+        const double *memScale = nullptr;   //!< one per cycle
+    };
+
     /** Widest lockstep kernel instantiated (see common/simd.hh). */
     static constexpr int kMaxWindowBatch = 8;
 
@@ -200,6 +215,17 @@ class DomainPdn
      * after the first call at a given width (trace buffers aside).
      */
     void transientWindowBatch(const WindowSpec *windows, int count,
+                              std::size_t cycles, int warmup,
+                              bool keep_trace, NoiseResult *out) const;
+
+    /**
+     * transientWindowBatch() over rank-2 lanes, through the same
+     * kernel body: out[i] is bit-identical to transientWindow() of
+     * lane i written out as rows of logic[j] * logicScale[c] +
+     * mem[j] * memScale[c]. A leftover single lane runs as a two-lane
+     * batch with itself.
+     */
+    void transientWindowBatch(const WindowLane *lanes, int count,
                               std::size_t cycles, int warmup,
                               bool keep_trace, NoiseResult *out) const;
 
@@ -321,6 +347,7 @@ class DomainPdn
     mutable std::vector<double> batchRhs;      //!< n x W lane rhs
     mutable std::vector<double> batchBranch;   //!< m x W lane currents
     mutable std::vector<double> batchBranchRhs; //!< m x W lane g_k
+    mutable std::vector<double> batchLoad;  //!< 2 x n x W rank-2 lanes
 
     void buildTopology();
     void buildBaseFactors();
@@ -333,10 +360,13 @@ class DomainPdn
     template <int W>
     void solveReducedBatch(const SparseLdltSolver &base,
                            const Downdate &dd, double *x) const;
-    template <int W>
-    void transientWindowLockstep(const WindowSpec *windows,
-                                 std::size_t cycles, int warmup,
-                                 bool keep_trace,
+    /** Both transientWindowBatch() forms: checks, chunking, tail. */
+    template <class Lane>
+    void solveLanes(const Lane *lanes, int count, std::size_t cycles,
+                    int warmup, bool keep_trace, NoiseResult *out) const;
+    template <int W, class Lane>
+    void transientWindowLockstep(const Lane *lanes, std::size_t cycles,
+                                 int warmup, bool keep_trace,
                                  NoiseResult *out) const;
 };
 

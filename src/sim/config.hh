@@ -48,14 +48,19 @@ struct SimConfig
     int noiseWarmupCycles = 200; //!< leading cycles excluded
 
     /**
-     * Lanes per lockstep chunk of the batched transient kernel: a
-     * domain solves up to this many sampled windows at a time, from
+     * Lanes per lockstep batch of the transient kernel: a domain
+     * solves up to this many sampled windows at a time, from
      * consecutive samples that share an active set, and a truth check
      * its epoch's windows likewise (clamped to [1,
      * pdn::DomainPdn::kMaxWindowBatch]). Purely a throughput knob —
-     * results are bit-identical at every width.
+     * results are bit-identical at every width. The default is the
+     * widest kernel: a lane is a rank-2 window of
+     * 2 * (nodes + cycles) doubles per domain, not a written-out
+     * cycles * nodes one, so width no longer costs memory worth
+     * saving, and 8 lanes share each factor entry's load twice as
+     * widely as 4.
      */
-    int noiseBatchWidth = 4;
+    int noiseBatchWidth = 8;
 
     /** Epochs of the theta-profiling pass (Section 6.3); at least 3,
      *  since the fit skips the first two. */

@@ -46,7 +46,7 @@ struct RecordOptions
     const fault::FaultScenario *faultScenario = nullptr;
     /**
      * Cooperative cancellation: when set, the run polls the token at
-     * every decision epoch and between the chunks of its noise solve
+     * every decision epoch and between the batches of its noise solve
      * (and the sweep engine before every cell), and aborts by
      * throwing exec::CancelledError. Execution control
      * only — it never changes a completed run's bytes, so it is

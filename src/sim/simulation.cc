@@ -355,7 +355,7 @@ struct Simulation::Run
     const Seconds dt;
     const int fpe;                //!< frames per decision epoch
     const std::size_t winCycles;  //!< cycles per noise window
-    const std::size_t width;      //!< lockstep lanes per chunk
+    const std::size_t width;      //!< lanes per lockstep batch
 
     // Prepared inputs.
     std::vector<double> didt;     //!< per-domain di/dt intensity
@@ -484,7 +484,15 @@ struct Simulation::Run
             return;
         for (int d = 0; d < nDomains; ++d) {
             auto &sc = sim.noiseScratch[static_cast<std::size_t>(d)];
-            sc.chunk.resize(width * windowSize(d));
+            const std::size_t n = static_cast<std::size_t>(
+                sim.pdns[static_cast<std::size_t>(d)]->nodeCount());
+            sc.lanes.resize(width);
+            for (auto &lane : sc.lanes) {
+                lane.logic.resize(n);
+                lane.mem.resize(n);
+                lane.ml.resize(winCycles);
+                lane.mm.resize(winCycles);
+            }
             sc.results.resize(
                 std::max(static_cast<std::size_t>(n_samples), width));
         }
@@ -869,9 +877,9 @@ struct Simulation::Run
     /**
      * Solve every sampled window, then reduce. Each domain walks the
      * samples in order: up to `width` consecutive samples whose
-     * epochs committed the same set form one lockstep chunk, so the
+     * epochs committed the same set form one lockstep batch, so the
      * PDN re-keys only where the recorded set changes. Domains walk
-     * concurrently and check for cancellation between chunks. The
+     * concurrently and check for cancellation between batches. The
      * reduction runs serially in (sample, domain) order: the
      * max/sum/compare sequence of evaluating each window at its frame.
      */
@@ -949,24 +957,23 @@ struct Simulation::Run
     }
 
     /**
-     * Build domain d's windows of samples [s0, s0 + count), whose
-     * epochs committed one set, into its chunk and solve them under
-     * that set into `out`.
+     * Build domain d's lanes of samples [s0, s0 + count), whose
+     * epochs committed one set, and solve them under that set into
+     * `out`.
      */
     void solveSamples(int d, std::size_t s0, std::size_t count,
                       bool keep_trace, pdn::NoiseResult *out)
     {
-        auto &sc = sim.noiseScratch[static_cast<std::size_t>(d)];
-        const std::size_t win = windowSize(d);
+        auto &lanes = sim.noiseScratch[static_cast<std::size_t>(d)].lanes;
         for (std::size_t j = 0; j < count; ++j) {
             const std::size_t s = s0 + j;
-            projectBaseCurrents(d, samplePower.data() + s * nBlocks);
-            buildNoiseWindowInto(d, sampleFrame[s] / fpe,
-                                 static_cast<int>(s),
-                                 sc.chunk.data() + j * win);
+            projectBaseCurrents(d, samplePower.data() + s * nBlocks,
+                                lanes[j]);
+            drawScales(d, sampleFrame[s] / fpe, static_cast<int>(s),
+                       lanes[j]);
         }
         rekey(d, sampleSet(s0, d));
-        solveChunk(d, count, keep_trace, out);
+        solveLanes(d, count, keep_trace, out);
     }
 
     /** Domain d's committed set in the epoch of sample s. */
@@ -1055,18 +1062,11 @@ struct Simulation::Run
                           });
     }
 
-    /** Values in one of domain d's noise windows. */
-    std::size_t windowSize(int d) const
-    {
-        return winCycles * static_cast<std::size_t>(
-                               sim.pdns[static_cast<std::size_t>(d)]
-                                   ->nodeCount());
-    }
-
     /** Domain d's logic and memory shares of `block_power` (they
      *  fluctuate with different depths), projected onto its PDN nodes:
-     *  the base currents of every window built against that power. */
-    void projectBaseCurrents(int d, const Watts *block_power) const
+     *  the base currents of a window built against that power. */
+    void projectBaseCurrents(int d, const Watts *block_power,
+                             NoiseLane &lane) const
     {
         const std::size_t ud = static_cast<std::size_t>(d);
         const auto &pdn = *sim.pdns[ud];
@@ -1080,78 +1080,68 @@ struct Simulation::Run
             else
                 sc.pMem[ub] = block_power[ub];
         }
-        pdn.nodeCurrentsInto(sc.pLogic, sc.baseLogic);
-        pdn.nodeCurrentsInto(sc.pMem, sc.baseMem);
+        pdn.nodeCurrentsInto(sc.pLogic, lane.logic);
+        pdn.nodeCurrentsInto(sc.pMem, lane.mem);
     }
 
     /**
-     * Synthesise the load waveform of noise window (epoch, sample)
-     * for domain d into `dst` (winCycles x nodeCount rows) from the
-     * base currents projectBaseCurrents() left in its scratch. The
+     * Draw the per-cycle multipliers of noise window (epoch, sample)
+     * for domain d into `lane`: ml scales the logic currents, and the
+     * memory currents swing less, by mm = 1 + 0.35 (ml - 1). The
      * waveform is seeded independently of the policy so all policies
      * see the same workload. Touches only domain d's scratch, so
-     * domains may build concurrently.
+     * domains may draw concurrently.
      */
-    void buildNoiseWindowInto(int d, long e, int sample, Amperes *dst) const
+    void drawScales(int d, long e, int sample, NoiseLane &lane) const
     {
-        const std::size_t ud = static_cast<std::size_t>(d);
-        const auto &pdn = *sim.pdns[ud];
-        auto &sc = sim.noiseScratch[ud];
-
         Rng rng(mixSeed(mixSeed(runSeed, static_cast<std::uint64_t>(
                                              e * 1315423911ll)),
                         mixSeed(static_cast<std::uint64_t>(sample),
                                 static_cast<std::uint64_t>(d))));
-        workload::synthesizeCycleMultipliersInto(didt[ud], winCycles, rng,
-                                                 sc.mult);
-
-        std::size_t n = static_cast<std::size_t>(pdn.nodeCount());
-        for (std::size_t c = 0; c < winCycles; ++c) {
-            double ml = sc.mult[c];
-            double mm = 1.0 + 0.35 * (ml - 1.0);  // caches swing less
-            Amperes *row = dst + c * n;
-            for (std::size_t i = 0; i < n; ++i)
-                row[i] = sc.baseLogic[i] * ml + sc.baseMem[i] * mm;
-        }
+        workload::synthesizeCycleMultipliersInto(
+            didt[static_cast<std::size_t>(d)], winCycles, rng, lane.ml);
+        lane.mm.resize(winCycles);
+        for (std::size_t c = 0; c < winCycles; ++c)
+            lane.mm[c] = 1.0 + 0.35 * (lane.ml[c] - 1.0);
     }
 
-    /** Solve the first `count` windows of domain d's chunk into `out`. */
-    void solveChunk(int d, std::size_t count, bool keep_trace,
+    /** Solve the first `count` lanes of domain d's scratch into `out`. */
+    void solveLanes(int d, std::size_t count, bool keep_trace,
                     pdn::NoiseResult *out) const
     {
-        std::array<pdn::DomainPdn::WindowSpec,
+        std::array<pdn::DomainPdn::WindowLane,
                    pdn::DomainPdn::kMaxWindowBatch> specs;
         const std::size_t ud = static_cast<std::size_t>(d);
-        const auto &pdn = *sim.pdns[ud];
-        const std::size_t n = static_cast<std::size_t>(pdn.nodeCount());
+        const auto &lanes = sim.noiseScratch[ud].lanes;
         for (std::size_t j = 0; j < count; ++j)
-            specs[j] = {sim.noiseScratch[ud].chunk.data() + j * windowSize(d),
-                        n};
-        pdn.transientWindowBatch(specs.data(), static_cast<int>(count),
-                                 winCycles, sim.cfg.noiseWarmupCycles,
-                                 keep_trace, out);
+            specs[j] = {lanes[j].logic.data(), lanes[j].mem.data(),
+                        lanes[j].ml.data(), lanes[j].mm.data()};
+        sim.pdns[ud]->transientWindowBatch(
+            specs.data(), static_cast<int>(count), winCycles,
+            sim.cfg.noiseWarmupCycles, keep_trace, out);
     }
 
     /**
      * Ground truth for the emergency-override path: would domain d's
      * current active set suffer a voltage emergency in any of epoch
-     * e's sample windows? Windows advance `width` at a time with an
-     * early exit between chunks — the OR over windows is what the
-     * per-window early-exit loop computed, bit-identically.
+     * e's sample windows? Every window is built against the epoch's
+     * provisioning power, so each lane's base currents are projected
+     * once; windows advance `width` at a time with an early exit
+     * between batches — the OR over windows is what the per-window
+     * early-exit loop computed, bit-identically.
      */
     bool epochEmergencyTruth(int d, long e,
                              const std::vector<Watts> &block_power) const
     {
         auto &sc = sim.noiseScratch[static_cast<std::size_t>(d)];
         const auto &samples = samplesOfEpoch[static_cast<std::size_t>(e)];
-        const std::size_t win = windowSize(d);
-        projectBaseCurrents(d, block_power.data());
+        for (std::size_t j = 0; j < std::min(width, samples.size()); ++j)
+            projectBaseCurrents(d, block_power.data(), sc.lanes[j]);
         for (std::size_t q0 = 0; q0 < samples.size(); q0 += width) {
             const std::size_t cnt = std::min(width, samples.size() - q0);
             for (std::size_t j = 0; j < cnt; ++j)
-                buildNoiseWindowInto(d, e, samples[q0 + j],
-                                     sc.chunk.data() + j * win);
-            solveChunk(d, cnt, false, sc.results.data());
+                drawScales(d, e, samples[q0 + j], sc.lanes[j]);
+            solveLanes(d, cnt, false, sc.results.data());
             for (std::size_t j = 0; j < cnt; ++j)
                 if (sc.results[j].emergencyCycles > 0)
                     return true;

@@ -142,22 +142,32 @@ class Simulation
     struct Run;
 
     /**
+     * One rank-2 noise window (pdn::DomainPdn::WindowLane): the logic
+     * and memory node currents of the power it is built against and
+     * the per-cycle multiplier of each. The window itself is never
+     * written out; the lockstep kernel forms its currents.
+     */
+    struct NoiseLane
+    {
+        std::vector<Amperes> logic; //!< node currents, logic blocks
+        std::vector<Amperes> mem;   //!< node currents, memory blocks
+        std::vector<double> ml;     //!< per-cycle logic multipliers
+        std::vector<double> mm;     //!< per-cycle memory multipliers
+    };
+
+    /**
      * Per-domain reusable buffers of the noise sampler; one scratch
      * per domain makes the fan-outs across domains race-free without
-     * locks. `chunk` holds up to `width` built windows back-to-back
-     * (window j at offset j * cycles * nodeCount): the lanes of one
-     * lockstep transientWindowBatch(). `results` holds one
-     * NoiseResult per lane in a truth check, and one per sample in
-     * finish(), where the reduction reads them.
+     * locks. `lanes` holds the `width` lanes of one lockstep
+     * transientWindowBatch(), 2 * (nodes + cycles) doubles each.
+     * `results` holds one NoiseResult per lane in a truth check, and
+     * one per sample in finish(), where the reduction reads them.
      */
     struct NoiseScratch
     {
         std::vector<Watts> pLogic;        //!< domain logic power
         std::vector<Watts> pMem;          //!< domain memory power
-        std::vector<Amperes> baseLogic;   //!< node currents, logic
-        std::vector<Amperes> baseMem;     //!< node currents, memory
-        std::vector<double> mult;         //!< cycle multipliers
-        std::vector<Amperes> chunk;       //!< built window buffers
+        std::vector<NoiseLane> lanes;     //!< one per lockstep lane
         std::vector<pdn::NoiseResult> results; //!< per lane / sample
         std::vector<int> set;             //!< a re-key's local VRs
     };

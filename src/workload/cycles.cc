@@ -16,7 +16,9 @@ synthesizeCycleMultipliers(double didt, std::size_t n_cycles, Rng &rng)
     return out;
 }
 
-void
+// Pinned to a 64-byte line like SparseLdltSolver::solveInPlace: its
+// speed otherwise moves with the size of unrelated code linked ahead.
+__attribute__((aligned(64))) void
 synthesizeCycleMultipliersInto(double didt, std::size_t n_cycles,
                                Rng &rng, std::vector<double> &out)
 {

@@ -8,7 +8,8 @@
  * droop traces are kept. The steady-state per-frame kernel must not
  * touch the heap: a counting global operator new verifies the
  * individual *Into primitives, a whole warmed-up run and the
- * one-allocation RunResult encoder.
+ * one-allocation RunResult encoder, and its byte count what a run's
+ * noise lanes cost.
  */
 
 #include <gtest/gtest.h>
@@ -32,13 +33,22 @@
 namespace {
 
 std::atomic<long> g_allocCount{0};
+std::atomic<long> g_allocBytes{0};
+
+void
+countAlloc(std::size_t size)
+{
+    g_allocCount.fetch_add(1, std::memory_order_relaxed);
+    g_allocBytes.fetch_add(static_cast<long>(size),
+                           std::memory_order_relaxed);
+}
 
 } // namespace
 
 void *
 operator new(std::size_t size)
 {
-    g_allocCount.fetch_add(1, std::memory_order_relaxed);
+    countAlloc(size);
     if (void *p = std::malloc(size))
         return p;
     throw std::bad_alloc();
@@ -47,7 +57,7 @@ operator new(std::size_t size)
 void *
 operator new[](std::size_t size)
 {
-    g_allocCount.fetch_add(1, std::memory_order_relaxed);
+    countAlloc(size);
     if (void *p = std::malloc(size))
         return p;
     throw std::bad_alloc();
@@ -60,14 +70,14 @@ operator new[](std::size_t size)
 void *
 operator new(std::size_t size, const std::nothrow_t &) noexcept
 {
-    g_allocCount.fetch_add(1, std::memory_order_relaxed);
+    countAlloc(size);
     return std::malloc(size);
 }
 
 void *
 operator new[](std::size_t size, const std::nothrow_t &) noexcept
 {
-    g_allocCount.fetch_add(1, std::memory_order_relaxed);
+    countAlloc(size);
     return std::malloc(size);
 }
 
@@ -603,6 +613,55 @@ TEST(AllocationDiscipline, WarmRunAllocationsAreBounded)
     EXPECT_LT(after - before, 4096 + per_frame_budget * n_frames)
         << "warm run allocated " << (after - before) << " times over "
         << n_frames << " frames";
+}
+
+TEST(AllocationDiscipline, NoiseLanesCostNodesPlusCycles)
+{
+    // A lockstep lane is a rank-2 window: two node-current profiles
+    // and two per-cycle scale rows, 2 * (nodes + cycles) doubles per
+    // domain; written out it would be cycles * nodes. The seven extra
+    // lanes of width 8 over width 1 must cost about the former in a
+    // fresh Simulation's first run, far below the latter.
+    auto chip = floorplan::buildMiniChip(2);
+    const std::size_t cycles = 2000;
+    auto config = [&](int width) {
+        SimConfig cfg = miniConfig(1);
+        cfg.noiseSamples = 16;
+        cfg.noiseCyclesTotal = static_cast<int>(cycles);
+        cfg.noiseWarmupCycles = 1000;
+        cfg.noiseBatchWidth = width;
+        cfg.memoizeResults = false;  // width is not in the memo key
+        return cfg;
+    };
+    const auto &profile = workload::profileByName("fft");
+    // Fill the shared power-trace and PDN-base caches first, so both
+    // measured runs hit them.
+    Simulation warm(chip, config(1));
+    warm.run(profile, core::PolicyKind::AllOn);
+    auto first_run_bytes = [&](int width) {
+        Simulation s(chip, config(width));
+        long before = g_allocBytes.load(std::memory_order_relaxed);
+        s.run(profile, core::PolicyKind::AllOn);
+        return g_allocBytes.load(std::memory_order_relaxed) - before;
+    };
+    const long extra = first_run_bytes(8) - first_run_bytes(1);
+
+    std::size_t nodes = 0;
+    const std::size_t domains = chip.plan.domains().size();
+    for (std::size_t d = 0; d < domains; ++d)
+        nodes += static_cast<std::size_t>(
+            warm.domainPdn(static_cast<int>(d)).nodeCount());
+    const long lane_bytes = static_cast<long>(
+        7 * 2 * (nodes + domains * cycles) * sizeof(double));
+    const long written_bytes =
+        static_cast<long>(7 * cycles * nodes * sizeof(double));
+    ASSERT_GT(written_bytes, 4 * lane_bytes)
+        << "the chip must tell the two costs apart";
+    EXPECT_GT(extra, lane_bytes / 2);
+    EXPECT_LT(extra, 2 * lane_bytes)
+        << "width 8 allocated " << extra << " bytes more than width 1; "
+        << "rank-2 lanes cost " << lane_bytes << ", written-out windows "
+        << written_bytes;
 }
 
 } // namespace

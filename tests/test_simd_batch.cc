@@ -5,9 +5,12 @@
  * solver, and DomainPdn::transientWindowBatch against the scalar
  * transient window — all compared with EXPECT_EQ on doubles, because
  * the batched paths promise the *same bits*, not just the same values.
+ * The window batch takes both of its lane forms: written-out cycle
+ * rows and rank-2 lanes, each pinned to the scalar window written out.
  */
 
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +19,7 @@
 #include "common/rng.hh"
 #include "common/simd.hh"
 #include "common/sparse.hh"
+#include "floorplan/floorplan.hh"
 #include "floorplan/power8.hh"
 #include "pdn/domain_pdn.hh"
 #include "vreg/design.hh"
@@ -216,6 +220,19 @@ class WindowBatchTest : public ::testing::Test
         return dp.nodeCurrents(bp);
     }
 
+    /** Node currents of the domain's logic (or memory) blocks only. */
+    std::vector<Amperes>
+    unitLoad(Watts per_block, bool logic) const
+    {
+        std::vector<Watts> bp(chip.plan.blocks().size(), 0.0);
+        for (int b : chip.plan.domains()[0].blocks)
+            if (floorplan::isLogicUnit(
+                    chip.plan.blocks()[static_cast<std::size_t>(b)].kind) ==
+                logic)
+                bp[static_cast<std::size_t>(b)] = per_block;
+        return dp.nodeCurrents(bp);
+    }
+
     /**
      * Flat window w: load stepping from `low` to `high` at midway,
      * with levels varied per window so every lane solves a different
@@ -238,43 +255,107 @@ class WindowBatchTest : public ::testing::Test
         return win;
     }
 
+    /**
+     * Rank-2 window w: logic and memory node currents, a per-cycle
+     * logic multiplier (a load step plus a seeded ripple) and the
+     * damped memory one, and the same window written out row by row
+     * in the expression the kernel forms.
+     */
+    struct Rank2Window
+    {
+        std::vector<Amperes> logic, mem;
+        std::vector<double> ml, mm;
+        std::vector<Amperes> rows;  //!< cycles x nodes, written out
+
+        pdn::DomainPdn::WindowLane
+        lane() const
+        {
+            return {logic.data(), mem.data(), ml.data(), mm.data()};
+        }
+    };
+
+    Rank2Window
+    makeRank2(int w, std::size_t cycles) const
+    {
+        Rank2Window r;
+        r.logic = unitLoad(0.8 + 0.1 * w, true);
+        r.mem = unitLoad(0.3 + 0.05 * w, false);
+        Rng rng(mixSeed(0x7a2u, static_cast<std::uint64_t>(w)));
+        for (std::size_t c = 0; c < cycles; ++c) {
+            const double step = c < cycles / 2 ? 0.6 : 1.3 + 0.05 * w;
+            r.ml.push_back(step + rng.uniform(-0.05, 0.05));
+            r.mm.push_back(1.0 + 0.35 * (r.ml.back() - 1.0));
+        }
+        std::size_t n = static_cast<std::size_t>(dp.nodeCount());
+        r.rows.resize(cycles * n);
+        for (std::size_t c = 0; c < cycles; ++c)
+            for (std::size_t i = 0; i < n; ++i)
+                r.rows[c * n + i] =
+                    r.logic[i] * r.ml[c] + r.mem[i] * r.mm[c];
+        return r;
+    }
+
+    /** Every field of `got` carries the bits of `ref`. */
+    static void
+    expectSameBits(const pdn::NoiseResult &got,
+                   const pdn::NoiseResult &ref, const std::string &what)
+    {
+        EXPECT_EQ(got.maxNoiseFrac, ref.maxNoiseFrac) << what;
+        EXPECT_EQ(got.emergencyCycles, ref.emergencyCycles) << what;
+        EXPECT_EQ(got.analysedCycles, ref.analysedCycles) << what;
+        ASSERT_EQ(got.trace.size(), ref.trace.size()) << what;
+        for (std::size_t c = 0; c < ref.trace.size(); ++c)
+            ASSERT_EQ(got.trace[c], ref.trace[c]) << what << " cycle " << c;
+    }
+
     floorplan::Chip chip;
     pdn::DomainPdn dp;
 };
 
 TEST_F(WindowBatchTest, BatchMatchesScalarAtEveryCount)
 {
+    // Both lane forms, written-out windows and rank-2 lanes, at every
+    // count: 8/4/2 chunks and both ragged tails (scalar kernel for a
+    // written-out window, a self-paired two-lane batch for rank-2).
     const std::size_t cycles = 160;
     const int warmup = 40;
     std::size_t n = static_cast<std::size_t>(dp.nodeCount());
 
     std::vector<std::vector<Amperes>> wins;
-    for (int w = 0; w < 8; ++w)
+    std::vector<Rank2Window> r2;
+    for (int w = 0; w < 8; ++w) {
         wins.push_back(makeWindow(w, cycles));
+        r2.push_back(makeRank2(w, cycles));
+    }
 
-    for (int count : {1, 2, 3, 4, 5, 7, 8}) {
+    for (int count = 1; count <= 8; ++count) {
         std::vector<pdn::DomainPdn::WindowSpec> specs;
-        std::vector<pdn::NoiseResult> out(
-            static_cast<std::size_t>(count));
-        for (int w = 0; w < count; ++w)
+        std::vector<pdn::DomainPdn::WindowLane> lanes;
+        for (int w = 0; w < count; ++w) {
             specs.push_back(
                 {wins[static_cast<std::size_t>(w)].data(), n});
+            lanes.push_back(r2[static_cast<std::size_t>(w)].lane());
+        }
+        std::vector<pdn::NoiseResult> out(
+            static_cast<std::size_t>(count));
+        std::vector<pdn::NoiseResult> out2(
+            static_cast<std::size_t>(count));
         dp.transientWindowBatch(specs.data(), count, cycles, warmup,
                                 true, out.data());
+        dp.transientWindowBatch(lanes.data(), count, cycles, warmup,
+                                true, out2.data());
         for (int w = 0; w < count; ++w) {
-            auto ref = dp.transientWindow(
-                wins[static_cast<std::size_t>(w)].data(), cycles, n,
-                warmup, true);
-            const auto &got = out[static_cast<std::size_t>(w)];
-            EXPECT_EQ(got.maxNoiseFrac, ref.maxNoiseFrac)
-                << "count " << count << " window " << w;
-            EXPECT_EQ(got.emergencyCycles, ref.emergencyCycles);
-            EXPECT_EQ(got.analysedCycles, ref.analysedCycles);
-            ASSERT_EQ(got.trace.size(), ref.trace.size());
-            for (std::size_t c = 0; c < ref.trace.size(); ++c)
-                ASSERT_EQ(got.trace[c], ref.trace[c])
-                    << "count " << count << " window " << w
-                    << " cycle " << c;
+            const std::size_t uw = static_cast<std::size_t>(w);
+            const std::string what = "count " + std::to_string(count) +
+                                     " window " + std::to_string(w);
+            expectSameBits(out[uw],
+                           dp.transientWindow(wins[uw].data(), cycles, n,
+                                              warmup, true),
+                           what);
+            expectSameBits(out2[uw],
+                           dp.transientWindow(r2[uw].rows.data(), cycles,
+                                              n, warmup, true),
+                           "rank-2 " + what);
         }
     }
 }
@@ -287,8 +368,11 @@ TEST_F(WindowBatchTest, BatchMatchesScalarOnWoodburySubsets)
     const int warmup = 30;
     std::size_t n = static_cast<std::size_t>(dp.nodeCount());
     std::vector<std::vector<Amperes>> wins;
-    for (int w = 0; w < 4; ++w)
+    std::vector<Rank2Window> r2;
+    for (int w = 0; w < 4; ++w) {
         wins.push_back(makeWindow(w, cycles));
+        r2.push_back(makeRank2(w, cycles));
+    }
 
     for (const auto &set :
          std::vector<std::vector<int>>{{0, 4, 8}, {3}}) {
@@ -296,17 +380,29 @@ TEST_F(WindowBatchTest, BatchMatchesScalarOnWoodburySubsets)
         std::vector<pdn::DomainPdn::WindowSpec> specs;
         for (const auto &w : wins)
             specs.push_back({w.data(), n});
+        std::vector<pdn::DomainPdn::WindowLane> lanes;
+        for (const auto &w : r2)
+            lanes.push_back(w.lane());
         std::vector<pdn::NoiseResult> out(wins.size());
+        std::vector<pdn::NoiseResult> out2(r2.size());
         dp.transientWindowBatch(specs.data(),
                                 static_cast<int>(wins.size()), cycles,
                                 warmup, false, out.data());
+        dp.transientWindowBatch(lanes.data(),
+                                static_cast<int>(r2.size()), cycles,
+                                warmup, false, out2.data());
         for (std::size_t w = 0; w < wins.size(); ++w) {
-            auto ref = dp.transientWindow(wins[w].data(), cycles, n,
-                                          warmup, false);
-            EXPECT_EQ(out[w].maxNoiseFrac, ref.maxNoiseFrac)
-                << "set size " << set.size() << " window " << w;
-            EXPECT_EQ(out[w].emergencyCycles, ref.emergencyCycles);
-            EXPECT_EQ(out[w].analysedCycles, ref.analysedCycles);
+            const std::string what = "set size " +
+                                     std::to_string(set.size()) +
+                                     " window " + std::to_string(w);
+            expectSameBits(out[w],
+                           dp.transientWindow(wins[w].data(), cycles, n,
+                                              warmup, false),
+                           what);
+            expectSameBits(out2[w],
+                           dp.transientWindow(r2[w].rows.data(), cycles, n,
+                                              warmup, false),
+                           "rank-2 " + what);
         }
     }
 }
@@ -328,6 +424,19 @@ TEST_F(WindowBatchTest, RepeatedBatchedWindowIsIdempotent)
     double first = out[0].maxNoiseFrac;
     dp.transientWindowBatch(specs, 4, cycles, 20, false, out);
     EXPECT_EQ(out[0].maxNoiseFrac, first);
+
+    // The same for rank-2 lanes, with a written-out batch between
+    // two calls.
+    auto r2 = makeRank2(2, cycles);
+    pdn::DomainPdn::WindowLane lanes[4] = {r2.lane(), r2.lane(),
+                                           r2.lane(), r2.lane()};
+    dp.transientWindowBatch(lanes, 4, cycles, 20, false, out);
+    for (int w = 1; w < 4; ++w)
+        EXPECT_EQ(out[w].maxNoiseFrac, out[0].maxNoiseFrac);
+    double first2 = out[0].maxNoiseFrac;
+    dp.transientWindowBatch(specs, 4, cycles, 20, false, out);
+    dp.transientWindowBatch(lanes, 4, cycles, 20, false, out);
+    EXPECT_EQ(out[0].maxNoiseFrac, first2);
 }
 
 TEST_F(WindowBatchTest, DeathOnBadBatchInputs)
@@ -346,6 +455,20 @@ TEST_F(WindowBatchTest, DeathOnBadBatchInputs)
     EXPECT_DEATH(
         dp.transientWindowBatch(&bad, 1, 10, 2, false, &out),
         "stride");
+
+    auto r2 = makeRank2(0, 10);
+    pdn::DomainPdn::WindowLane lane = r2.lane();
+    EXPECT_DEATH(
+        dp.transientWindowBatch(&lane, 0, 10, 2, false, &out),
+        "empty window batch");
+    EXPECT_DEATH(
+        dp.transientWindowBatch(&lane, 1, 10, 10, false, &out),
+        "warmup");
+    pdn::DomainPdn::WindowLane lanes[2] = {lane, lane};
+    lanes[1].memScale = nullptr;
+    EXPECT_DEATH(
+        dp.transientWindowBatch(lanes, 2, 10, 2, false, &out),
+        "rank-2 lane");
 }
 
 } // namespace
