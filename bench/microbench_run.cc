@@ -103,12 +103,13 @@ BENCHMARK(BM_RunFrameLoopOnly)->Unit(benchmark::kMillisecond);
 
 /**
  * The batched lockstep transient kernel in isolation: Arg is the
- * batch width, and each iteration advances `width` independent noise
+ * batch size, and each iteration advances `width` independent noise
  * windows through domain 0's current factorisation in one
  * transientWindowBatch() call. Throughput is reported as
- * window-cycles per second (items/s), so the widths are directly
- * comparable: the results are bit-identical at every width, only the
- * rate moves.
+ * window-cycles per second (items/s), so the sizes are directly
+ * comparable: the results are bit-identical at every size, only the
+ * rate moves. Sizes 1, 3 and 5 run padded 2-, 4- and 8-lane kernels
+ * (3 and 5 are the truth checks' common ragged batches).
  */
 void
 BM_TransientKernelBatch(benchmark::State &state)
@@ -159,7 +160,9 @@ BM_TransientKernelBatch(benchmark::State &state)
 BENCHMARK(BM_TransientKernelBatch)
     ->Arg(1)
     ->Arg(2)
+    ->Arg(3)
     ->Arg(4)
+    ->Arg(5)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
@@ -167,9 +170,8 @@ BENCHMARK(BM_TransientKernelBatch)
  * The same kernel over rank-2 lanes, as the run loop feeds it: each
  * lane is two node-current profiles (logic, memory) and two
  * per-cycle scale rows, and the kernel forms the currents. The same
- * load steps, widths and items/s as BM_TransientKernelBatch, so the
- * two compare the row sources; width 1 is the two-lane kernel with
- * the lane paired with itself.
+ * load steps, sizes and items/s as BM_TransientKernelBatch, so the
+ * two compare the row sources.
  */
 void
 BM_TransientKernelRank2(benchmark::State &state)
@@ -230,7 +232,9 @@ BM_TransientKernelRank2(benchmark::State &state)
 BENCHMARK(BM_TransientKernelRank2)
     ->Arg(1)
     ->Arg(2)
+    ->Arg(3)
     ->Arg(4)
+    ->Arg(5)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 

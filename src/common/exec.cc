@@ -22,6 +22,17 @@ thread_local int tlWorkerIndex = -1;
  *  hundreds of thousands of threads. */
 constexpr long kMaxJobs = 1 << 12;
 
+std::atomic<bool> jobsWarned{false};
+
+/** warn(), at most once per process: every fan-out resolves TG_JOBS. */
+template <typename... Args>
+void
+warnJobsOnce(Args &&...args)
+{
+    if (!jobsWarned.exchange(true))
+        warn(std::forward<Args>(args)...);
+}
+
 } // namespace
 
 int
@@ -40,14 +51,14 @@ resolveJobs(int requested)
         char *end = nullptr;
         long v = std::strtol(env, &end, 10);
         if (end == env || *end != '\0') {
-            warn("TG_JOBS value '", env, "' is not a number; using ",
-                 "the hardware thread count");
+            warnJobsOnce("TG_JOBS value '", env, "' is not a number; ",
+                         "using the hardware thread count");
         } else if (v <= 0) {
-            warn("TG_JOBS value ", v, " is not positive; using the ",
-                 "hardware thread count");
+            warnJobsOnce("TG_JOBS value ", v, " is not positive; using ",
+                         "the hardware thread count");
         } else if (v > kMaxJobs) {
-            warn("TG_JOBS value '", env, "' is absurdly large; ",
-                 "clamping to ", kMaxJobs);
+            warnJobsOnce("TG_JOBS value '", env, "' is absurdly large; ",
+                         "clamping to ", kMaxJobs);
             return static_cast<int>(kMaxJobs);
         } else {
             return static_cast<int>(v);

@@ -53,7 +53,9 @@ int hardwareThreads();
 /**
  * Resolve a worker count request: a positive `requested` wins;
  * otherwise the TG_JOBS environment variable (when set to a positive
- * integer); otherwise every hardware thread. Always at least 1.
+ * integer); otherwise every hardware thread. Always at least 1. An
+ * invalid TG_JOBS is reported once per process, however many
+ * fan-outs resolve it.
  */
 int resolveJobs(int requested);
 

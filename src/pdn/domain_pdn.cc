@@ -723,15 +723,16 @@ DomainPdn::solveReducedBatch(const SparseLdltSolver &base,
  * per-cycle step mirrors the scalar transientWindow() loop with the
  * lane dimension innermost, so lane l's floating-point op sequence —
  * rhs assembly, solve, branch update, droop max — is the scalar
- * sequence exactly. Aligned like SparseLdltSolver::solveInPlace, so
- * its speed does not follow unrelated code's size.
+ * sequence exactly. Only the first `live` lanes record into `out`;
+ * the rest are padding. Aligned like SparseLdltSolver::solveInPlace,
+ * so its speed does not follow unrelated code's size.
  */
 template <int W, class Lane>
 __attribute__((aligned(64))) void
 DomainPdn::transientWindowLockstep(const Lane *lanes,
                                    std::size_t cycles, int warmup,
-                                   bool keep_trace,
-                                   NoiseResult *out) const
+                                   bool keep_trace, NoiseResult *out,
+                                   int live) const
 {
     using B = DoubleBatch<W>;
     std::size_t n = static_cast<std::size_t>(nNodes);
@@ -773,7 +774,7 @@ DomainPdn::transientWindowLockstep(const Lane *lanes,
                 (vdd - batchVolt[node * W + l]) / r_out;
     }
 
-    for (int l = 0; l < W; ++l) {
+    for (int l = 0; l < live; ++l) {
         out[l].maxNoiseFrac = 0.0;
         out[l].emergencyCycles = 0;
         out[l].analysedCycles = 0;
@@ -822,7 +823,7 @@ DomainPdn::transientWindowLockstep(const Lane *lanes,
                           static_cast<std::size_t>(i) * W);
             droop = B::max(droop, (B::broadcast(vdd) - v) / vdd);
         }
-        for (int l = 0; l < W; ++l) {
+        for (int l = 0; l < live; ++l) {
             const double d = droop[l];
             if (keep_trace)
                 out[l].trace.push_back(d);
@@ -857,40 +858,25 @@ DomainPdn::solveLanes(const Lane *lanes, int count, std::size_t cycles,
                       "cycle stride below node count");
     }
 
-    // Chunk into the widest fixed kernels. Any chunking yields the
-    // same bits: lanes never interact.
-    int done = 0;
-    while (count - done >= 2) {
-        const int left = count - done;
-        if (left >= 8) {
-            transientWindowLockstep<8>(lanes + done, cycles, warmup,
-                                       keep_trace, out + done);
-            done += 8;
-        } else if (left >= 4) {
-            transientWindowLockstep<4>(lanes + done, cycles, warmup,
-                                       keep_trace, out + done);
-            done += 4;
-        } else {
-            transientWindowLockstep<2>(lanes + done, cycles, warmup,
-                                       keep_trace, out + done);
-            done += 2;
-        }
-    }
-    // The ragged tail: a written-out window runs the scalar kernel; a
-    // rank-2 lane runs as a two-lane batch with itself, whose lane 0
-    // is the scalar result.
-    if (done < count) {
-        if constexpr (kRank2) {
-            const WindowLane pair[2] = {lanes[done], lanes[done]};
-            NoiseResult res[2];
-            transientWindowLockstep<2>(pair, cycles, warmup, keep_trace,
-                                       res);
-            out[done] = std::move(res[0]);
-        } else {
-            out[done] = transientWindow(lanes[done].currents, cycles,
-                                        lanes[done].stride, warmup,
-                                        keep_trace);
-        }
+    // Lanes go kMaxWindowBatch at a time. A last chunk of k lanes
+    // runs the narrowest kernel that holds it, its spare lanes
+    // repeating lane k - 1 unrecorded. Lanes never interact, so every
+    // chunking yields each lane's scalar bits.
+    static_assert(kMaxWindowBatch == 8, "kernel ladder is 2/4/8");
+    for (int done = 0; done < count; done += kMaxWindowBatch) {
+        const int live = std::min(count - done, kMaxWindowBatch);
+        Lane chunk[kMaxWindowBatch];
+        for (int l = 0; l < kMaxWindowBatch; ++l)
+            chunk[l] = lanes[done + std::min(l, live - 1)];
+        if (live > 4)
+            transientWindowLockstep<8>(chunk, cycles, warmup, keep_trace,
+                                       out + done, live);
+        else if (live > 2)
+            transientWindowLockstep<4>(chunk, cycles, warmup, keep_trace,
+                                       out + done, live);
+        else
+            transientWindowLockstep<2>(chunk, cycles, warmup, keep_trace,
+                                       out + done, live);
     }
 
 #ifdef TG_DEBUG_CHECKS

@@ -161,7 +161,9 @@ class DomainPdn
      * currents of cycle c are the `nodeCount()` values starting at
      * `currents + c * stride` (stride >= nodeCount()). The first
      * `warmup` cycles settle the state (initialised from the steady
-     * solution of cycle 0) and are excluded from the statistics.
+     * solution of cycle 0) and are excluded from the statistics. The
+     * scalar reference of transientWindowBatch(), which never calls
+     * it.
      */
     NoiseResult transientWindow(const Amperes *currents,
                                 std::size_t cycles, std::size_t stride,
@@ -190,7 +192,8 @@ class DomainPdn
         const double *memScale = nullptr;   //!< one per cycle
     };
 
-    /** Widest lockstep kernel instantiated (see common/simd.hh). */
+    /** Widest lockstep kernel instantiated (see common/simd.hh), and
+     *  the chunk width of transientWindowBatch(). */
     static constexpr int kMaxWindowBatch = 8;
 
     /**
@@ -209,10 +212,12 @@ class DomainPdn
      * occupying one lane. Lane arithmetic preserves the exact scalar
      * operation order, so out[i] is bit-identical to
      * transientWindow(windows[i].currents, cycles, windows[i].stride,
-     * warmup, keep_trace) at every batch width. `count` is chunked
-     * internally into fixed widths (8/4/2) with a scalar ragged
-     * tail; all windows share cycles/warmup. No heap allocation
-     * after the first call at a given width (trace buffers aside).
+     * warmup, keep_trace) at every count. Windows go kMaxWindowBatch
+     * at a time; a last chunk of k runs the narrowest kernel (2, 4 or
+     * 8 lanes) that holds it, padded with copies of its last window
+     * whose results are discarded, so only out[0, count) is written.
+     * All windows share cycles/warmup. No heap allocation after the
+     * first call at a given kernel width (trace buffers aside).
      */
     void transientWindowBatch(const WindowSpec *windows, int count,
                               std::size_t cycles, int warmup,
@@ -220,10 +225,9 @@ class DomainPdn
 
     /**
      * transientWindowBatch() over rank-2 lanes, through the same
-     * kernel body: out[i] is bit-identical to transientWindow() of
-     * lane i written out as rows of logic[j] * logicScale[c] +
-     * mem[j] * memScale[c]. A leftover single lane runs as a two-lane
-     * batch with itself.
+     * kernel body and chunk rule: out[i] is bit-identical to
+     * transientWindow() of lane i written out as rows of
+     * logic[j] * logicScale[c] + mem[j] * memScale[c].
      */
     void transientWindowBatch(const WindowLane *lanes, int count,
                               std::size_t cycles, int warmup,
@@ -360,14 +364,14 @@ class DomainPdn
     template <int W>
     void solveReducedBatch(const SparseLdltSolver &base,
                            const Downdate &dd, double *x) const;
-    /** Both transientWindowBatch() forms: checks, chunking, tail. */
+    /** Both transientWindowBatch() forms: checks and chunking. */
     template <class Lane>
     void solveLanes(const Lane *lanes, int count, std::size_t cycles,
                     int warmup, bool keep_trace, NoiseResult *out) const;
     template <int W, class Lane>
     void transientWindowLockstep(const Lane *lanes, std::size_t cycles,
                                  int warmup, bool keep_trace,
-                                 NoiseResult *out) const;
+                                 NoiseResult *out, int live) const;
 };
 
 } // namespace pdn

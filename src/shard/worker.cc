@@ -5,7 +5,10 @@
 namespace tg {
 namespace shard {
 
-constexpr std::uint32_t kBasicSetupMagic = 0x31424754; // "TGB1"
+/** "TGB2". The version moves whenever kSimConfigFields' Wire members
+ *  change: a dropped or re-typed member shifts every later one, so an
+ *  older blob could otherwise decode as a different config. */
+constexpr std::uint32_t kBasicSetupMagic = 0x32424754;
 
 std::vector<std::uint8_t> encodeBasicSetup(ChipKind kind, int chip_arg,
                                            const sim::SimConfig &cfg)

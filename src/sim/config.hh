@@ -48,19 +48,12 @@ struct SimConfig
     int noiseWarmupCycles = 200; //!< leading cycles excluded
 
     /**
-     * Lanes per lockstep batch of the transient kernel: a domain
-     * solves up to this many sampled windows at a time, from
-     * consecutive samples that share an active set, and a truth check
-     * its epoch's windows likewise (clamped to [1,
-     * pdn::DomainPdn::kMaxWindowBatch]). Purely a throughput knob —
-     * results are bit-identical at every width. The default is the
-     * widest kernel: a lane is a rank-2 window of
-     * 2 * (nodes + cycles) doubles per domain, not a written-out
-     * cycles * nodes one, so width no longer costs memory worth
-     * saving, and 8 lanes share each factor entry's load twice as
-     * widely as 4.
+     * Lanes per lockstep batch of the transient kernel. Not a
+     * setting: runs always batch the widest kernel's width, and a
+     * ragged batch runs padded (pdn::DomainPdn::transientWindowBatch).
+     * Kept for perfbench's `pdn` probe, which reads it.
      */
-    int noiseBatchWidth = 8;
+    static constexpr int noiseBatchWidth = pdn::DomainPdn::kMaxWindowBatch;
 
     /** Epochs of the theta-profiling pass (Section 6.3); at least 3,
      *  since the fit skips the first two. */
@@ -149,7 +142,6 @@ inline constexpr auto kSimConfigFields = std::tuple{
         "noiseCyclesTotal", &SimConfig::noiseCyclesTotal, 1, 20000),
     fields::field<fields::Hashed | fields::Wire>(
         "noiseWarmupCycles", &SimConfig::noiseWarmupCycles, 0, 20000),
-    fields::field("noiseBatchWidth", &SimConfig::noiseBatchWidth),
     // The profiling pass records samples from its third epoch on.
     fields::field<fields::Hashed | fields::Wire>(
         "profilingEpochs", &SimConfig::profilingEpochs, 3, 1000),

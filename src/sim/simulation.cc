@@ -300,8 +300,6 @@ struct Simulation::Run
           fpe(std::max(1, static_cast<int>(std::round(
                               s.cfg.decisionInterval / dt)))),
           winCycles(static_cast<std::size_t>(s.cfg.noiseCyclesTotal)),
-          width(static_cast<std::size_t>(std::clamp(
-              s.cfg.noiseBatchWidth, 1, pdn::DomainPdn::kMaxWindowBatch))),
           governor(p, nDomains), aging(nVrs),
           sensorBank(nVrs, s.cfg.sensorParams, mixSeed(runSeed, 0x5eb5u)),
           emPredictor(s.cfg.predictorParams, mixSeed(runSeed, 0xe456u)),
@@ -355,7 +353,8 @@ struct Simulation::Run
     const Seconds dt;
     const int fpe;                //!< frames per decision epoch
     const std::size_t winCycles;  //!< cycles per noise window
-    const std::size_t width;      //!< lanes per lockstep batch
+    /** Lanes per lockstep batch: the widest kernel. */
+    static constexpr std::size_t width = pdn::DomainPdn::kMaxWindowBatch;
 
     // Prepared inputs.
     std::vector<double> didt;     //!< per-domain di/dt intensity
@@ -476,9 +475,7 @@ struct Simulation::Run
         // Noise windows are independent across domains (per-domain
         // PDN and NoiseScratch, RNG streams keyed by (run seed, epoch,
         // sample, domain)), so finish() fans them out across the
-        // process pool. Sweep workers (already on a pool thread) run
-        // it inline, so they resolve no width and print no TG_JOBS
-        // warning.
+        // process pool.
         sim.noiseScratch.resize(static_cast<std::size_t>(nDomains));
         if (n_samples == 0)
             return;
@@ -496,9 +493,6 @@ struct Simulation::Run
             sc.results.resize(
                 std::max(static_cast<std::size_t>(n_samples), width));
         }
-        if (sim.noiseJobs == 0 && nDomains > 1 &&
-            exec::ThreadPool::workerIndex() < 0)
-            sim.noiseJobs = exec::resolveJobs(sim.cfg.jobs);
     }
 
     void armFaults(const fault::FaultScenario &scenario)
@@ -1052,12 +1046,13 @@ struct Simulation::Run
             vr_t[static_cast<std::size_t>(v)] = sim.tm.vrTemp(temps, v);
     }
 
-    /** f(d) for every domain, fanned out sim.noiseJobs wide. */
+    /** f(d) for every domain, fanned out cfg.jobs wide (inline
+     *  inside a sweep cell, which already runs on a pool thread). */
     template <typename F>
     void forEachDomain(F &&f)
     {
         exec::parallelFor(static_cast<std::size_t>(nDomains),
-                          sim.noiseJobs, [&](int, std::size_t d) {
+                          sim.cfg.jobs, [&](int, std::size_t d) {
                               f(static_cast<int>(d));
                           });
     }

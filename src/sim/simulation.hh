@@ -158,8 +158,9 @@ class Simulation
     /**
      * Per-domain reusable buffers of the noise sampler; one scratch
      * per domain makes the fan-outs across domains race-free without
-     * locks. `lanes` holds the `width` lanes of one lockstep
-     * transientWindowBatch(), 2 * (nodes + cycles) doubles each.
+     * locks. `lanes` holds the pdn::DomainPdn::kMaxWindowBatch lanes
+     * of one lockstep transientWindowBatch(), 2 * (nodes + cycles)
+     * doubles each.
      * `results` holds one NoiseResult per lane in a truth check, and
      * one per sample in finish(), where the reduction reads them.
      */
@@ -208,13 +209,6 @@ class Simulation
 
     FrameScratch fs;
     std::vector<NoiseScratch> noiseScratch; //!< one per domain
-
-    /**
-     * Width of the fan-outs across domains: cfg.jobs resolved once,
-     * on the first run off a pool thread that samples noise (0 until
-     * then), so an invalid TG_JOBS warns once.
-     */
-    int noiseJobs = 0;
 };
 
 } // namespace sim

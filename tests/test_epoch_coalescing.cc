@@ -1,25 +1,27 @@
 /**
  * @file
- * Bit-identity tests of the finish-time noise solve across widths.
+ * Bit-identity tests of the finish-time noise solve.
  *
  * finish() solves every sampled window: each domain walks the samples
- * in order and solves up to noiseBatchWidth consecutive samples whose
- * epochs committed the same active set as one lockstep chunk. At
- * width 1 every window is solved alone, as the hexfloat goldens in
- * test_run_determinism.cc were captured (one scalar solve per window
- * at its frame), so width 1 at jobs 1 is the reference. Wider chunks
- * must match it in every RunResult byte at every worker count: for a
- * policy that never changes its set (AllOn: full chunks), for the
- * paper's full policy (PracVT: its truth checks re-key the PDNs to
- * proposals during the run), for a set-changing policy without the
- * override (OracT: chunks end where a domain's set changes), and
- * under an active fault scenario (fault attribution by the epoch a
- * sample was scheduled in).
+ * in order and solves up to pdn::DomainPdn::kMaxWindowBatch
+ * consecutive samples whose epochs committed the same active set as
+ * one lockstep chunk. The digests below were recorded with every
+ * window solved alone (batch width 1, jobs 1), as the hexfloat goldens
+ * in test_run_determinism.cc were captured (one scalar solve per
+ * window at its frame). The chunked solve must reproduce them in
+ * every RunResult byte at every worker count: for a policy that never
+ * changes its set (AllOn: full chunks), for the paper's full policy
+ * (PracVT: its truth checks re-key the PDNs to proposals during the
+ * run), for a set-changing policy without the override (OracT: chunks
+ * end where a domain's set changes), and under an active fault
+ * scenario (fault attribution by the epoch a sample was scheduled
+ * in).
  */
 
 #include <gtest/gtest.h>
 
-#include "cache/serialize.hh"
+#include <cstdint>
+
 #include "floorplan/power8.hh"
 #include "run_fixtures.hh"
 #include "sim/simulation.hh"
@@ -30,42 +32,30 @@ namespace sim {
 namespace {
 
 SimConfig
-miniConfig(int jobs, int width)
+miniConfig(int jobs)
 {
     SimConfig cfg;
     cfg.noiseSamples = 24;  // several windows per chunk: real lanes
     cfg.profilingEpochs = 8;
     cfg.jobs = jobs;
-    cfg.noiseBatchWidth = width;
     return cfg;
 }
 
-RunResult
-runWith(const floorplan::Chip &chip, core::PolicyKind policy,
-        int jobs, int width,
-        const fault::FaultScenario *scenario = nullptr)
+/** fft under `policy` at jobs {1, 4} against the width-1 digest. */
+void
+expectChunksMatchWidthOne(const floorplan::Chip &chip,
+                          core::PolicyKind policy, std::uint64_t digest,
+                          const fault::FaultScenario *scenario = nullptr)
 {
-    Simulation s(chip, miniConfig(jobs, width));
     RecordOptions opts;
     opts.faultScenario = scenario;
-    return s.run(workload::profileByName("fft"), policy, opts);
-}
-
-/** Widths {4, 8} x jobs {1, 4} against the width-1 reference. */
-void
-expectWideChunksMatchWidthOne(const floorplan::Chip &chip,
-                              core::PolicyKind policy,
-                              const fault::FaultScenario *scenario =
-                                  nullptr)
-{
-    const auto ref =
-        cache::encodeRunResult(runWith(chip, policy, 1, 1, scenario));
-    for (int jobs : {1, 4})
-        for (int width : {4, 8})
-            EXPECT_TRUE(ref == cache::encodeRunResult(runWith(
-                                   chip, policy, jobs, width, scenario)))
-                << core::policyName(policy) << " jobs " << jobs
-                << " width " << width;
+    for (int jobs : {1, 4}) {
+        Simulation s(chip, miniConfig(jobs));
+        const std::uint64_t got = resultDigest(
+            s.run(workload::profileByName("fft"), policy, opts));
+        EXPECT_EQ(got, digest) << core::policyName(policy) << " jobs "
+                               << jobs << " digest 0x" << std::hex << got;
+    }
 }
 
 TEST(CoalesceDeterminism, MatchesPerEpochPathAcrossJobsAndWidths)
@@ -74,9 +64,10 @@ TEST(CoalesceDeterminism, MatchesPerEpochPathAcrossJobsAndWidths)
     // checks re-key each domain to its proposals during the run, so
     // finish() re-keys to every epoch's committed set.
     auto chip = floorplan::buildMiniChip(2);
-    for (auto policy :
-         {core::PolicyKind::AllOn, core::PolicyKind::PracVT})
-        expectWideChunksMatchWidthOne(chip, policy);
+    expectChunksMatchWidthOne(chip, core::PolicyKind::AllOn,
+                              0x7ce232e2e2005ec4ull);
+    expectChunksMatchWidthOne(chip, core::PolicyKind::PracVT,
+                              0x708b43a409a96e6dull);
 }
 
 TEST(CoalesceDeterminism, SetChangingPolicyFlushesBeforeRekey)
@@ -86,7 +77,8 @@ TEST(CoalesceDeterminism, SetChangingPolicyFlushesBeforeRekey)
     // changes: each window must solve under the set of the epoch that
     // scheduled it, not a later one.
     auto chip = floorplan::buildMiniChip(2);
-    expectWideChunksMatchWidthOne(chip, core::PolicyKind::OracT);
+    expectChunksMatchWidthOne(chip, core::PolicyKind::OracT,
+                              0xa04b4bc2e109a756ull);
 }
 
 TEST(CoalesceDeterminism, FaultScenarioMatchesPerEpochPath)
@@ -98,9 +90,10 @@ TEST(CoalesceDeterminism, FaultScenarioMatchesPerEpochPath)
     int n_vrs = static_cast<int>(chip.plan.vrs().size());
     ASSERT_GE(n_vrs, 4);
     const auto scenario = mixedFaultScenario(n_vrs);
-    for (auto policy :
-         {core::PolicyKind::AllOn, core::PolicyKind::PracVT})
-        expectWideChunksMatchWidthOne(chip, policy, &scenario);
+    expectChunksMatchWidthOne(chip, core::PolicyKind::AllOn,
+                              0xa72435d91ae75cb5ull, &scenario);
+    expectChunksMatchWidthOne(chip, core::PolicyKind::PracVT,
+                              0x517074002da7a0aaull, &scenario);
 }
 
 TEST(CoalesceDeterminism, TracesAndTimeSeriesSurviveDeferral)
@@ -113,14 +106,13 @@ TEST(CoalesceDeterminism, TracesAndTimeSeriesSurviveDeferral)
     RecordOptions opts;
     opts.noiseTrace = true;
     opts.timeSeries = true;
-    Simulation immediate(chip, miniConfig(1, 1));
-    Simulation coalesced(chip, miniConfig(1, 8));
-    auto a = immediate.run(workload::profileByName("rayt"),
-                           core::PolicyKind::AllOn, opts);
-    auto b = coalesced.run(workload::profileByName("rayt"),
-                           core::PolicyKind::AllOn, opts);
-    ASSERT_FALSE(a.noiseTrace.empty());
-    EXPECT_TRUE(cache::encodeRunResult(a) == cache::encodeRunResult(b));
+    Simulation s(chip, miniConfig(1));
+    auto r = s.run(workload::profileByName("rayt"),
+                   core::PolicyKind::AllOn, opts);
+    ASSERT_FALSE(r.noiseTrace.empty());
+    const std::uint64_t digest = resultDigest(r);
+    EXPECT_EQ(digest, 0x1ae746da0db3ec73ull)
+        << "digest 0x" << std::hex << digest;
 }
 
 } // namespace

@@ -5,11 +5,11 @@
  * The two contracts under test: an EMPTY scenario must leave every
  * result bit-identical to a run without the option (the clean path
  * takes the exact same code), and a NON-EMPTY scenario must itself be
- * deterministic — bit-identical across worker counts, noise batch
- * widths and re-runs. On top of that, the degradation behaviours the
- * paper's robustness story needs: a killed regulator disappears from
- * the active sets within one decision interval, and a faulted sensor
- * is quarantined with a measured detection latency.
+ * deterministic — bit-identical across worker counts and re-runs.
+ * On top of that, the degradation behaviours the paper's robustness
+ * story needs: a killed regulator disappears from the active sets
+ * within one decision interval, and a faulted sensor is quarantined
+ * with a measured detection latency.
  */
 
 #include <gtest/gtest.h>
@@ -28,13 +28,12 @@ namespace sim {
 namespace {
 
 SimConfig
-miniConfig(int jobs, int width = 4)
+miniConfig(int jobs)
 {
     SimConfig cfg;
     cfg.noiseSamples = 8;
     cfg.profilingEpochs = 8;
     cfg.jobs = jobs;
-    cfg.noiseBatchWidth = width;
     return cfg;
 }
 
@@ -71,26 +70,21 @@ mixedScenario(const floorplan::Chip &chip)
 TEST(FaultDeterminism, EmptyScenarioBitIdenticalToCleanRun)
 {
     // An empty scenario must be indistinguishable from no scenario at
-    // all — same code paths, same RNG draws — at every worker count
-    // and batch width.
+    // all — same code paths, same RNG draws — at every worker count.
     auto chip = floorplan::buildMiniChip(2);
     fault::FaultScenario empty;
     const auto &profile = workload::profileByName("fft");
 
     for (int jobs : {1, 4}) {
-        for (int width : {1, 4}) {
-            Simulation s(chip, miniConfig(jobs, width));
-            auto clean =
-                s.run(profile, core::PolicyKind::PracVT);
-            RecordOptions opts;
-            opts.faultScenario = &empty;
-            auto faulted =
-                s.run(profile, core::PolicyKind::PracVT, opts);
-            EXPECT_EQ(fields::firstDifference(clean, faulted), "");
-            EXPECT_EQ(faulted.resilience.scheduledFaults, 0);
-            EXPECT_EQ(faulted.resilience.faultedEpochs, 0);
-            EXPECT_EQ(faulted.resilience.detectionLatency, -1.0);
-        }
+        Simulation s(chip, miniConfig(jobs));
+        auto clean = s.run(profile, core::PolicyKind::PracVT);
+        RecordOptions opts;
+        opts.faultScenario = &empty;
+        auto faulted = s.run(profile, core::PolicyKind::PracVT, opts);
+        EXPECT_EQ(fields::firstDifference(clean, faulted), "");
+        EXPECT_EQ(faulted.resilience.scheduledFaults, 0);
+        EXPECT_EQ(faulted.resilience.faultedEpochs, 0);
+        EXPECT_EQ(faulted.resilience.detectionLatency, -1.0);
     }
 }
 
@@ -107,20 +101,12 @@ TEST(FaultDeterminism, FaultedRunBitIdenticalAcrossJobsAndWidth)
     // directly instead of through PracVT's predictor.
     for (auto policy :
          {core::PolicyKind::OracVT, core::PolicyKind::PracVT}) {
-        RunResult ref;
-        bool have_ref = false;
-        for (int jobs : {1, 4}) {
-            for (int width : {1, 4}) {
-                Simulation s(chip, miniConfig(jobs, width));
-                auto r = s.run(profile, policy, opts);
-                if (!have_ref) {
-                    ref = r;
-                    have_ref = true;
-                } else {
-                    EXPECT_EQ(fields::firstDifference(ref, r), "");
-                }
-            }
-        }
+        Simulation serial(chip, miniConfig(1));
+        Simulation pooled(chip, miniConfig(4));
+        const RunResult ref = serial.run(profile, policy, opts);
+        EXPECT_EQ(
+            fields::firstDifference(ref, pooled.run(profile, policy, opts)),
+            "");
 
         // The scenario genuinely engaged.
         EXPECT_EQ(ref.resilience.scheduledFaults,

@@ -144,49 +144,25 @@ TEST(RunDeterminism, SerialAndPooledNoiseWindowsBitIdentical)
     // jobs=1 evaluates every domain's noise window inline; jobs=4
     // fans them out across a pool. The RNG streams are functions of
     // (run_seed, epoch, sample, domain) and the reduction is serial
-    // in domain order, so every field must match bit for bit.
+    // in domain order, so every field must match bit for bit. At 24
+    // samples an epoch has 4 windows, so truth checks and finish()
+    // run real lockstep batches.
     auto chip = floorplan::buildMiniChip(2);
-    Simulation serial(chip, miniConfig(1));
-    Simulation pooled(chip, miniConfig(4));
+    for (int samples : {4, 24}) {
+        SimConfig one = miniConfig(1);
+        SimConfig four = miniConfig(4);
+        one.noiseSamples = four.noiseSamples = samples;
+        Simulation serial(chip, one);
+        Simulation pooled(chip, four);
 
-    for (auto policy :
-         {core::PolicyKind::AllOn, core::PolicyKind::OracVT,
-          core::PolicyKind::PracVT}) {
-        auto a = serial.run(workload::profileByName("fft"), policy);
-        auto b = pooled.run(workload::profileByName("fft"), policy);
-        EXPECT_EQ(fields::firstDifference(a, b), "");
-    }
-}
-
-TEST(RunDeterminism, BatchWidthSweepBitIdenticalAcrossJobs)
-{
-    // The lockstep batching of a domain's per-epoch noise windows is
-    // a pure throughput knob: widths 1 (scalar solves), 2, 4 and 8
-    // must produce bit-identical RunResults, at any worker count.
-    auto chip = floorplan::buildMiniChip(2);
-    SimConfig base = miniConfig(1);
-    base.noiseSamples = 24;  // 4 windows per epoch: real batches
-
-    for (auto policy :
-         {core::PolicyKind::AllOn, core::PolicyKind::OracVT,
-          core::PolicyKind::PracVT}) {
-        RunResult ref;
-        bool have_ref = false;
-        for (int jobs : {1, 4}) {
-            for (int width : {1, 2, 4, 8}) {
-                SimConfig cfg = base;
-                cfg.jobs = jobs;
-                cfg.noiseBatchWidth = width;
-                Simulation s(chip, cfg);
-                auto r =
-                    s.run(workload::profileByName("fft"), policy);
-                if (!have_ref) {
-                    ref = r;
-                    have_ref = true;
-                } else {
-                    EXPECT_EQ(fields::firstDifference(ref, r), "");
-                }
-            }
+        for (auto policy :
+             {core::PolicyKind::AllOn, core::PolicyKind::OracVT,
+              core::PolicyKind::PracVT}) {
+            auto a = serial.run(workload::profileByName("fft"), policy);
+            auto b = pooled.run(workload::profileByName("fft"), policy);
+            EXPECT_EQ(fields::firstDifference(a, b), "")
+                << core::policyName(policy) << " at " << samples
+                << " samples";
         }
     }
 }
@@ -342,10 +318,13 @@ TEST(RunDeterminism, OverriddenRunDigestsMatchSerialDecide)
     // not others. These digests were recorded with every domain decided
     // one after another (truth check inside each domain's decision);
     // the propose/verify/commit split must reproduce them serially
-    // and with verify on the pool, at every batch width. The fft run
-    // is 6 epochs, so 24 samples are 4 windows per epoch and never
-    // fill a width-8 truth chunk; the 60-sample runs (10 per epoch)
-    // do.
+    // and with verify on the pool. The fft run is 6 epochs, so 24
+    // samples are 4 windows per epoch, one 4-lane truth batch; the
+    // 18- and 30-sample runs (3 and 5 per epoch) run padded 4- and
+    // 8-lane batches, and the 60-sample runs (10 per epoch) fill an
+    // 8-lane batch before a 2-lane one. The 18- and 30-sample digests
+    // were recorded before padding, when those batches ran 2 + 2 and
+    // 4 + 2 lanes, and match one window per batch too.
     struct Golden
     {
         const char *name;
@@ -358,6 +337,10 @@ TEST(RunDeterminism, OverriddenRunDigestsMatchSerialDecide)
         {"fft/OracVT/faulted", 0x120e9bf28bb1c0c6ull, 10},
         {"fft/PracVT/faulted", 0x0a14a8d2b1f8ee46ull, 6},
         {"fft+water_s/OracVT", 0x09a3385e1beed80aull, 12},
+        {"fft/OracVT/18", 0xeecbb57e59de78a2ull, 12},
+        {"fft/PracVT/18", 0x145ff572ead93521ull, 10},
+        {"fft/OracVT/30", 0x8a819d34b07d8a00ull, 12},
+        {"fft/PracVT/30", 0x960fb5ae81bd1fedull, 10},
         {"fft/OracVT/60", 0x767e3086d35db25bull, 12},
         {"fft/PracVT/60", 0x545f5f9545868f7eull, 10},
     };
@@ -369,46 +352,45 @@ TEST(RunDeterminism, OverriddenRunDigestsMatchSerialDecide)
     const auto vtPolicies = {core::PolicyKind::OracVT,
                              core::PolicyKind::PracVT};
     for (int jobs : {1, 4}) {
-        for (int width : {1, 2, 4, 8}) {
-            SimConfig cfg = miniConfig(jobs);
-            cfg.noiseSamples = 24;
-            cfg.noiseBatchWidth = width;
-            cfg.pdnParams.emergencyFrac = 0.05;
-            Simulation s(chip, cfg);
-            std::vector<std::pair<std::string, RunResult>> runs;
-            for (auto policy : vtPolicies)
-                runs.emplace_back(
-                    std::string("fft/") + core::policyName(policy),
-                    s.run(fft, policy));
-            RecordOptions faulted;
-            faulted.faultScenario = &scenario;
-            for (auto policy : vtPolicies)
-                runs.emplace_back(std::string("fft/") +
-                                      core::policyName(policy) +
-                                      "/faulted",
-                                  s.run(fft, policy, faulted));
+        SimConfig cfg = miniConfig(jobs);
+        cfg.noiseSamples = 24;
+        cfg.pdnParams.emergencyFrac = 0.05;
+        Simulation s(chip, cfg);
+        std::vector<std::pair<std::string, RunResult>> runs;
+        for (auto policy : vtPolicies)
             runs.emplace_back(
-                "fft+water_s/OracVT",
-                s.runMixed({&fft, &workload::profileByName("water_s")},
-                           "fft+water_s", core::PolicyKind::OracVT));
+                std::string("fft/") + core::policyName(policy),
+                s.run(fft, policy));
+        RecordOptions faulted;
+        faulted.faultScenario = &scenario;
+        for (auto policy : vtPolicies)
+            runs.emplace_back(std::string("fft/") +
+                                  core::policyName(policy) + "/faulted",
+                              s.run(fft, policy, faulted));
+        runs.emplace_back(
+            "fft+water_s/OracVT",
+            s.runMixed({&fft, &workload::profileByName("water_s")},
+                       "fft+water_s", core::PolicyKind::OracVT));
+        for (int samples : {18, 30, 60}) {
             RecordOptions dense;
-            dense.noiseSamplesOverride = 60;
+            dense.noiseSamplesOverride = samples;
             for (auto policy : vtPolicies)
                 runs.emplace_back(std::string("fft/") +
-                                      core::policyName(policy) + "/60",
+                                      core::policyName(policy) + "/" +
+                                      std::to_string(samples),
                                   s.run(fft, policy, dense));
+        }
 
-            ASSERT_EQ(runs.size(), std::size(goldens));
-            for (std::size_t i = 0; i < runs.size(); ++i) {
-                const auto &[name, r] = runs[i];
-                EXPECT_EQ(name, goldens[i].name);
-                EXPECT_EQ(r.overrideCount, goldens[i].overrides)
-                    << name << " at jobs " << jobs << " width " << width;
-                const std::uint64_t digest = resultDigest(r);
-                EXPECT_EQ(digest, goldens[i].digest)
-                    << name << " at jobs " << jobs << " width " << width
-                    << " digest 0x" << std::hex << digest;
-            }
+        ASSERT_EQ(runs.size(), std::size(goldens));
+        for (std::size_t i = 0; i < runs.size(); ++i) {
+            const auto &[name, r] = runs[i];
+            EXPECT_EQ(name, goldens[i].name);
+            EXPECT_EQ(r.overrideCount, goldens[i].overrides)
+                << name << " at jobs " << jobs;
+            const std::uint64_t digest = resultDigest(r);
+            EXPECT_EQ(digest, goldens[i].digest)
+                << name << " at jobs " << jobs << " digest 0x" << std::hex
+                << digest;
         }
     }
 }
@@ -437,28 +419,23 @@ TEST(RunDeterminism, FinishReKeysToEvictedActiveSets)
 
     auto chip = floorplan::buildMiniChip(2);
     for (int jobs : {1, 4}) {
-        for (int width : {1, 4}) {
-            for (const auto &g : goldens) {
-                SimConfig cfg = miniConfig(jobs);
-                cfg.noiseSamples = 48;
-                cfg.decisionInterval = 0.1e-3;
-                cfg.noiseBatchWidth = width;
-                Simulation s(chip, cfg);
-                const RunResult r =
-                    s.run(workload::profileByName("fft"), g.policy);
-                const std::uint64_t digest = resultDigest(r);
-                EXPECT_EQ(digest, g.digest)
-                    << core::policyName(g.policy) << " at jobs " << jobs
-                    << " width " << width << " digest 0x" << std::hex
-                    << digest;
-                std::uint64_t misses = 0;
-                for (std::size_t d = 0; d < chip.plan.domains().size(); ++d)
-                    misses = std::max(
-                        misses, s.domainPdn(static_cast<int>(d))
-                                    .factorCacheMisses());
-                EXPECT_GT(misses, pdn::DomainPdn::kFactorCacheCapacity)
-                    << core::policyName(g.policy);
-            }
+        for (const auto &g : goldens) {
+            SimConfig cfg = miniConfig(jobs);
+            cfg.noiseSamples = 48;
+            cfg.decisionInterval = 0.1e-3;
+            Simulation s(chip, cfg);
+            const RunResult r =
+                s.run(workload::profileByName("fft"), g.policy);
+            const std::uint64_t digest = resultDigest(r);
+            EXPECT_EQ(digest, g.digest)
+                << core::policyName(g.policy) << " at jobs " << jobs
+                << " digest 0x" << std::hex << digest;
+            std::uint64_t misses = 0;
+            for (std::size_t d = 0; d < chip.plan.domains().size(); ++d)
+                misses = std::max(misses, s.domainPdn(static_cast<int>(d))
+                                              .factorCacheMisses());
+            EXPECT_GT(misses, pdn::DomainPdn::kFactorCacheCapacity)
+                << core::policyName(g.policy);
         }
     }
 }
@@ -619,49 +596,49 @@ TEST(AllocationDiscipline, NoiseLanesCostNodesPlusCycles)
 {
     // A lockstep lane is a rank-2 window: two node-current profiles
     // and two per-cycle scale rows, 2 * (nodes + cycles) doubles per
-    // domain; written out it would be cycles * nodes. The seven extra
-    // lanes of width 8 over width 1 must cost about the former in a
-    // fresh Simulation's first run, far below the latter.
+    // domain; written out it would be cycles * nodes. Lengthening the
+    // windows by 1000 cycles must cost a fresh Simulation's first run
+    // about the lanes' extra scale rows, far below the extra rows of
+    // written-out windows.
     auto chip = floorplan::buildMiniChip(2);
-    const std::size_t cycles = 2000;
-    auto config = [&](int width) {
+    const std::size_t width = pdn::DomainPdn::kMaxWindowBatch;
+    auto config = [&](std::size_t cycles) {
         SimConfig cfg = miniConfig(1);
         cfg.noiseSamples = 16;
         cfg.noiseCyclesTotal = static_cast<int>(cycles);
-        cfg.noiseWarmupCycles = 1000;
-        cfg.noiseBatchWidth = width;
-        cfg.memoizeResults = false;  // width is not in the memo key
+        cfg.noiseWarmupCycles = static_cast<int>(cycles / 2);
+        cfg.memoizeResults = false;
         return cfg;
     };
     const auto &profile = workload::profileByName("fft");
     // Fill the shared power-trace and PDN-base caches first, so both
     // measured runs hit them.
-    Simulation warm(chip, config(1));
+    Simulation warm(chip, config(1000));
     warm.run(profile, core::PolicyKind::AllOn);
-    auto first_run_bytes = [&](int width) {
-        Simulation s(chip, config(width));
+    auto first_run_bytes = [&](std::size_t cycles) {
+        Simulation s(chip, config(cycles));
         long before = g_allocBytes.load(std::memory_order_relaxed);
         s.run(profile, core::PolicyKind::AllOn);
         return g_allocBytes.load(std::memory_order_relaxed) - before;
     };
-    const long extra = first_run_bytes(8) - first_run_bytes(1);
+    const long extra = first_run_bytes(2000) - first_run_bytes(1000);
 
     std::size_t nodes = 0;
     const std::size_t domains = chip.plan.domains().size();
     for (std::size_t d = 0; d < domains; ++d)
         nodes += static_cast<std::size_t>(
             warm.domainPdn(static_cast<int>(d)).nodeCount());
-    const long lane_bytes = static_cast<long>(
-        7 * 2 * (nodes + domains * cycles) * sizeof(double));
+    const long lane_bytes =
+        static_cast<long>(width * 2 * domains * 1000 * sizeof(double));
     const long written_bytes =
-        static_cast<long>(7 * cycles * nodes * sizeof(double));
+        static_cast<long>(width * 1000 * nodes * sizeof(double));
     ASSERT_GT(written_bytes, 4 * lane_bytes)
         << "the chip must tell the two costs apart";
     EXPECT_GT(extra, lane_bytes / 2);
     EXPECT_LT(extra, 2 * lane_bytes)
-        << "width 8 allocated " << extra << " bytes more than width 1; "
-        << "rank-2 lanes cost " << lane_bytes << ", written-out windows "
-        << written_bytes;
+        << "2000-cycle windows allocated " << extra << " bytes more than "
+        << "1000-cycle ones; rank-2 lanes cost " << lane_bytes
+        << ", written-out windows " << written_bytes;
 }
 
 } // namespace

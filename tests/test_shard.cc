@@ -10,7 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 #include <limits>
 #include <vector>
 
@@ -383,8 +386,8 @@ TEST(ShardProtocol, SetupBlobBytesArePinned)
     // between processes: a change here breaks every older client.
     const std::vector<std::uint8_t> def = shard::encodeBasicSetup(
         shard::ChipKind::Power8, 0, sim::SimConfig{});
-    EXPECT_EQ(def.size(), 101u);
-    EXPECT_EQ(bytes::fnv1a(def.data(), def.size()), 0xe4a5169873bb8e81ull);
+    EXPECT_EQ(def.size(), 93u);
+    EXPECT_EQ(bytes::fnv1a(def.data(), def.size()), 0x76cb063703c3ea16ull);
 
     sim::SimConfig cfg;
     cfg.regulator = sim::RegulatorChoice::Ldo;
@@ -392,7 +395,6 @@ TEST(ShardProtocol, SetupBlobBytesArePinned)
     cfg.noiseSamples = 7;
     cfg.noiseCyclesTotal = 900;
     cfg.noiseWarmupCycles = 300;
-    cfg.noiseBatchWidth = 2;
     cfg.profilingEpochs = 5;
     cfg.practicalDemandMargin = 0.25;
     cfg.practicalHeadroomVrs = 3;
@@ -401,12 +403,38 @@ TEST(ShardProtocol, SetupBlobBytesArePinned)
     cfg.memoizeResults = false;
     const std::vector<std::uint8_t> off =
         shard::encodeBasicSetup(shard::ChipKind::Mini, 9, cfg);
-    EXPECT_EQ(off.size(), 114u);
-    EXPECT_EQ(bytes::fnv1a(off.data(), off.size()), 0x4a2e17dcf34225aeull);
+    EXPECT_EQ(off.size(), 106u);
+    EXPECT_EQ(bytes::fnv1a(off.data(), off.size()), 0x1732b37a5c6d4dd5ull);
 
     shard::ChipKind kind{};
     int arg = 0;
     sim::SimConfig back;
     ASSERT_TRUE(shard::decodeBasicSetup(off, kind, arg, back));
     EXPECT_EQ(shard::encodeBasicSetup(kind, arg, back), off);
+}
+
+TEST(ShardProtocol, SetupBlobOfAnOlderVersionIsRefused)
+{
+    // A "TGB1" blob carried a lane-width i64 after noiseWarmupCycles.
+    // Read with today's member list it would shift every later member
+    // and still parse (this one as profilingEpochs 8, headroom 0,
+    // seed 1 and an 8-byte cacheDir of NULs), so the version alone
+    // must refuse it.
+    sim::SimConfig cfg;
+    cfg.practicalDemandMargin = 0.0;
+    cfg.seed = 8;
+    std::vector<std::uint8_t> blob =
+        shard::encodeBasicSetup(shard::ChipKind::Mini, 1, cfg);
+    const std::size_t widthAt = 4 + 4 + 8 + 4 + 8 + 8 + 8 + 8;
+    ASSERT_LT(widthAt, blob.size());
+    const std::uint8_t width[8] = {8, 0, 0, 0, 0, 0, 0, 0};
+    blob.insert(blob.begin() + static_cast<std::ptrdiff_t>(widthAt),
+                std::begin(width), std::end(width));
+    const std::uint8_t tgb1[4] = {'T', 'G', 'B', '1'};
+    std::copy(std::begin(tgb1), std::end(tgb1), blob.begin());
+
+    shard::ChipKind kind{};
+    int arg = 0;
+    sim::SimConfig back;
+    EXPECT_FALSE(shard::decodeBasicSetup(blob, kind, arg, back));
 }

@@ -315,20 +315,33 @@ class WindowBatchTest : public ::testing::Test
 TEST_F(WindowBatchTest, BatchMatchesScalarAtEveryCount)
 {
     // Both lane forms, written-out windows and rank-2 lanes, at every
-    // count: 8/4/2 chunks and both ragged tails (scalar kernel for a
-    // written-out window, a self-paired two-lane batch for rank-2).
+    // count through two full chunks: 2-, 4- and 8-lane kernels, each
+    // padded remainder after zero, one and two full chunks, with
+    // traces. Padding lanes are never recorded: the NoiseResult after
+    // out[count - 1] comes back untouched.
     const std::size_t cycles = 160;
     const int warmup = 40;
+    const int kMaxCount = 2 * pdn::DomainPdn::kMaxWindowBatch + 1;
     std::size_t n = static_cast<std::size_t>(dp.nodeCount());
 
     std::vector<std::vector<Amperes>> wins;
     std::vector<Rank2Window> r2;
-    for (int w = 0; w < 8; ++w) {
+    std::vector<pdn::NoiseResult> ref, ref2;
+    for (int w = 0; w < kMaxCount; ++w) {
         wins.push_back(makeWindow(w, cycles));
         r2.push_back(makeRank2(w, cycles));
+        ref.push_back(
+            dp.transientWindow(wins.back().data(), cycles, n, warmup, true));
+        ref2.push_back(dp.transientWindow(r2.back().rows.data(), cycles, n,
+                                          warmup, true));
     }
+    pdn::NoiseResult sentinel;
+    sentinel.maxNoiseFrac = -1.0;
+    sentinel.emergencyCycles = -2;
+    sentinel.analysedCycles = -3;
+    sentinel.trace = {4.0};
 
-    for (int count = 1; count <= 8; ++count) {
+    for (int count = 1; count <= kMaxCount; ++count) {
         std::vector<pdn::DomainPdn::WindowSpec> specs;
         std::vector<pdn::DomainPdn::WindowLane> lanes;
         for (int w = 0; w < count; ++w) {
@@ -336,27 +349,23 @@ TEST_F(WindowBatchTest, BatchMatchesScalarAtEveryCount)
                 {wins[static_cast<std::size_t>(w)].data(), n});
             lanes.push_back(r2[static_cast<std::size_t>(w)].lane());
         }
-        std::vector<pdn::NoiseResult> out(
-            static_cast<std::size_t>(count));
-        std::vector<pdn::NoiseResult> out2(
-            static_cast<std::size_t>(count));
+        const std::size_t ucount = static_cast<std::size_t>(count);
+        std::vector<pdn::NoiseResult> out(ucount + 1);
+        std::vector<pdn::NoiseResult> out2(ucount + 1);
+        out[ucount] = sentinel;
+        out2[ucount] = sentinel;
         dp.transientWindowBatch(specs.data(), count, cycles, warmup,
                                 true, out.data());
         dp.transientWindowBatch(lanes.data(), count, cycles, warmup,
                                 true, out2.data());
-        for (int w = 0; w < count; ++w) {
-            const std::size_t uw = static_cast<std::size_t>(w);
-            const std::string what = "count " + std::to_string(count) +
-                                     " window " + std::to_string(w);
-            expectSameBits(out[uw],
-                           dp.transientWindow(wins[uw].data(), cycles, n,
-                                              warmup, true),
-                           what);
-            expectSameBits(out2[uw],
-                           dp.transientWindow(r2[uw].rows.data(), cycles,
-                                              n, warmup, true),
-                           "rank-2 " + what);
+        const std::string at = "count " + std::to_string(count);
+        for (std::size_t w = 0; w < ucount; ++w) {
+            const std::string what = at + " window " + std::to_string(w);
+            expectSameBits(out[w], ref[w], what);
+            expectSameBits(out2[w], ref2[w], "rank-2 " + what);
         }
+        expectSameBits(out[ucount], sentinel, at + " sentinel");
+        expectSameBits(out2[ucount], sentinel, "rank-2 " + at + " sentinel");
     }
 }
 

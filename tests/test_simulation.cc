@@ -237,17 +237,20 @@ TEST(RunDeterminism, NoiseFanOutAddsNoThreadsPerSimulation)
     EXPECT_EQ(counts[2], counts[0]);
 }
 
-TEST(RunDeterminism, InvalidTgJobsWarnsOncePerSimulation)
+TEST(RunDeterminism, InvalidTgJobsWarnsOncePerProcess)
 {
-    // The noise width is resolved once per Simulation, not per
-    // fan-out, so an invalid TG_JOBS warns once however many runs
-    // fan out.
+    // Every fan-out across domains resolves TG_JOBS, and
+    // exec::resolveJobs reports an invalid value once per process,
+    // however many runs and Simulations fan out.
     auto chip = floorplan::buildMiniChip(2);
     setenv("TG_JOBS", "banana", 1);
-    Simulation s(chip, fastConfig());
+    Simulation a(chip, fastConfig());
+    Simulation b(chip, fastConfig());
     testing::internal::CaptureStderr();
-    s.run(shortProfile(0.6, 0.5), core::PolicyKind::AllOn);
-    s.run(shortProfile(0.4, 0.5), core::PolicyKind::AllOn);
+    for (Simulation *s : {&a, &b}) {
+        s->run(shortProfile(0.6, 0.5), core::PolicyKind::AllOn);
+        s->run(shortProfile(0.4, 0.5), core::PolicyKind::AllOn);
+    }
     const std::string err = testing::internal::GetCapturedStderr();
     unsetenv("TG_JOBS");
     std::size_t warnings = 0;
