@@ -2,8 +2,8 @@
  * @file
  * The persistent sweep daemon.
  *
- *     tg_serve [--socket PATH] [--jobs N] [--contexts N]
- *              [--queue-depth N] [--verbose]
+ *     tg_serve [--socket PATH] [--jobs N] [--queue-depth N]
+ *              [--verbose]
  *
  * Listens on a Unix-domain socket (--socket, else $TG_SERVE_SOCKET,
  * else /tmp/tg_serve.<uid>.sock) and answers tg_client requests until
@@ -43,7 +43,7 @@ int usage(const char *argv0)
 {
     std::fprintf(stderr,
                  "usage: %s [--socket PATH] [--jobs N] "
-                 "[--contexts N] [--queue-depth N] [--verbose]\n",
+                 "[--queue-depth N] [--verbose]\n",
                  argv0);
     return 2;
 }
@@ -60,8 +60,6 @@ int main(int argc, char **argv)
             socketArg = argv[++i];
         } else if (arg == "--jobs" && i + 1 < argc) {
             options.jobs = std::atoi(argv[++i]);
-        } else if (arg == "--contexts" && i + 1 < argc) {
-            options.contextCacheSize = std::atoi(argv[++i]);
         } else if (arg == "--queue-depth" && i + 1 < argc) {
             options.maxQueueDepth = std::atoi(argv[++i]);
         } else if (arg == "--verbose") {

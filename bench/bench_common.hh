@@ -50,10 +50,7 @@ parseJobs(int argc, char **argv)
     return 0;
 }
 
-/**
- * Parse `<flag> N` / `<flag>=N`; returns `fallback` when absent.
- * (Shared by the sharded-sweep benches for --processes.)
- */
+/** Parse `<flag> N` / `<flag>=N`; returns `fallback` when absent. */
 inline int
 parseIntFlag(int argc, char **argv, const char *flag, int fallback)
 {

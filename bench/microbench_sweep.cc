@@ -23,12 +23,7 @@
  * second process run with --expect-warm asserts they are loaded
  * (nonzero disk hits) and bit-identical to a cache-off recompute.
  *
- *   ./microbench_sweep [--jobs N] [--processes N] [--quick]
- *                      [--expect-warm]
- *
- * --processes N adds a sharded leg: the same grid through N worker
- * processes (serve/coordinator.hh), asserted bit-identical to the
- * in-process ablation leg.
+ *   ./microbench_sweep [--jobs N] [--quick] [--expect-warm]
  *
  * --quick shrinks the grid (4 benchmarks x 3 policies) for CI smoke
  * runs; the default is the paper's full 14-benchmark x 8-policy
@@ -44,8 +39,6 @@
 
 #include "bench_common.hh"
 #include "cache/store.hh"
-#include "serve/coordinator.hh"
-#include "shard/worker.hh"
 
 using namespace tg;
 
@@ -145,11 +138,6 @@ expectWarm(const std::vector<std::string> &benchmarks,
 int
 main(int argc, char **argv)
 {
-    // Re-exec'ed by a sharded-sweep coordinator (possibly our own
-    // --processes leg below): become a sweep endpoint, not a bench.
-    if (serve::isEndpointInvocation(argc, argv))
-        return serve::endpointMain(argc, argv);
-
     bool quick = false;
     bool expect_warm = false;
     for (int i = 1; i < argc; ++i) {
@@ -159,7 +147,6 @@ main(int argc, char **argv)
             expect_warm = true;
     }
     int jobs = exec::resolveJobs(bench::parseJobs(argc, argv));
-    int processes = bench::parseIntFlag(argc, argv, "--processes", 0);
 
     std::vector<std::string> benchmarks;
     std::vector<core::PolicyKind> policies;
@@ -227,34 +214,6 @@ main(int argc, char **argv)
         compareGrids(off.sweep, warm.sweep, "ablation", "warm");
     mismatches +=
         compareGrids(warm.sweep, par.sweep, "warm serial", "parallel");
-
-    // --- optional leg: sharded across worker processes -------------
-    // Workers re-exec this binary (endpoint guard in main) and
-    // share whatever TG_CACHE_DIR names; the merged grid must be
-    // bit-identical to the in-process ablation.
-    if (processes > 0) {
-        serve::ShardedSweepOptions sopt;
-        sopt.benchmarks = off.sweep.benchmarks;
-        sopt.policies = off.sweep.policies;
-        sopt.processes = processes;
-        sopt.jobsPerWorker = jobs;
-        sim::SimConfig scfg{};
-        scfg.memoizeResults = false;
-        sopt.setup = shard::encodeBasicSetup(shard::ChipKind::Power8,
-                                             0, scfg);
-        serve::ShardedSweepStats stats;
-        auto t0 = std::chrono::steady_clock::now();
-        sim::SweepResult sharded = serve::runShardedSweep(sopt, &stats);
-        double sharded_s = secondsSince(t0);
-        std::printf("sharded  (%d procs x %d jobs):  %8.2f s "
-                    "(%.2fx vs warm serial; %d shards, %d "
-                    "reassigned)\n",
-                    processes, jobs, sharded_s,
-                    warm.totalS / sharded_s, stats.shardsDispatched,
-                    stats.shardsReassigned);
-        mismatches +=
-            compareGrids(off.sweep, sharded, "ablation", "sharded");
-    }
 
     // --- legs 5/6: whole-RunResult memoisation ---------------------
     // TG_CACHE_DIR doubles as the CI pair's shared disk tier; without

@@ -20,8 +20,8 @@
  *    producers.
  *
  * A process forked without exec inherits the pool but none of its
- * threads, so such a child must not fan out. Only death tests fork
- * without exec; the sharded sweep execs right after fork.
+ * threads, so such a child must not fan out. The library never
+ * forks; only death tests do.
  *
  * Determinism contract: none of these primitives make results depend
  * on scheduling. A parallelFor() body that derives everything from

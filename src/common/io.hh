@@ -1,8 +1,7 @@
 /**
  * @file
- * Low-level POSIX descriptor helpers shared by every process- and
- * socket-speaking layer (the sweep server's Unix-domain sockets and
- * the sharded sweep's socketpairs).
+ * Low-level POSIX descriptor helpers shared by every socket-speaking
+ * layer (the sweep server and its client).
  *
  * Everything here is a thin, EINTR-hardened wrapper: policy (framing,
  * corruption handling, event-loop structure) stays with the callers.

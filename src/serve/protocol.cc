@@ -58,15 +58,6 @@ sim::RecordOptions recordOptions(const SweepMsg &m)
     return opts;
 }
 
-void setRecordOptions(SweepMsg &m, const sim::RecordOptions &opts)
-{
-    m.timeSeries = opts.timeSeries ? 1 : 0;
-    m.heatmap = opts.heatmap ? 1 : 0;
-    m.noiseTrace = opts.noiseTrace ? 1 : 0;
-    m.trackVr = opts.trackVr;
-    m.noiseSamplesOverride = opts.noiseSamplesOverride;
-}
-
 sim::SweepResult emptyGrid(const SweepMsg &m)
 {
     sim::SweepResult grid;

@@ -236,10 +236,9 @@ constexpr const auto &fieldsOf(const StatsReplyMsg &)
  */
 SweepMsg asSweep(const RunMsg &m);
 
-/** A sweep request's five RecordOptions scalars, read and written (the
- *  fault scenario and the cancel token never travel). */
+/** The RecordOptions a sweep request's five record-option scalars
+ *  ask for (the fault scenario and the cancel token never travel). */
 sim::RecordOptions recordOptions(const SweepMsg &m);
-void setRecordOptions(SweepMsg &m, const sim::RecordOptions &opts);
 
 /** The empty result grid of a sweep request: `m`'s benchmark/policy
  *  labels, every slot default-constructed. placeCell() fills it. */

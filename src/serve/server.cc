@@ -43,6 +43,11 @@ constexpr std::size_t kMaxOutboundBytes = std::size_t(256) << 20;
 /** Retry hint carried in Busy replies [ms]. */
 constexpr std::uint64_t kBusyRetryMs = 200;
 
+/** Warm simulation contexts kept (LRU); each holds a chip's
+ *  factorisations, predictor fit and one Simulation per runner of
+ *  the widest fan-out it has served. */
+constexpr std::size_t kContextCacheSize = 4;
+
 std::uint64_t microsSince(Clock::time_point t0)
 {
     return static_cast<std::uint64_t>(
@@ -249,9 +254,7 @@ struct Server::Impl
                        : floorplan::buildMiniChip(chip_arg);
         ctx.sim = std::make_unique<sim::Simulation>(ctx.chip, ctx.cfg);
         counters::add(live.contextsBuilt);
-        const std::size_t cap = static_cast<std::size_t>(
-            std::max(1, options.contextCacheSize));
-        while (ctxCache.size() > cap)
+        while (ctxCache.size() > kContextCacheSize)
             ctxCache.pop_back();
         return &ctx;
     }
@@ -599,9 +602,6 @@ struct Server::Impl
             conns.erase(it);
             if (options.verbose)
                 inform("tg_serve: client ", id, " dropped");
-            // An adopted connection is the server's only client.
-            if (options.connectedFd >= 0)
-                stopping.store(true);
         };
 
         auto addConn = [&](int fd) {
@@ -614,8 +614,6 @@ struct Server::Impl
             if (options.verbose)
                 inform("tg_serve: client ", id, " connected");
         };
-        if (options.connectedFd >= 0)
-            addConn(options.connectedFd);
 
         for (;;) {
             const bool draining = stopping.load();
@@ -625,12 +623,11 @@ struct Server::Impl
                 reqCv.notify_all();
             }
 
-            const bool accepting = !draining && listenFd >= 0;
             std::vector<pollfd> fds;
             std::vector<std::uint64_t> fdConn;
             fds.push_back({wakeRead, POLLIN, 0});
             fdConn.push_back(0);
-            if (accepting) {
+            if (!draining) {
                 fds.push_back({listenFd, POLLIN, 0});
                 fdConn.push_back(0);
             }
@@ -687,7 +684,7 @@ struct Server::Impl
             }
 
             // Accept new clients.
-            if (accepting)
+            if (!draining)
                 for (;;) {
                     const int cfd = ::accept(listenFd, nullptr,
                                              nullptr);
@@ -778,20 +775,16 @@ bool Server::start(std::string *err)
     // not a process-killing SIGPIPE.
     std::signal(SIGPIPE, SIG_IGN);
 
-    if (impl->options.connectedFd < 0) {
-        impl->listenFd =
-            io::listenUnix(impl->options.socketPath, 16, err);
-        if (impl->listenFd < 0)
-            return false;
-        io::setNonBlocking(impl->listenFd, true);
-    }
+    impl->listenFd = io::listenUnix(impl->options.socketPath, 16, err);
+    if (impl->listenFd < 0)
+        return false;
+    io::setNonBlocking(impl->listenFd, true);
 
     int pipefd[2] = {-1, -1};
     if (::pipe(pipefd) != 0) {
         if (err)
             *err = "pipe() failed";
-        if (impl->listenFd >= 0)
-            ::close(impl->listenFd);
+        ::close(impl->listenFd);
         impl->listenFd = -1;
         return false;
     }
@@ -804,7 +797,7 @@ bool Server::start(std::string *err)
     impl->pollThread = std::thread([this] { impl->pollLoop(); });
     impl->execThread = std::thread([this] { impl->execLoop(); });
     impl->running = true;
-    if (impl->options.verbose && impl->listenFd >= 0)
+    if (impl->options.verbose)
         inform("tg_serve: listening on ", impl->options.socketPath,
                " (fan-out width ", impl->width, ")");
     return true;
@@ -826,8 +819,7 @@ void Server::wait()
     if (impl->execThread.joinable())
         impl->execThread.join();
     impl->running = false;
-    if (impl->listenFd >= 0)
-        ::unlink(impl->options.socketPath.c_str());
+    ::unlink(impl->options.socketPath.c_str());
 }
 
 const std::string &Server::socketPath() const

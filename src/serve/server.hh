@@ -12,19 +12,18 @@
  *
  * Architecture: two threads; cells fan out on the process pool.
  *
- *   poll thread     owns every descriptor: the listening socket (or
- *                   one adopted connection instead), a self-pipe for
- *                   wake-ups, and one non-blocking fd per client with
- *                   an outbound buffer. It decodes
+ *   poll thread     owns every descriptor: the listening socket, a
+ *                   self-pipe for wake-ups, and one non-blocking fd
+ *                   per client with an outbound buffer. It decodes
  *                   frames, answers Ping/Stats inline, and enqueues
  *                   Run/Sweep work for the executor — a run as the
  *                   one-cell sweep it is (asSweep), so from admission
  *                   on both kinds take one path.
  *   executor thread pops requests FIFO, validates each one and
- *                   resolves its warm simulation context (LRU cache
- *                   keyed by the setup blob), and runs its cells: a
- *                   jobs-1 request inline on the context's own
- *                   Simulation, any other on the process pool,
+ *                   resolves its warm simulation context (an LRU of
+ *                   four, keyed by the setup blob), and runs its
+ *                   cells: a jobs-1 request inline on the context's
+ *                   own Simulation, any other on the process pool,
  *                   ServerOptions::jobs wide, with runner 0 on that
  *                   same Simulation. It posts result frames back
  *                   through the poll thread's completion queue.
@@ -80,22 +79,11 @@ namespace serve {
 
 struct ServerOptions
 {
-    /** Listening address (resolveSocketPath helps); ignored when
-     *  connectedFd is set. */
+    /** Listening address (resolveSocketPath helps). */
     std::string socketPath;
-    /** Alternative address: serve this one already-connected stream
-     *  descriptor (taken over) as the only client, and drain and exit
-     *  once it closes. A sharded-sweep endpoint serves its
-     *  coordinator's socketpair end this way, so it cannot outlive
-     *  the coordinator. */
-    int connectedFd = -1;
     /** Fan-out width of every request not at jobs 1; 0 =
      *  exec::resolveJobs ladder (TG_JOBS, hardware concurrency). */
     int jobs = 0;
-    /** Warm simulation contexts kept (LRU); each holds a chip's
-     *  factorisations, predictor fit and one Simulation per runner
-     *  of the widest fan-out it has served. */
-    int contextCacheSize = 4;
     /** Admission bound: Run/Sweep requests waiting for the executor
      *  beyond this get an immediate DoneStatus::Busy. */
     int maxQueueDepth = 64;
@@ -111,8 +99,7 @@ class Server
     Server(const Server &) = delete;
     Server &operator=(const Server &) = delete;
 
-    /** Bind, listen (or adopt connectedFd) and spawn the service
-     *  threads. False (with a message in *err) when the socket cannot
+    /** Bind, listen and spawn the service threads. False (with a message in *err) when the socket cannot
      *  be claimed — e.g. a live server already owns the path. */
     bool start(std::string *err);
 
@@ -124,8 +111,8 @@ class Server
      */
     void requestStop();
 
-    /** Block until the drain completes and both threads have exited
-     *  (with connectedFd: until the peer has closed it). */
+    /** Block until the drain completes and both threads have
+     *  exited. */
     void wait();
 
     const std::string &socketPath() const;

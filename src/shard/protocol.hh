@@ -2,9 +2,8 @@
  * @file
  * Frame layer of every byte stream in the tree.
  *
- * The sweep server (serve/), its clients and the sharded-sweep
- * coordinator speak length-prefixed binary frames over sockets.
- * Every frame is
+ * The sweep server (serve/) and its clients speak length-prefixed
+ * binary frames over Unix-domain sockets. Every frame is
  *
  *     u32 magic "TGS1" | u32 type | u64 payload length |
  *     payload bytes    | u64 FNV-1a checksum over everything before
@@ -102,9 +101,9 @@ class FrameParser
 // --- connection plumbing ----------------------------------------------
 //
 // The read/feed/drain loop around a framed descriptor is identical
-// for every peer in the tree (sweep server, serve client, sharded-
-// sweep coordinator), so it lives here once. Writes go through
-// io::writeAll so a frame is either fully sent or the peer is dead.
+// for both peers in the tree (sweep server, serve client), so it
+// lives here once. Writes go through io::writeAll so a frame is
+// either fully sent or the peer is dead.
 
 /** Blocking full-frame write; false when the peer is gone. */
 bool writeFrameToFd(int fd, FrameType type,

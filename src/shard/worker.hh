@@ -4,8 +4,8 @@
  * context.
  *
  * Every Run/Sweep request (serve/protocol.hh) carries an opaque
- * `setup` blob from which the server, or a sharded-sweep endpoint,
- * rebuilds its Simulation. This codec covers the canned chips
+ * `setup` blob from which the server rebuilds its Simulation. This
+ * codec covers the canned chips
  * (POWER8 evaluation chip, mini test chip) plus the top-level
  * SimConfig scalars, which is all the in-tree benches and tools use.
  * The blob is also the server's warm-context cache key.

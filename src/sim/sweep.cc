@@ -96,6 +96,12 @@ runSweepCells(Simulation &simulation,
                                        RunResult &&r)> &emit,
               SweepContexts *reuse)
 {
+    // Before anything indexes by `c % policies.size()`: with no
+    // policies, every cell is out of range.
+    for (std::size_t c : cells)
+        TG_ASSERT(c < benchmarks.size() * policies.size(),
+                  "sweep cell index out of range");
+
     const std::size_t n_tasks = cells.size();
     std::size_t want = static_cast<std::size_t>(exec::resolveJobs(
         jobs > 0 ? jobs : simulation.config().jobs));
@@ -127,10 +133,6 @@ runSweepCells(Simulation &simulation,
     row_profiles.reserve(benchmarks.size());
     for (const auto &name : benchmarks)
         row_profiles.push_back(&workload::profileByName(name));
-
-    for (std::size_t c : cells)
-        TG_ASSERT(c < benchmarks.size() * policies.size(),
-                  "sweep cell index out of range");
 
     // Runner 0 runs on the caller's `simulation`; runner r >= 1 on
     // its own context, contexts.sims[r - 1]. run() is deterministic in

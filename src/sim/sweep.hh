@@ -71,8 +71,10 @@ std::string progressLine(const RunResult &r);
 /**
  * Run an arbitrary subset of the benchmark x policy grid. Cell index
  * `c` addresses benchmark `c / policies.size()` under policy
- * `c % policies.size()` — the canonical grid key every layer of the
- * sweep engine (thread fan-out, shard protocol, merge) shares.
+ * `c % policies.size()` — the canonical grid key the thread fan-out,
+ * the served ServeSweep cell list and the client's merge
+ * (serve::placeCell) share. A cell outside the grid panics before
+ * any work starts.
  *
  * emit(cell, result) is called exactly once per requested cell; with
  * more than one job it may be called concurrently from different

@@ -122,16 +122,20 @@ class ServeDeterminism : public ::testing::Test
         }
     }
 
-    sim::SweepResult served(int jobs)
+    sim::SweepResult served(const SweepMsg &req)
     {
         Client client;
         std::string err;
         EXPECT_TRUE(client.connect(server->socketPath(), &err))
             << err;
         sim::SweepResult out;
-        EXPECT_TRUE(client.sweep(testSweepRequest(jobs), out, &err))
-            << err;
+        EXPECT_TRUE(client.sweep(req, out, &err)) << err;
         return out;
+    }
+
+    sim::SweepResult served(int jobs)
+    {
+        return served(testSweepRequest(jobs));
     }
 
     std::unique_ptr<Server> server;
@@ -139,9 +143,30 @@ class ServeDeterminism : public ::testing::Test
 
 TEST_F(ServeDeterminism, ServedSweepMatchesDirectAtEveryJobsCount)
 {
+    // Every record-option scalar off its default: each one changes the
+    // cells' bits, so a server that drops any of them on the way from
+    // the request into RecordOptions fails the second comparison.
+    sim::RecordOptions opts;
+    opts.timeSeries = true;
+    opts.heatmap = true;
+    opts.noiseTrace = true;
+    opts.trackVr = 1;
+    opts.noiseSamplesOverride = 2;
+    floorplan::Chip chip = floorplan::buildMiniChip(1);
+    sim::Simulation simulation(chip, testConfig());
+    const sim::SweepResult recorded = sim::runSweep(
+        simulation, kBenchmarks, kPolicies, false, 1, opts);
+
     for (int jobs : {0, 1, 4}) {
-        sim::SweepResult grid = served(jobs);
-        expectBitIdentical(referenceGrid(), grid);
+        expectBitIdentical(referenceGrid(), served(jobs));
+
+        SweepMsg req = testSweepRequest(jobs);
+        req.timeSeries = 1;
+        req.heatmap = 1;
+        req.noiseTrace = 1;
+        req.trackVr = 1;
+        req.noiseSamplesOverride = 2;
+        expectBitIdentical(recorded, served(req));
     }
 }
 
@@ -376,49 +401,6 @@ TEST_F(ServeDeterminism, ShutdownFrameDrainsTheServer)
     Client late;
     EXPECT_FALSE(late.connect(server->socketPath(), &err));
     server.reset();
-}
-
-TEST(ServeEndpoint, ConnectedSocketpairServesBitIdenticallyAndExitsOnClose)
-{
-    // The sharded-sweep endpoint shape: a server whose only client is
-    // one end of a socketpair, driven through the raw frame plumbing
-    // exactly as the coordinator drives it.
-    int sv[2] = {-1, -1};
-    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv),
-              0);
-    ServerOptions options;
-    options.connectedFd = sv[1];
-    options.jobs = 2;
-    Server server(options);
-    std::string err;
-    ASSERT_TRUE(server.start(&err)) << err;
-
-    const SweepMsg req = testSweepRequest(2);
-    ASSERT_TRUE(shard::writeFrameToFd(sv[0], shard::FrameType::ServeSweep,
-                                      encodeSweep(req)));
-    sim::SweepResult grid = emptyGrid(req);
-    shard::FrameParser parser;
-    bool done = false;
-    while (!done) {
-        const shard::PumpStatus st = shard::pumpFrames(
-            sv[0], parser, [&](const shard::Frame &frame) {
-                std::uint64_t cell = 0;
-                if (frame.type == shard::FrameType::ServeCell)
-                    return placeCell(frame.payload, grid, cell);
-                DoneMsg m;
-                done = frame.type == shard::FrameType::ServeDone &&
-                       decodeDone(frame.payload, m) && m.ok;
-                return done;
-            });
-        ASSERT_EQ(st, shard::PumpStatus::Ok);
-    }
-    expectBitIdentical(referenceGrid(), grid);
-
-    // No orphans: once the peer closes, the server drains and stops
-    // on its own — no Shutdown frame, no requestStop().
-    ::close(sv[0]);
-    server.wait();
-    EXPECT_EQ(server.statsSnapshot().requestsSweep, 1u);
 }
 
 /**

@@ -1,11 +1,8 @@
 /**
  * @file
- * Pure unit tests of the sharded sweep's building blocks: the
- * deterministic partitioner, the length-prefixed frame layer and the
- * basic setup-blob codec. No processes are spawned here — the
- * end-to-end coordinator/endpoint determinism and crash-reassignment
- * tests live in test_shard_run.cc (which needs a custom main for
- * endpoint mode).
+ * Pure unit tests of the wire building blocks: the length-prefixed
+ * frame layer and the basic setup-blob codec. The served end-to-end
+ * paths are tested in test_serve_run.cc.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +15,6 @@
 #include <vector>
 
 #include "common/bytes.hh"
-#include "shard/partition.hh"
 #include "shard/protocol.hh"
 #include "shard/worker.hh"
 
@@ -26,76 +22,6 @@ using namespace tg;
 using shard::Frame;
 using shard::FrameParser;
 using shard::FrameType;
-
-// --- partitioner -----------------------------------------------------
-
-TEST(ShardPartition, EveryCellExactlyOnce)
-{
-    for (std::size_t n : {std::size_t(0), std::size_t(1),
-                          std::size_t(2), std::size_t(3),
-                          std::size_t(7), std::size_t(12),
-                          std::size_t(16), std::size_t(100),
-                          std::size_t(112), std::size_t(1000)}) {
-        for (int workers : {1, 2, 3, 4, 8, 16}) {
-            auto shards = shard::partitionCells(n, workers);
-            std::vector<int> seen(n, 0);
-            for (const auto &s : shards) {
-                EXPECT_FALSE(s.empty());
-                for (auto c : s) {
-                    ASSERT_LT(c, n);
-                    ++seen[c];
-                }
-            }
-            for (std::size_t c = 0; c < n; ++c)
-                EXPECT_EQ(seen[c], 1)
-                    << "cell " << c << " at n=" << n
-                    << " workers=" << workers;
-        }
-    }
-}
-
-TEST(ShardPartition, ContiguousAndOrdered)
-{
-    auto shards = shard::partitionCells(100, 4);
-    std::uint64_t next = 0;
-    for (const auto &s : shards)
-        for (auto c : s)
-            EXPECT_EQ(c, next++);
-    EXPECT_EQ(next, 100u);
-}
-
-TEST(ShardPartition, GuidedSizesNonIncreasing)
-{
-    auto shards = shard::partitionCells(112, 4);
-    ASSERT_FALSE(shards.empty());
-    // First shard: ceil(112 / (2*4)) = 14 cells.
-    EXPECT_EQ(shards.front().size(), 14u);
-    for (std::size_t i = 1; i < shards.size(); ++i)
-        EXPECT_LE(shards[i].size(), shards[i - 1].size());
-    // Tail decays: the guided schedule ends in single-cell shards.
-    EXPECT_EQ(shards.back().size(), 1u);
-}
-
-TEST(ShardPartition, Deterministic)
-{
-    EXPECT_EQ(shard::partitionCells(250, 3),
-              shard::partitionCells(250, 3));
-}
-
-TEST(ShardPartition, DegenerateInputsClamp)
-{
-    EXPECT_TRUE(shard::partitionCells(0, 4).empty());
-    // workers clamp to >= 1.
-    auto shards = shard::partitionCells(5, 0);
-    std::size_t total = 0;
-    for (const auto &s : shards)
-        total += s.size();
-    EXPECT_EQ(total, 5u);
-    // One worker, one cell: exactly one singleton shard.
-    auto one = shard::partitionCells(1, 1);
-    ASSERT_EQ(one.size(), 1u);
-    EXPECT_EQ(one[0], std::vector<std::uint64_t>{0});
-}
 
 // --- frame layer -----------------------------------------------------
 

@@ -96,6 +96,21 @@ TEST_F(SweepTest, LookupFailuresAreFatal)
                  "not part of the sweep");
 }
 
+TEST_F(SweepTest, CellOutsideTheGridPanicsBeforeAnyWork)
+{
+    auto emit = [](std::size_t, RunResult &&) {};
+    EXPECT_DEATH(runSweepCells(simulation, {"fft"},
+                               {core::PolicyKind::AllOn}, {1}, 1, {},
+                               emit),
+                 "sweep cell index out of range");
+    // With no policies every cell is outside the grid: the range
+    // check must come before anything takes a cell modulo the
+    // policy count.
+    EXPECT_DEATH(runSweepCells(simulation, {"fft"}, {}, {0}, 1, {},
+                               emit),
+                 "sweep cell index out of range");
+}
+
 /** Bit identity of every RunResult member of every cell. */
 void
 expectIdentical(const SweepResult &a, const SweepResult &b)
