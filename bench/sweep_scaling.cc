@@ -6,9 +6,9 @@
  * grid bit-identical to the serial baseline (the sweep determinism
  * contract of sim/sweep.hh):
  *
- *   1. serial       — runSweep with one runner: cells run one after
- *                     another, and each run's noise windows still fan
- *                     out on the process pool unless TG_JOBS=1.
+ *   1. serial       — runSweep at jobs 1: cells run one after
+ *                     another, and each run's noise windows inline,
+ *                     whatever TG_JOBS says.
  *   2. threads-only — runSweep through the process pool (--jobs N);
  *                     cells run on pool threads, their windows inline.
  *
@@ -37,7 +37,11 @@ secondsSince(std::chrono::steady_clock::time_point t0)
         .count();
 }
 
-/** One in-process runSweep with a fresh Simulation, timed. */
+/**
+ * One in-process runSweep with a fresh Simulation, timed. The config
+ * carries `jobs` too, so the serial leg's runs solve their noise
+ * windows inline instead of on the pool.
+ */
 sim::SweepResult
 runInProcess(const std::vector<std::string> &benchmarks,
              const std::vector<core::PolicyKind> &policies, int jobs,
@@ -48,6 +52,7 @@ runInProcess(const std::vector<std::string> &benchmarks,
     auto t0 = std::chrono::steady_clock::now();
     sim::SimConfig cfg{};
     cfg.memoizeResults = false; // time the sweep, not the memo
+    cfg.jobs = jobs;
     sim::Simulation simulation(bench::evaluationChip(), cfg);
     sim::SweepResult r =
         sim::runSweep(simulation, benchmarks, policies, false, jobs);

@@ -1,5 +1,6 @@
 #include "common/matrix.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -139,6 +140,21 @@ LuSolver::solveInPlace(std::vector<double> &bx) const
         y[r] = acc / rr[r];
     }
     bx.assign(y.begin(), y.end());
+}
+
+Matrix
+LuSolver::inverse() const
+{
+    Matrix inv(n, n, 0.0);
+    std::vector<double> unit(n);
+    for (std::size_t j = 0; j < n; ++j) {
+        std::fill(unit.begin(), unit.end(), 0.0);
+        unit[j] = 1.0;
+        solveInPlace(unit);
+        for (std::size_t i = 0; i < n; ++i)
+            inv(i, j) = unit[i];
+    }
+    return inv;
 }
 
 } // namespace tg

@@ -1,9 +1,8 @@
 /**
  * @file
- * Dense linear algebra for the thermal RC and power-delivery RLC
- * solvers: a row-major matrix type and an LU factorisation with
- * partial pivoting that is computed once per system matrix and then
- * back-solved every simulation step.
+ * Dense linear algebra: a row-major matrix type (also the multi-RHS
+ * block of SparseLdltSolver) and an LU factorisation with partial
+ * pivoting for small dense systems.
  */
 
 #ifndef TG_COMMON_MATRIX_HH
@@ -66,9 +65,10 @@ class Matrix
  * LU factorisation with partial pivoting of a square matrix.
  *
  * The factorisation is performed once at construction; solve() then
- * costs O(n^2) per right-hand side. This is the workhorse of both the
- * thermal transient solver (fixed step => fixed system matrix) and the
- * PDN transient solver.
+ * costs O(n^2) per right-hand side. The thermal and PDN solvers use
+ * SparseLdltSolver (common/sparse.hh); LU only inverts the small
+ * r x r capacitance matrices of the PDN's Woodbury downdates, and
+ * serves as the dense reference in tests and benches.
  */
 class LuSolver
 {
@@ -86,6 +86,9 @@ class LuSolver
      * concurrent solves from multiple threads.
      */
     void solveInPlace(std::vector<double> &bx) const;
+
+    /** A^{-1}: column j is solveInPlace() of the unit vector e_j. */
+    Matrix inverse() const;
 
     /** Dimension of the factored system. */
     std::size_t size() const { return n; }

@@ -37,7 +37,40 @@
 #ifndef TG_COMMON_SIMD_HH
 #define TG_COMMON_SIMD_HH
 
+#include <algorithm>
+#include <cstddef>
+
 namespace tg {
+
+/** Lanes per lockstep chunk: the widest kernel instantiated. */
+inline constexpr int kLockstepLanes = 8;
+
+/**
+ * The lockstep batch rule, the one every multi-lane kernel follows:
+ * `count` lanes go kLockstepLanes at a time, and a chunk of `live`
+ * lanes runs the narrowest kernel width W of 2, 4 and 8 that holds
+ * it. For each chunk in order this calls
+ * fn.template operator()<W>(first, live), lanes [first, first + live).
+ * The caller fills the W - live spare lanes (with copies of the
+ * chunk's last lane) and drops their results. Lanes never interact,
+ * so every chunking gives each lane its scalar bits.
+ */
+template <class Fn>
+void
+forEachLockstepChunk(std::size_t count, Fn &&fn)
+{
+    static_assert(kLockstepLanes == 8, "kernel ladder is 2/4/8");
+    for (std::size_t first = 0; first < count; first += kLockstepLanes) {
+        const std::size_t live =
+            std::min<std::size_t>(count - first, kLockstepLanes);
+        if (live > 4)
+            fn.template operator()<8>(first, live);
+        else if (live > 2)
+            fn.template operator()<4>(first, live);
+        else
+            fn.template operator()<2>(first, live);
+    }
+}
 
 namespace detail {
 

@@ -356,7 +356,7 @@ SparseLdltSolver::solveInPlace(double *bx) const
  */
 template <int W>
 __attribute__((aligned(64))) void
-SparseLdltSolver::solveBatchFixed(double *bx) const
+SparseLdltSolver::solveBatchInPlace(double *bx) const
 {
     using B = DoubleBatch<W>;
     batchScratch.resize(n * W);
@@ -387,80 +387,35 @@ SparseLdltSolver::solveBatchFixed(double *bx) const
 
     for (std::size_t i = 0; i < n; ++i)
         B::load(y + i * W).store(bx + perm[i] * W);
-}
-
-/** Runtime-width fallback with the same per-lane operation order. */
-void
-SparseLdltSolver::solveBatchGeneric(double *bx, std::size_t width) const
-{
-    const std::size_t w = width;
-    batchScratch.resize(n * w);
-    double *y = batchScratch.data();
-    for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t l = 0; l < w; ++l)
-            y[i * w + l] = bx[perm[i] * w + l];
-
-    for (std::size_t i = 0; i < n; ++i) {
-        const double *li = low.data() + rowStart[i];
-        std::size_t fi = first[i];
-        double *yi = y + i * w;
-        for (std::size_t j = fi; j < i; ++j) {
-            const double c = li[j - fi];
-            const double *yj = y + j * w;
-            for (std::size_t l = 0; l < w; ++l)
-                yi[l] -= c * yj[l];
-        }
-    }
-
-    for (std::size_t i = 0; i < n; ++i) {
-        const double d = diag[i];
-        for (std::size_t l = 0; l < w; ++l)
-            y[i * w + l] /= d;
-    }
-    for (std::size_t i = n; i-- > 0;) {
-        const double *li = low.data() + rowStart[i];
-        std::size_t fi = first[i];
-        const double *yi = y + i * w;
-        for (std::size_t j = fi; j < i; ++j) {
-            const double c = li[j - fi];
-            double *yj = y + j * w;
-            for (std::size_t l = 0; l < w; ++l)
-                yj[l] -= c * yi[l];
-        }
-    }
-
-    for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t l = 0; l < w; ++l)
-            bx[perm[i] * w + l] = y[i * w + l];
-}
-
-void
-SparseLdltSolver::solveBatchInPlace(double *bx, std::size_t width) const
-{
-    TG_ASSERT(width > 0, "batched solve needs at least one lane");
-    switch (width) {
-      case 1: solveInPlace(bx); break;
-      case 2: solveBatchFixed<2>(bx); break;
-      case 4: solveBatchFixed<4>(bx); break;
-      case 8: solveBatchFixed<8>(bx); break;
-      default: solveBatchGeneric(bx, width); break;
-    }
 
 #ifdef TG_DEBUG_CHECKS
-    for (std::size_t i = 0; i < n * width; ++i)
+    for (std::size_t i = 0; i < n * W; ++i)
         TG_DEBUG_ASSERT(std::isfinite(bx[i]),
                         "non-finite LDL^T batch solution at element ",
-                        i, " (width ", width, ")");
+                        i, " (width ", W, ")");
 #endif
 }
+
+template void SparseLdltSolver::solveBatchInPlace<2>(double *) const;
+template void SparseLdltSolver::solveBatchInPlace<4>(double *) const;
+template void SparseLdltSolver::solveBatchInPlace<8>(double *) const;
 
 void
 SparseLdltSolver::solveInPlace(Matrix &bx) const
 {
     TG_ASSERT(bx.rows() == n, "multi-RHS rows mismatch in LDL^T solve");
     TG_ASSERT(bx.cols() > 0, "multi-RHS solve needs columns");
-    // Row-major n x k storage IS the interleaved lane layout.
-    solveBatchInPlace(bx.row(0), bx.cols());
+    std::vector<double> lanes(n * kLockstepLanes);
+    forEachLockstepChunk(
+        bx.cols(), [&]<int W>(std::size_t col, std::size_t live) {
+            for (std::size_t i = 0; i < n; ++i)
+                for (std::size_t l = 0; l < W; ++l)
+                    lanes[i * W + l] = bx(i, col + std::min(l, live - 1));
+            solveBatchInPlace<W>(lanes.data());
+            for (std::size_t i = 0; i < n; ++i)
+                for (std::size_t l = 0; l < live; ++l)
+                    bx(i, col + l) = lanes[i * W + l];
+        });
 }
 
 std::size_t

@@ -123,24 +123,27 @@ class SparseLdltSolver
 
     /**
      * Multi-RHS solve: `bx` is a size() x k row-major matrix whose k
-     * columns are independent right-hand sides, solved in one
-     * envelope traversal (the L structure's index/pointer traffic is
-     * amortised across all columns). Column j of the result is
-     * bit-identical to a scalar solveInPlace() of column j: each
-     * lane executes the same floating-point ops in the same order.
+     * columns are independent right-hand sides, any k >= 1. Columns
+     * go through solveBatchInPlace() in the chunks of
+     * forEachLockstepChunk() (common/simd.hh): each chunk is gathered
+     * into an n x W lane buffer, its spare lanes repeating its last
+     * column, and only its live columns are written back. Column j of
+     * the result is bit-identical to a scalar solveInPlace() of
+     * column j.
      */
     void solveInPlace(Matrix &bx) const;
 
     /**
-     * Batched solve over `width` interleaved right-hand sides: lane
-     * l of row i lives at bx[i * width + l] (a row-major n x width
-     * buffer). One envelope traversal advances every lane in
-     * lockstep; per-lane results are bit-identical to scalar
-     * solveInPlace(). Widths 2/4/8 dispatch to fixed-width SIMD
-     * kernels; other widths use a runtime-width loop. No heap
+     * Lockstep solve of W interleaved right-hand sides, W = 2, 4 or
+     * 8: lane l of row i lives at bx[i * W + l] (a row-major n x W
+     * buffer). One envelope traversal advances every lane, streaming
+     * each factor entry once per batch instead of once per lane; lane
+     * l executes the floating-point ops of a scalar solveInPlace() in
+     * the same order, so its result has the same bits. No heap
      * allocation after the first call at a given width.
      */
-    void solveBatchInPlace(double *bx, std::size_t width) const;
+    template <int W>
+    void solveBatchInPlace(double *bx) const;
 
     /** Dimension of the factored system. */
     std::size_t size() const { return n; }
@@ -152,10 +155,6 @@ class SparseLdltSolver
     std::size_t envelopeBandwidth() const;
 
   private:
-    template <int W>
-    void solveBatchFixed(double *bx) const;
-    void solveBatchGeneric(double *bx, std::size_t width) const;
-
     std::size_t n = 0;
     std::vector<std::size_t> perm;  //!< perm[new] = old
     std::vector<std::size_t> first; //!< leftmost column of row's envelope
@@ -163,7 +162,7 @@ class SparseLdltSolver
     std::vector<double> low;        //!< packed strictly-lower L entries
     std::vector<double> diag;       //!< D of the LDL^T factorisation
     mutable std::vector<double> scratch; //!< permuted solve workspace
-    mutable std::vector<double> batchScratch; //!< n x width workspace
+    mutable std::vector<double> batchScratch; //!< n x W workspace
 };
 
 } // namespace tg

@@ -415,16 +415,7 @@ DomainPdn::makeDowndate(const SparseLdltSolver &base,
         for (std::size_t j = 0; j < r; ++j)
             cap(i, j) = (i == j ? removed_r[i] : 0.0) -
                         dd.w(static_cast<std::size_t>(dd.nodes[i]), j);
-    LuSolver lu(cap);
-    dd.capInverse = Matrix(r, r, 0.0);
-    std::vector<double> unit(r);
-    for (std::size_t j = 0; j < r; ++j) {
-        std::fill(unit.begin(), unit.end(), 0.0);
-        unit[j] = 1.0;
-        lu.solveInPlace(unit);
-        for (std::size_t i = 0; i < r; ++i)
-            dd.capInverse(i, j) = unit[i];
-    }
+    dd.capInverse = LuSolver(cap).inverse();
     return dd;
 }
 
@@ -688,7 +679,7 @@ void
 DomainPdn::solveReducedBatch(const SparseLdltSolver &base,
                              const Downdate &dd, double *x) const
 {
-    base.solveBatchInPlace(x, W);
+    base.solveBatchInPlace<W>(x);
     std::size_t r = dd.nodes.size();
     if (r == 0)
         return;
@@ -858,26 +849,17 @@ DomainPdn::solveLanes(const Lane *lanes, int count, std::size_t cycles,
                       "cycle stride below node count");
     }
 
-    // Lanes go kMaxWindowBatch at a time. A last chunk of k lanes
-    // runs the narrowest kernel that holds it, its spare lanes
-    // repeating lane k - 1 unrecorded. Lanes never interact, so every
-    // chunking yields each lane's scalar bits.
-    static_assert(kMaxWindowBatch == 8, "kernel ladder is 2/4/8");
-    for (int done = 0; done < count; done += kMaxWindowBatch) {
-        const int live = std::min(count - done, kMaxWindowBatch);
-        Lane chunk[kMaxWindowBatch];
-        for (int l = 0; l < kMaxWindowBatch; ++l)
-            chunk[l] = lanes[done + std::min(l, live - 1)];
-        if (live > 4)
-            transientWindowLockstep<8>(chunk, cycles, warmup, keep_trace,
-                                       out + done, live);
-        else if (live > 2)
-            transientWindowLockstep<4>(chunk, cycles, warmup, keep_trace,
-                                       out + done, live);
-        else
-            transientWindowLockstep<2>(chunk, cycles, warmup, keep_trace,
-                                       out + done, live);
-    }
+    // Each chunk's spare lanes repeat its last lane, unrecorded.
+    forEachLockstepChunk(
+        static_cast<std::size_t>(count),
+        [&]<int W>(std::size_t first, std::size_t live) {
+            Lane chunk[W];
+            for (std::size_t l = 0; l < W; ++l)
+                chunk[l] = lanes[first + std::min(l, live - 1)];
+            transientWindowLockstep<W>(chunk, cycles, warmup, keep_trace,
+                                       out + first,
+                                       static_cast<int>(live));
+        });
 
 #ifdef TG_DEBUG_CHECKS
     for (int i = 0; i < count; ++i)
@@ -931,26 +913,10 @@ DomainPdn::buildTransferResistances()
     // shared work: one base factorisation, n solves for
     // diag(M0^{-1}), and m solves for the branch columns Z — instead
     // of the m full factorisations and n*m solves of the dense path.
-    // diag(M0^{-1}): n unit solves advanced kMaxWindowBatch lanes at
-    // a time through one envelope traversal per chunk (the dominant
-    // construction cost; per-lane bit-identical to scalar solves).
-    std::vector<double> d0(n);
-    {
-        constexpr std::size_t kW =
-            static_cast<std::size_t>(kMaxWindowBatch);
-        std::vector<double> cols(n * kW);
-        for (std::size_t j0 = 0; j0 < n; j0 += kW) {
-            std::size_t w = std::min(kW, n - j0);
-            std::fill(cols.begin(),
-                      cols.begin() + static_cast<std::ptrdiff_t>(n * w),
-                      0.0);
-            for (std::size_t l = 0; l < w; ++l)
-                cols[(j0 + l) * w + l] = 1.0;
-            steadyBase->solveBatchInPlace(cols.data(), w);
-            for (std::size_t l = 0; l < w; ++l)
-                d0[j0 + l] = cols[(j0 + l) * w + l];
-        }
-    }
+    // diag(M0^{-1}): the n unit columns in one multi-RHS solve (the
+    // dominant construction cost; bit-identical to scalar solves).
+    Matrix m0_inv = Matrix::identity(n);
+    steadyBase->solveInPlace(m0_inv);
     // Branch columns Z = M0^{-1} E, one multi-RHS traversal.
     Matrix z(n, m, 0.0);
     for (std::size_t k = 0; k < m; ++k)
@@ -966,10 +932,10 @@ DomainPdn::buildTransferResistances()
                 others[r++] = i;
         if (r == 0) {
             for (std::size_t j = 0; j < n; ++j)
-                transferR(j, k) = d0[j];
+                transferR(j, k) = m0_inv(j, j);
             continue;
         }
-        // (M_k^{-1})_{jj} = d0[j] + w_j^T cap^{-1} w_j with
+        // (M_k^{-1})_{jj} = (M0^{-1})_{jj} + w_j^T cap^{-1} w_j with
         // w_j[a] = z(j, others[a]) and cap = R_out I - E^T Z_others.
         Matrix cap(r, r, 0.0);
         for (std::size_t a = 0; a < r; ++a)
@@ -978,16 +944,7 @@ DomainPdn::buildTransferResistances()
                     (a == b ? r_out : 0.0) -
                     z(static_cast<std::size_t>(vrNodes[others[a]]),
                       others[b]);
-        LuSolver lu(cap);
-        Matrix cap_inv(r, r, 0.0);
-        std::vector<double> unit(r);
-        for (std::size_t b = 0; b < r; ++b) {
-            std::fill(unit.begin(), unit.end(), 0.0);
-            unit[b] = 1.0;
-            lu.solveInPlace(unit);
-            for (std::size_t a = 0; a < r; ++a)
-                cap_inv(a, b) = unit[a];
-        }
+        const Matrix cap_inv = LuSolver(cap).inverse();
         for (std::size_t j = 0; j < n; ++j) {
             double quad = 0.0;
             for (std::size_t a = 0; a < r; ++a) {
@@ -997,7 +954,7 @@ DomainPdn::buildTransferResistances()
                     acc += ca[b] * z(j, others[b]);
                 quad += z(j, others[a]) * acc;
             }
-            transferR(j, k) = d0[j] + quad;
+            transferR(j, k) = m0_inv(j, j) + quad;
         }
     }
 }

@@ -52,6 +52,7 @@
 #include <vector>
 
 #include "common/matrix.hh"
+#include "common/simd.hh"
 #include "common/sparse.hh"
 #include "common/units.hh"
 #include "floorplan/power8.hh"
@@ -192,9 +193,9 @@ class DomainPdn
         const double *memScale = nullptr;   //!< one per cycle
     };
 
-    /** Widest lockstep kernel instantiated (see common/simd.hh), and
-     *  the chunk width of transientWindowBatch(). */
-    static constexpr int kMaxWindowBatch = 8;
+    /** Lanes per lockstep chunk of transientWindowBatch(): the
+     *  widest kernel instantiated (common/simd.hh). */
+    static constexpr int kMaxWindowBatch = kLockstepLanes;
 
     /**
      * Active-set factorisations kept alive (LRU). The governor flips
@@ -212,10 +213,10 @@ class DomainPdn
      * occupying one lane. Lane arithmetic preserves the exact scalar
      * operation order, so out[i] is bit-identical to
      * transientWindow(windows[i].currents, cycles, windows[i].stride,
-     * warmup, keep_trace) at every count. Windows go kMaxWindowBatch
-     * at a time; a last chunk of k runs the narrowest kernel (2, 4 or
-     * 8 lanes) that holds it, padded with copies of its last window
-     * whose results are discarded, so only out[0, count) is written.
+     * warmup, keep_trace) at every count. Windows go in the chunks
+     * of forEachLockstepChunk() (common/simd.hh), a chunk's spare
+     * lanes padded with copies of its last window whose results are
+     * discarded, so only out[0, count) is written.
      * All windows share cycles/warmup. No heap allocation after the
      * first call at a given kernel width (trace buffers aside).
      */

@@ -45,7 +45,8 @@ class PowerTrace
 
     /**
      * (Re)build from an activity trace, reusing the existing buffers
-     * where possible (a Simulation keeps one PowerTrace across runs).
+     * where possible. Runs never rebuild: every policy of a benchmark
+     * row shares one const trace from the artifact store.
      *
      * @param frames_per_epoch frames per gating decision epoch; the
      *        last epoch may be partial and is reduced over the frames

@@ -143,18 +143,6 @@ Simulation::predictorRSquared()
 }
 
 void
-Simulation::adoptPredictor(const core::ThermalPredictor &fitted,
-                           double r_squared)
-{
-    TG_ASSERT(fitted.size() ==
-                  static_cast<int>(chipRef.plan.vrs().size()),
-              "adopted predictor covers ", fitted.size(),
-              " VRs, chip has ", chipRef.plan.vrs().size());
-    predictor = std::make_unique<core::ThermalPredictor>(fitted);
-    predictorR2 = r_squared;
-}
-
-void
 Simulation::calibrateThetas()
 {
     // Profiling pass (Section 6.3): drive the chip through large

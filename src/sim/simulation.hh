@@ -78,19 +78,6 @@ class Simulation
     /** R^2 (Eqn. 3) of the fitted predictor over profiling data. */
     double predictorRSquared();
 
-    /**
-     * Adopt an already-fitted predictor (from a sibling context with
-     * the same chip and config) instead of re-running the profiling
-     * pass. The fit is copied, so the source can be discarded; the
-     * parallel sweep uses this to calibrate once and share the
-     * result with every worker context.
-     */
-    void adoptPredictor(const core::ThermalPredictor &fitted,
-                        double r_squared);
-
-    /** Whether a fitted predictor exists (profiled or adopted). */
-    bool hasPredictor() const { return predictor != nullptr; }
-
     const floorplan::Chip &chip() const { return chipRef; }
     const SimConfig &config() const { return cfg; }
     const thermal::ThermalModel &thermalModel() const { return tm; }

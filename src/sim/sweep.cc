@@ -109,12 +109,14 @@ runSweepCells(Simulation &simulation,
         static_cast<int>(std::min(std::max<std::size_t>(n_tasks, 1),
                                   want));
 
-    // Thermally-aware policies need the fitted theta predictor.
-    // Calibrate it once on the caller's context and hand the fit to
-    // every other runner below, instead of paying the profiling pass
-    // once per runner (the pass is deterministic in the config, so
-    // this does not change any result). Only policies actually present
-    // in the requested cells count.
+    // Thermally-aware policies need the fitted theta predictor. Fit
+    // it on the caller's context before the fan-out, so the artifact
+    // store holds the fit before any runner starts and every other
+    // runner's context takes it from there instead of re-running the
+    // profiling pass. With the store off each runner fits its own;
+    // the pass is deterministic in (chip, config), so either way the
+    // bits are the same. Only policies actually present in the
+    // requested cells count.
     const bool want_predictor = std::any_of(
         cells.begin(), cells.end(), [&](std::size_t c) {
             return core::isThermallyAware(
@@ -139,15 +141,14 @@ runSweepCells(Simulation &simulation,
     // (chip, config, profile, policy) but mutates per-instance solver
     // state (PDN active-set factorisations, scratch), so concurrent
     // runs must not share an instance. While runner 0 runs, the other
-    // runners read only `simulation`'s chip, config and the predictor
-    // fitted above, none of which a run writes. Each builds its
-    // context lazily on its first cell, so construction (thermal and
-    // PDN factorisations) overlaps across runners. Results land in
-    // pre-assigned (benchmark, policy) slots, so the grid is
-    // bit-identical at any runner count; one runner runs the cells
-    // inline in order (exec::parallelFor). A caller-owned
-    // SweepContexts keeps the contexts (and their solver caches)
-    // alive across batches.
+    // runners read only `simulation`'s chip and config, which no run
+    // writes. Each builds its context lazily on its first cell, so
+    // construction (thermal and PDN factorisations) overlaps across
+    // runners. Results land in pre-assigned (benchmark, policy)
+    // slots, so the grid is bit-identical at any runner count; one
+    // runner runs the cells inline in order (exec::parallelFor). A
+    // caller-owned SweepContexts keeps the contexts (and their solver
+    // caches) alive across batches.
     SweepContexts local;
     SweepContexts &contexts = reuse ? *reuse : local;
     if (contexts.sims.size() + 1 < static_cast<std::size_t>(n_jobs))
@@ -159,9 +160,6 @@ runSweepCells(Simulation &simulation,
         if (!ctx)
             ctx = std::make_unique<Simulation>(simulation.chip(),
                                                simulation.config());
-        if (want_predictor && !ctx->hasPredictor())
-            ctx->adoptPredictor(simulation.thermalPredictor(),
-                                simulation.predictorRSquared());
         return *ctx;
     };
     exec::parallelFor(n_tasks, n_jobs, [&](int worker, std::size_t task) {

@@ -54,7 +54,7 @@ struct SweepResult
  * r >= 1 on sims[r - 1]. A caller that issues many cell batches
  * against the same grid (the sweep server's warm contexts) passes one
  * instance across calls so per-context construction (thermal/PDN
- * factorisations, predictor adoption) is paid once, not per batch.
+ * factorisations) is paid once, not per batch.
  * Contexts are only valid for the (chip, config) of the Simulation
  * they were built from.
  */

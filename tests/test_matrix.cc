@@ -106,6 +106,36 @@ TEST(Lu, SolveInPlaceMatchesSolve)
         EXPECT_DOUBLE_EQ(x1[i], x2[i]);
 }
 
+TEST(Lu, InverseColumnsAreUnitSolves)
+{
+    // Column j of the inverse carries the bits of a solve of e_j (the
+    // Woodbury capacitance inverses rely on it), and A A^{-1} = I.
+    Rng rng(2);
+    const std::size_t n = 5;
+    Matrix a(n, n);
+    for (std::size_t r = 0; r < n; ++r) {
+        for (std::size_t c = 0; c < n; ++c)
+            a(r, c) = rng.uniform(-1.0, 1.0);
+        a(r, r) += 4.0;
+    }
+    LuSolver lu(a);
+    const Matrix inv = lu.inverse();
+    ASSERT_EQ(inv.rows(), n);
+    ASSERT_EQ(inv.cols(), n);
+    for (std::size_t j = 0; j < n; ++j) {
+        std::vector<double> e(n, 0.0);
+        e[j] = 1.0;
+        lu.solveInPlace(e);
+        for (std::size_t i = 0; i < n; ++i) {
+            EXPECT_EQ(inv(i, j), e[i]) << "row " << i << " col " << j;
+            double ai = 0.0;
+            for (std::size_t k = 0; k < n; ++k)
+                ai += a(i, k) * inv(k, j);
+            EXPECT_NEAR(ai, i == j ? 1.0 : 0.0, 1e-12);
+        }
+    }
+}
+
 TEST(LuDeath, SingularMatrixPanics)
 {
     Matrix a(2, 2, 0.0);

@@ -1,10 +1,11 @@
 /**
  * @file
  * Bit-identity tests of the lockstep batching layer: DoubleBatch lane
- * semantics, the batched/multi-RHS sparse solves against the scalar
- * solver, and DomainPdn::transientWindowBatch against the scalar
- * transient window — all compared with EXPECT_EQ on doubles, because
- * the batched paths promise the *same bits*, not just the same values.
+ * semantics, the lockstep chunk rule, the batched/multi-RHS sparse
+ * solves against the scalar solver, and DomainPdn::transientWindowBatch
+ * against the scalar transient window — all compared with EXPECT_EQ
+ * on doubles, because the batched paths promise the *same bits*, not
+ * just the same values.
  * The window batch takes both of its lane forms: written-out cycle
  * rows and rank-2 lanes, each pinned to the scalar window written out.
  */
@@ -74,6 +75,43 @@ TEST(DoubleBatch, CompoundOpsMatchBinaryOps)
         EXPECT_EQ(x[l], a[l] * b[l]);
 }
 
+// ---- The lockstep batch rule --------------------------------------------
+
+TEST(LockstepChunks, NarrowestKernelPerChunkOfEight)
+{
+    // Counts 1-17: every remainder after zero, one and two full
+    // chunks, listed as (first, live, W) per chunk.
+    const char *want[] = {
+        "0,1,2",
+        "0,2,2",
+        "0,3,4",
+        "0,4,4",
+        "0,5,8",
+        "0,6,8",
+        "0,7,8",
+        "0,8,8",
+        "0,8,8 8,1,2",
+        "0,8,8 8,2,2",
+        "0,8,8 8,3,4",
+        "0,8,8 8,4,4",
+        "0,8,8 8,5,8",
+        "0,8,8 8,6,8",
+        "0,8,8 8,7,8",
+        "0,8,8 8,8,8",
+        "0,8,8 8,8,8 16,1,2",
+    };
+    for (std::size_t count = 1; count <= 17; ++count) {
+        std::string got;
+        forEachLockstepChunk(
+            count, [&]<int W>(std::size_t first, std::size_t live) {
+                got += (got.empty() ? "" : " ") + std::to_string(first) +
+                       "," + std::to_string(live) + "," +
+                       std::to_string(W);
+            });
+        EXPECT_EQ(got, want[count - 1]) << "count " << count;
+    }
+}
+
 // ---- Batched sparse solves ----------------------------------------------
 
 /** PDN-like SPD grid matrix: Laplacian plus a few diagonal boosts. */
@@ -129,36 +167,41 @@ class BatchSolveTest : public ::testing::Test
 TEST_F(BatchSolveTest, BatchLanesMatchScalarBitwise)
 {
     std::size_t n = solver.size();
-    for (std::size_t width : {1u, 2u, 3u, 4u, 5u, 8u}) {
+    auto check = [&]<int W>() {
         // Scalar references first, then the batched solve — and once
         // more in the opposite order, so neither path's scratch
         // warm-up can mask a mismatch.
         for (int order = 0; order < 2; ++order) {
             std::vector<std::vector<double>> ref;
-            for (std::size_t l = 0; l < width; ++l) {
-                ref.push_back(rhs(static_cast<int>(l)));
+            for (int l = 0; l < W; ++l) {
+                ref.push_back(rhs(l));
                 solver.solveInPlace(ref.back());
             }
-            std::vector<double> lanes(n * width);
-            for (std::size_t l = 0; l < width; ++l) {
-                auto b = rhs(static_cast<int>(l));
+            std::vector<double> lanes(n * W);
+            for (int l = 0; l < W; ++l) {
+                auto b = rhs(l);
                 for (std::size_t i = 0; i < n; ++i)
-                    lanes[i * width + l] = b[i];
+                    lanes[i * W + l] = b[i];
             }
-            solver.solveBatchInPlace(lanes.data(), width);
-            for (std::size_t l = 0; l < width; ++l)
+            solver.solveBatchInPlace<W>(lanes.data());
+            for (int l = 0; l < W; ++l)
                 for (std::size_t i = 0; i < n; ++i)
-                    ASSERT_EQ(lanes[i * width + l], ref[l][i])
-                        << "width " << width << " lane " << l
-                        << " row " << i;
+                    ASSERT_EQ(lanes[i * W + l], ref[l][i])
+                        << "width " << W << " lane " << l << " row "
+                        << i;
         }
-    }
+    };
+    check.operator()<2>();
+    check.operator()<4>();
+    check.operator()<8>();
 }
 
 TEST_F(BatchSolveTest, MultiRhsMatrixSolveMatchesScalarBitwise)
 {
+    // Every column count through two full chunks: each padded
+    // remainder after zero, one and two chunks of 8.
     std::size_t n = solver.size();
-    for (std::size_t k : {1u, 2u, 4u, 7u}) {
+    for (std::size_t k = 1; k <= 2 * kLockstepLanes + 1; ++k) {
         Matrix bx(n, k, 0.0);
         std::vector<std::vector<double>> ref;
         for (std::size_t j = 0; j < k; ++j) {
@@ -179,25 +222,30 @@ TEST_F(BatchSolveTest, MultiRhsMatrixSolveMatchesScalarBitwise)
 TEST_F(BatchSolveTest, BatchSolvesTheSystem)
 {
     // Sanity beyond self-consistency: the batched result actually
-    // satisfies A x = b.
+    // satisfies A x = b, at every kernel width.
     std::size_t n = solver.size();
-    std::size_t width = 4;
-    std::vector<std::vector<double>> bs;
-    std::vector<double> lanes(n * width);
-    for (std::size_t l = 0; l < width; ++l) {
-        bs.push_back(rhs(static_cast<int>(l) + 200));
-        for (std::size_t i = 0; i < n; ++i)
-            lanes[i * width + l] = bs[l][i];
-    }
-    solver.solveBatchInPlace(lanes.data(), width);
-    for (std::size_t l = 0; l < width; ++l) {
-        std::vector<double> x(n);
-        for (std::size_t i = 0; i < n; ++i)
-            x[i] = lanes[i * width + l];
-        auto ax = a.multiply(x);
-        for (std::size_t i = 0; i < n; ++i)
-            ASSERT_NEAR(ax[i], bs[l][i], 1e-9) << "lane " << l;
-    }
+    auto check = [&]<int W>() {
+        std::vector<std::vector<double>> bs;
+        std::vector<double> lanes(n * W);
+        for (int l = 0; l < W; ++l) {
+            bs.push_back(rhs(l + 200));
+            for (std::size_t i = 0; i < n; ++i)
+                lanes[i * W + l] = bs[l][i];
+        }
+        solver.solveBatchInPlace<W>(lanes.data());
+        for (int l = 0; l < W; ++l) {
+            std::vector<double> x(n);
+            for (std::size_t i = 0; i < n; ++i)
+                x[i] = lanes[i * W + l];
+            auto ax = a.multiply(x);
+            for (std::size_t i = 0; i < n; ++i)
+                ASSERT_NEAR(ax[i], bs[l][i], 1e-9)
+                    << "width " << W << " lane " << l;
+        }
+    };
+    check.operator()<2>();
+    check.operator()<4>();
+    check.operator()<8>();
 }
 
 // ---- Lockstep transient windows -----------------------------------------

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cache/store.hh"
 #include "common/exec.hh"
 #include "sim/sweep.hh"
 #include "workload/profile.hh"
@@ -127,9 +128,10 @@ expectIdentical(const SweepResult &a, const SweepResult &b)
 
 TEST_F(SweepTest, ParallelMatchesSerialBitwise)
 {
-    // Cover a thermally-aware policy (shared adopted predictor), the
-    // noise-aware one (PDN transfer-resistance reads) and an
-    // emergency-override one (per-run noise windows) across workers.
+    // Cover a thermally-aware policy (the predictor fit shared
+    // through the artifact store), the noise-aware one (PDN
+    // transfer-resistance reads) and an emergency-override one
+    // (per-run noise windows) across workers.
     std::vector<std::string> benchmarks = {"rayt", "fft"};
     std::vector<core::PolicyKind> policies = {
         core::PolicyKind::AllOn, core::PolicyKind::OracT,
@@ -139,6 +141,25 @@ TEST_F(SweepTest, ParallelMatchesSerialBitwise)
     auto parallel =
         runSweep(simulation, benchmarks, policies, false, 4);
     expectIdentical(serial, parallel);
+}
+
+TEST_F(SweepTest, StoreOffRunnersFitTheirOwnPredictorBitwise)
+{
+    // With the artifact store off no runner can take the caller's
+    // predictor fit from it: every runner's context profiles on its
+    // own. The pass is deterministic in (chip, config), so a jobs-4
+    // grid of thermally-aware policies keeps the jobs-1 bits.
+    const std::vector<std::string> benchmarks = {"rayt", "fft"};
+    const std::vector<core::PolicyKind> policies = {
+        core::PolicyKind::Naive, core::PolicyKind::OracT,
+        core::PolicyKind::PracT, core::PolicyKind::PracVT};
+    cache::store().setEnabled(false);
+    Simulation serial_sim(chip, config());
+    Simulation wide_sim(chip, config());
+    auto serial = runSweep(serial_sim, benchmarks, policies, false, 1);
+    auto wide = runSweep(wide_sim, benchmarks, policies, false, 4);
+    cache::store().setEnabled(true);
+    expectIdentical(serial, wide);
 }
 
 TEST_F(SweepTest, CallerSimulationIsRunnerZero)
